@@ -10,6 +10,9 @@
 // Service::Dispatch round trip (parse request JSON -> typed call ->
 // serialize response). (c) minus (a) is what the wire format costs; CI
 // uploads these as a JSON artifact to track the tax over time.
+//
+// BM_Parse_IngestBatch is the ingest side of the same tax: parsing one
+// 64-series JSON batch into its typed request.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -18,6 +21,7 @@
 #include "palm/heatmap.h"
 #include "palm/server.h"
 #include "series/kernels.h"
+#include "workload/seismic.h"
 
 namespace coconut {
 namespace bench {
@@ -194,6 +198,34 @@ void BM_Dispatch_Json(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Dispatch_Json)->Unit(benchmark::kMillisecond);
+
+// ------------------------------------------------- ingest parse cost
+
+/// The wire half of one ingest: JsonParse + IngestBatchRequest::FromJson
+/// of a 64 x 256 SeismicGenerator batch, the shape palmbench streams.
+void BM_Parse_IngestBatch(benchmark::State& state) {
+  workload::SeismicGenerator::Options options;
+  options.series_length = 256;
+  options.batch_size = 64;
+  workload::SeismicGenerator gen(options);
+  workload::SeismicBatch batch = gen.NextBatch();
+  palm::api::IngestBatchRequest request;
+  request.stream = "seismic";
+  request.batch = std::move(batch.series);
+  request.timestamps = std::move(batch.timestamps);
+  const std::string body = request.ToJsonString();
+  for (auto _ : state) {
+    auto parsed = JsonParse(body);
+    if (!parsed.ok()) std::abort();
+    auto typed = palm::api::IngestBatchRequest::FromJson(parsed.value());
+    if (!typed.ok()) std::abort();
+    benchmark::DoNotOptimize(typed.value().batch.data().data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(body.size()));
+  state.counters["body_bytes"] = static_cast<double>(body.size());
+}
+BENCHMARK(BM_Parse_IngestBatch)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace bench

@@ -20,7 +20,9 @@ namespace {
 /// locale-pinned strtod_l fallback covers toolchains without
 /// floating-point from_chars and the out-of-range edge (where it
 /// reproduces classic strtod results: ±HUGE_VAL on overflow, ±0 on
-/// underflow — the caller's isfinite check rejects the former).
+/// underflow — the caller's isfinite check rejects the former). The token
+/// is a span of the input, so the fallback copies it to get the
+/// terminator strtod needs; the from_chars path allocates nothing.
 bool ParseDoubleToken(const char* begin, const char* end, double* out) {
 #if defined(__cpp_lib_to_chars)
   {
@@ -34,13 +36,14 @@ bool ParseDoubleToken(const char* begin, const char* end, double* out) {
 #endif
   static const locale_t c_locale =
       newlocale(LC_ALL_MASK, "C", static_cast<locale_t>(nullptr));
+  const std::string token(begin, end);
   char* stop = nullptr;
   errno = 0;
   const double value =
       c_locale != static_cast<locale_t>(nullptr)
-          ? strtod_l(begin, &stop, c_locale)
-          : std::strtod(begin, &stop);
-  if (stop != end) return false;
+          ? strtod_l(token.c_str(), &stop, c_locale)
+          : std::strtod(token.c_str(), &stop);
+  if (stop != token.c_str() + token.size()) return false;
   *out = value;
   return true;
 }
@@ -519,41 +522,15 @@ class JsonParser {
     return Status::OK();
   }
 
-  /// True when `v` can join a packed numeric array without changing any
-  /// observable behavior: doubles always; int/uint only when the value
-  /// survives the double round-trip (|v| <= 2^53), so the exact integer
-  /// accessors and Dump() spelling are preserved.
-  static bool PackableNumber(const JsonValue& v, double* data, uint8_t* tag) {
-    switch (v.kind()) {
-      case JsonValue::Kind::kDouble:
-        *data = v.AsDouble();
-        *tag = static_cast<uint8_t>(JsonValue::NumTag::kDouble);
-        return true;
-      case JsonValue::Kind::kInt: {
-        const int64_t x = v.AsInt64().value();
-        if (x < -(int64_t{1} << 53) || x > (int64_t{1} << 53)) return false;
-        *data = static_cast<double>(x);
-        *tag = static_cast<uint8_t>(JsonValue::NumTag::kInt);
-        return true;
-      }
-      case JsonValue::Kind::kUint: {
-        const uint64_t x = v.AsUint64().value();
-        if (x > (uint64_t{1} << 53)) return false;
-        *data = static_cast<double>(x);
-        *tag = static_cast<uint8_t>(JsonValue::NumTag::kUint);
-        return true;
-      }
-      default:
-        return false;
-    }
-  }
-
   Status ParseArray(int depth, JsonValue* out) {
     ++pos_;  // '['
     // Optimistically pack into the flat numeric representation — the
     // dominant wire shape (series matrices, query vectors) would
-    // otherwise cost a full JsonValue node per number. The first element
-    // that doesn't fit demotes everything parsed so far to nodes.
+    // otherwise cost a full JsonValue node per number. Numbers are
+    // scanned straight into the columns; the first element that doesn't
+    // fit demotes everything parsed so far to nodes. The columns grow
+    // from empty: sizing them from a sibling row would let a hostile
+    // [[<many numbers>],[1],[1],...] multiply its memory.
     std::vector<double> data;
     std::vector<uint8_t> tags;
     bool packed = true;
@@ -566,34 +543,25 @@ class JsonParser {
     }
     while (true) {
       SkipWhitespace();
-      JsonValue value;
-      COCONUT_RETURN_NOT_OK(ParseValue(depth + 1, &value));
-      double d = 0.0;
-      uint8_t tag = 0;
-      if (packed && PackableNumber(value, &d, &tag)) {
-        data.push_back(d);
-        tags.push_back(tag);
+      // Elements past the depth cap go through ParseValue, which rejects
+      // them.
+      if (packed && depth < kMaxParseDepth && AtNumber()) {
+        Number number;
+        COCONUT_RETURN_NOT_OK(ScanNumber(&number));
+        if (number.Packable()) {
+          data.push_back(number.value);
+          tags.push_back(static_cast<uint8_t>(number.tag));
+        } else {
+          packed = false;
+          Unpack(&data, &tags, &elements);
+          elements.push_back(number.ToNode());
+        }
       } else {
+        JsonValue value;
+        COCONUT_RETURN_NOT_OK(ParseValue(depth + 1, &value));
         if (packed) {
           packed = false;
-          elements.reserve(data.size() + 1);
-          for (size_t i = 0; i < data.size(); ++i) {
-            switch (static_cast<JsonValue::NumTag>(tags[i])) {
-              case JsonValue::NumTag::kInt:
-                elements.push_back(
-                    JsonValue::MakeInt(static_cast<int64_t>(data[i])));
-                break;
-              case JsonValue::NumTag::kUint:
-                elements.push_back(
-                    JsonValue::MakeUint(static_cast<uint64_t>(data[i])));
-                break;
-              case JsonValue::NumTag::kDouble:
-                elements.push_back(JsonValue::MakeDouble(data[i]));
-                break;
-            }
-          }
-          data.clear();
-          tags.clear();
+          Unpack(&data, &tags, &elements);
         }
         elements.push_back(std::move(value));
       }
@@ -605,6 +573,29 @@ class JsonParser {
     *out = packed ? JsonValue::MakeNumArray(std::move(data), std::move(tags))
                   : JsonValue::MakeArray(std::move(elements));
     return Status::OK();
+  }
+
+  /// Moves packed columns into node storage (the demotion of an array
+  /// that turned out not to be all-numeric).
+  static void Unpack(std::vector<double>* data, std::vector<uint8_t>* tags,
+                     JsonValue::Array* elements) {
+    elements->reserve(data->size() + 1);
+    for (size_t i = 0; i < data->size(); ++i) {
+      const double d = (*data)[i];
+      switch (static_cast<JsonValue::NumTag>((*tags)[i])) {
+        case JsonValue::NumTag::kInt:
+          elements->push_back(JsonValue::MakeInt(static_cast<int64_t>(d)));
+          break;
+        case JsonValue::NumTag::kUint:
+          elements->push_back(JsonValue::MakeUint(static_cast<uint64_t>(d)));
+          break;
+        case JsonValue::NumTag::kDouble:
+          elements->push_back(JsonValue::MakeDouble(d));
+          break;
+      }
+    }
+    data->clear();
+    tags->clear();
   }
 
   Status ParseString(std::string* out) {
@@ -718,11 +709,65 @@ class JsonParser {
     }
   }
 
-  Status ParseNumber(JsonValue* out) {
-    const size_t start = pos_;
-    if (Consume('-')) {
-      // Sign consumed; digits must follow.
+  /// One scanned number: how it was spelled and its value. Integer
+  /// spellings also keep their exact 64-bit value.
+  struct Number {
+    JsonValue::NumTag tag = JsonValue::NumTag::kDouble;
+    double value = 0.0;
+    int64_t int_value = 0;    // kInt
+    uint64_t uint_value = 0;  // kUint
+
+    /// True when the number can join a packed array without changing any
+    /// observable behavior: doubles always; integers only when they
+    /// survive the double round trip (|v| <= 2^53), so the exact integer
+    /// accessors and Dump() spelling are preserved.
+    bool Packable() const {
+      constexpr int64_t kExact = int64_t{1} << 53;
+      switch (tag) {
+        case JsonValue::NumTag::kInt:
+          return int_value >= -kExact && int_value <= kExact;
+        case JsonValue::NumTag::kUint:
+          return uint_value <= static_cast<uint64_t>(kExact);
+        case JsonValue::NumTag::kDouble:
+          break;
+      }
+      return true;
     }
+
+    JsonValue ToNode() const {
+      switch (tag) {
+        case JsonValue::NumTag::kInt:
+          return JsonValue::MakeInt(int_value);
+        case JsonValue::NumTag::kUint:
+          return JsonValue::MakeUint(uint_value);
+        case JsonValue::NumTag::kDouble:
+          break;
+      }
+      return JsonValue::MakeDouble(value);
+    }
+  };
+
+  bool AtNumber() const {
+    if (pos_ >= text_.size()) return false;
+    const char c = text_[pos_];
+    return c == '-' || (c >= '0' && c <= '9');
+  }
+
+  Status ParseNumber(JsonValue* out) {
+    Number number;
+    COCONUT_RETURN_NOT_OK(ScanNumber(&number));
+    *out = number.ToNode();
+    return Status::OK();
+  }
+
+  /// The one number scanner: validates the JSON number grammar on the
+  /// input span and converts it in place, with no copy of the token.
+  /// Integer literals that fit are held as int64 (negative spelling) or
+  /// uint64; anything else — fractions, exponents, integers wider than
+  /// 64 bits — as double.
+  Status ScanNumber(Number* out) {
+    const size_t start = pos_;
+    const bool negative = Consume('-');
     if (pos_ >= text_.size() || text_[pos_] < '0' || text_[pos_] > '9') {
       return Fail("invalid number");
     }
@@ -757,32 +802,30 @@ class JsonParser {
         ++pos_;
       }
     }
-    const std::string token(text_.substr(start, pos_ - start));
+    const char* first = text_.data() + start;
+    const char* last = text_.data() + pos_;
     if (integral) {
-      errno = 0;
-      if (token[0] == '-') {
-        char* end = nullptr;
-        const long long v = std::strtoll(token.c_str(), &end, 10);
-        if (errno != ERANGE && end == token.c_str() + token.size()) {
-          *out = JsonValue::MakeInt(static_cast<int64_t>(v));
+      if (negative) {
+        int64_t v = 0;
+        const auto [ptr, ec] = std::from_chars(first, last, v);
+        if (ec == std::errc() && ptr == last) {
+          *out = Number{JsonValue::NumTag::kInt, static_cast<double>(v), v, 0};
           return Status::OK();
         }
       } else {
-        char* end = nullptr;
-        const unsigned long long v = std::strtoull(token.c_str(), &end, 10);
-        if (errno != ERANGE && end == token.c_str() + token.size()) {
-          *out = JsonValue::MakeUint(static_cast<uint64_t>(v));
+        uint64_t v = 0;
+        const auto [ptr, ec] = std::from_chars(first, last, v);
+        if (ec == std::errc() && ptr == last) {
+          *out = Number{JsonValue::NumTag::kUint, static_cast<double>(v), 0, v};
           return Status::OK();
         }
       }
       // Fall through: integer literal wider than 64 bits -> double.
     }
     double d = 0.0;
-    if (!ParseDoubleToken(token.c_str(), token.c_str() + token.size(), &d)) {
-      return Fail("invalid number");
-    }
+    if (!ParseDoubleToken(first, last, &d)) return Fail("invalid number");
     if (!std::isfinite(d)) return Fail("number out of double range");
-    *out = JsonValue::MakeDouble(d);
+    *out = Number{JsonValue::NumTag::kDouble, d, 0, 0};
     return Status::OK();
   }
 

@@ -95,7 +95,11 @@ class JsonWriter {
 /// query vectors, timestamp columns, heat-map rows) — are held in a packed
 /// representation (kNumArray): one double plus a one-byte spelling tag per
 /// element instead of a full JsonValue node (~160 bytes each), cutting the
-/// DOM for a parsed series matrix by more than an order of magnitude. An
+/// DOM for a parsed series matrix by more than an order of magnitude. One
+/// number scanner serves scalars and array elements alike: it validates
+/// and converts each number in place on the input, with no allocation per
+/// number, and the parser appends array elements straight to the packed
+/// columns, building no node for them. An
 /// integer element participates only when its value survives the double
 /// round-trip (|v| <= 2^53); otherwise the whole array falls back to nodes
 /// so AsInt64/AsUint64 and Dump stay exact. The spelling tags make

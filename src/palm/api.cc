@@ -332,8 +332,7 @@ Result<series::SeriesCollection> ParseSeriesMatrix(const JsonValue& obj,
   }
   series::SeriesCollection collection(static_cast<size_t>(length));
   collection.Reserve(arr->array_size());
-  std::vector<float> buf;
-  buf.reserve(static_cast<size_t>(length));
+  std::vector<float>& values = collection.mutable_data();
   for (size_t i = 0; i < arr->array().size(); ++i) {
     const JsonValue& row = arr->array()[i];
     if (!row.is_array() || row.array_size() != length) {
@@ -341,22 +340,26 @@ Result<series::SeriesCollection> ParseSeriesMatrix(const JsonValue& obj,
           std::string(what) + ": series " + std::to_string(i) +
           " does not have the expected length " + std::to_string(length));
     }
-    buf.clear();
+    // Rows convert straight into the collection's storage; it only grows
+    // by a row once that row's length is checked.
+    values.resize(values.size() + length);
+    const std::span<float> out = collection.Mutable(i);
     if (row.is_packed_array()) {
-      for (const double v : row.packed_numbers()) {
-        buf.push_back(static_cast<float>(v));
+      const std::span<const double> in = row.packed_numbers();
+      for (size_t j = 0; j < in.size(); ++j) {
+        out[j] = static_cast<float>(in[j]);
       }
     } else {
-      for (const JsonValue& v : row.array()) {
+      for (size_t j = 0; j < out.size(); ++j) {
+        const JsonValue& v = row.array()[j];
         if (!v.is_number()) {
           return Status::InvalidArgument(std::string(what) + ": series " +
                                          std::to_string(i) +
                                          " contains a non-numeric value");
         }
-        buf.push_back(static_cast<float>(v.AsDouble()));
+        out[j] = static_cast<float>(v.AsDouble());
       }
     }
-    collection.Append(buf);
   }
   return collection;
 }

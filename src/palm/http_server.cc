@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
@@ -46,6 +47,9 @@ constexpr int kSendStallTimeoutMs = 5000;
 /// steadily does not.
 constexpr double kRecvGraceSeconds = 30.0;
 constexpr double kMinRecvBytesPerSecond = 64.0 * 1024;
+/// Largest single recv() into a request body: the body buffer grows at
+/// most this far past the bytes that have actually arrived.
+constexpr size_t kBodyRecvBytes = 64 * 1024;
 
 const char* ReasonPhrase(int status) {
   switch (status) {
@@ -521,6 +525,9 @@ void HttpServer::HandleConnection(int fd) {
           return;
         }
       }
+      // The 413 check above bounds the body, so it is reserved once and
+      // received straight into the buffer's tail.
+      if (buffer.size() < content_length) buffer.reserve(content_length);
       // Size-aware transfer timeout (mirrors SendAll): the idle deadline
       // restarts on every received chunk, and total elapsed time is
       // bounded only through the throughput floor — so a large body on a
@@ -541,18 +548,26 @@ void HttpServer::HandleConnection(int fd) {
           ::close(fd);  // drip-feeding uploader: below the throughput floor
           return;
         }
-        char chunk[8192];
-        const ssize_t n = RecvSome(fd, chunk, sizeof(chunk));
+        const size_t received = buffer.size();
+        buffer.resize(received +
+                      std::min(content_length - received, kBodyRecvBytes));
+        const ssize_t n =
+            RecvSome(fd, buffer.data() + received, buffer.size() - received);
+        buffer.resize(received + (n > 0 ? static_cast<size_t>(n) : 0));
         if (n == 0 || n == -2) {
           ::close(fd);
           return;
         }
         if (n == -1) continue;  // poll tick; deadlines re-checked above
-        buffer.append(chunk, static_cast<size_t>(n));
         progress_timer.Reset();
       }
-      request.body = buffer.substr(0, content_length);
-      buffer.erase(0, content_length);
+      if (buffer.size() == content_length) {
+        request.body = std::move(buffer);  // no pipelined bytes follow
+        buffer.clear();
+      } else {
+        request.body = buffer.substr(0, content_length);
+        buffer.erase(0, content_length);
+      }
       (void)have_length;  // absent Content-Length means an empty body
       request.ok = true;
     }

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <charconv>
 #include <clocale>
 #include <cstdio>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -375,10 +378,24 @@ TEST(JsonParseTest, MalformedDocuments) {
       "01",         "1.",          "1e",           "-",
       "\"unterminated", "\"bad\\q\"", "{\"a\":1}extra", "nan",
       "{\"a\":1,\"a\":2}",  // duplicate key
+      // The same number errors inside arrays, where elements are scanned
+      // straight into the packed columns.
+      "[01]",       "[1.]",        "[-]",          "[1e]",
+      "[1,-]",      "[1,2,]",      "[1e400]",      "[-1e400]",
   };
   for (const char* doc : bad) {
     EXPECT_FALSE(JsonParse(doc).ok()) << doc;
   }
+  // In-array number errors report the same message, at the failing byte.
+  EXPECT_EQ(JsonParse("[01]").status().message(),
+            "JSON parse error at offset 1: leading zero in number");
+  EXPECT_EQ(JsonParse("[1.]").status().message(),
+            "JSON parse error at offset 3: digits required after decimal "
+            "point");
+  EXPECT_EQ(JsonParse("[1,-]").status().message(),
+            "JSON parse error at offset 4: invalid number");
+  EXPECT_EQ(JsonParse("[-1e400]").status().message(),
+            "JSON parse error at offset 7: number out of double range");
   // Control characters must be escaped.
   EXPECT_FALSE(JsonParse("\"a\nb\"").ok());
   // Nesting past the depth cap is rejected rather than overflowing.
@@ -441,6 +458,110 @@ TEST(JsonPackedArrayTest, SpellingTagsKeepDumpByteIdentical) {
   JsonValue negbig = JsonParse("[-9223372036854775808]").TakeValue();
   EXPECT_FALSE(negbig.is_packed_array());
   EXPECT_EQ(negbig.ElementAsInt64(0).value(), INT64_MIN);
+
+  // The packing boundary is exactly 2^53 on both signs.
+  JsonValue edge = JsonParse("[9007199254740993]").TakeValue();
+  EXPECT_FALSE(edge.is_packed_array());
+  EXPECT_EQ(edge.ElementAsUint64(0).value(), 9007199254740993u);
+  EXPECT_EQ(edge.Dump(), "[9007199254740993]");
+  edge = JsonParse("[-9007199254740993]").TakeValue();
+  EXPECT_FALSE(edge.is_packed_array());
+  EXPECT_EQ(edge.ElementAsInt64(0).value(), -9007199254740993);
+  EXPECT_EQ(edge.Dump(), "[-9007199254740993]");
+
+  // Both 64-bit extremes in one array, and an integer wider than 64 bits,
+  // which becomes a double and packs.
+  JsonValue extremes =
+      JsonParse("[-9223372036854775808,18446744073709551615]").TakeValue();
+  EXPECT_FALSE(extremes.is_packed_array());
+  EXPECT_EQ(extremes.ElementAsInt64(0).value(), INT64_MIN);
+  EXPECT_EQ(extremes.ElementAsUint64(1).value(), UINT64_MAX);
+  EXPECT_EQ(extremes.Dump(), "[-9223372036854775808,18446744073709551615]");
+  JsonValue wide = JsonParse("[1234567890123456789012345]").TakeValue();
+  ASSERT_TRUE(wide.is_packed_array());
+  EXPECT_EQ(wide.NumberAt(0), 1234567890123456789012345.0);
+  EXPECT_EQ(wide.Dump(), "[1.2345678901234568e+24]");
+
+  // Demotion in the middle of an array keeps every value and spelling.
+  JsonValue mid = JsonParse("[1.5,18446744073709551615,2]").TakeValue();
+  EXPECT_FALSE(mid.is_packed_array());
+  ASSERT_EQ(mid.array_size(), 3u);
+  EXPECT_EQ(mid.array()[0].kind(), JsonValue::Kind::kDouble);
+  EXPECT_EQ(mid.NumberAt(0), 1.5);
+  EXPECT_EQ(mid.ElementAsUint64(1).value(), UINT64_MAX);
+  EXPECT_EQ(mid.array()[2].kind(), JsonValue::Kind::kUint);
+  EXPECT_EQ(mid.ElementAsUint64(2).value(), 2u);
+  EXPECT_EQ(mid.Dump(), "[1.5,18446744073709551615,2]");
+
+  // Underflow parses to zero, as a scalar does.
+  JsonValue tiny = JsonParse("[1e-400]").TakeValue();
+  ASSERT_TRUE(tiny.is_packed_array());
+  EXPECT_EQ(tiny.NumberAt(0), 0.0);
+  EXPECT_EQ(tiny.Dump(), "[0]");
+
+  // Whitespace around packed elements.
+  JsonValue spaced = JsonParse("[ 1 ,\n2\t]").TakeValue();
+  ASSERT_TRUE(spaced.is_packed_array());
+  EXPECT_EQ(spaced.Dump(), "[1,2]");
+}
+
+// Every float and double the writer emits parses back to the double that
+// std::from_chars reads from the same token, bit for bit, as a scalar and
+// inside a packed row. Values span subnormals to 2^53, so every row packs.
+TEST(JsonPackedArrayTest, WriterTokensParseBitIdenticalToFromChars) {
+  Rng rng(20240611);
+  std::vector<std::string> tokens;
+  for (int i = 0; i < 10000; ++i) {
+    const uint64_t bits = rng.NextUint64();
+    double value = 0.0;
+    if (i % 2 == 0) {
+      // A double: random sign and mantissa, exponent field in [0, 1075].
+      value = std::bit_cast<double>(
+          (bits & 0x800FFFFFFFFFFFFFull) |
+          (rng.NextBounded(1076) << 52));
+    } else {
+      // A float, as series values are written: exponent field in [0, 179].
+      value = std::bit_cast<float>(
+          (static_cast<uint32_t>(bits) & 0x807FFFFFu) |
+          static_cast<uint32_t>(rng.NextBounded(180) << 23));
+    }
+    if (value == 0.0) continue;  // "-0" spells an integer, parsed as +0
+    JsonWriter w;
+    w.Double(value);
+    tokens.push_back(w.TakeString());
+  }
+
+  auto from_chars = [](const std::string& token) {
+    double expected = 0.0;
+    const auto [ptr, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), expected);
+    EXPECT_TRUE(ec == std::errc() && ptr == token.data() + token.size())
+        << token;
+    return std::bit_cast<uint64_t>(expected);
+  };
+  constexpr size_t kRow = 256;
+  std::string doc = "[";
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    const JsonValue scalar = JsonParse(tokens[i]).TakeValue();
+    ASSERT_TRUE(scalar.is_number()) << tokens[i];
+    EXPECT_EQ(std::bit_cast<uint64_t>(scalar.AsDouble()), from_chars(tokens[i]))
+        << tokens[i];
+    doc += i % kRow == 0 ? (i == 0 ? "[" : "],[") : ",";
+    doc += tokens[i];
+  }
+  doc += "]]";
+  const JsonValue matrix = JsonParse(doc).TakeValue();
+  ASSERT_EQ(matrix.array_size(), (tokens.size() + kRow - 1) / kRow);
+  for (size_t r = 0; r < matrix.array_size(); ++r) {
+    const JsonValue& row = matrix.array()[r];
+    ASSERT_TRUE(row.is_packed_array()) << r;
+    const std::span<const double> values = row.packed_numbers();
+    for (size_t j = 0; j < values.size(); ++j) {
+      const std::string& token = tokens[r * kRow + j];
+      EXPECT_EQ(std::bit_cast<uint64_t>(values[j]), from_chars(token))
+          << token;
+    }
+  }
 }
 
 TEST(JsonPackedArrayTest, PackedMatrixShrinksDomByOrderOfMagnitude) {
@@ -466,6 +587,21 @@ TEST(JsonPackedArrayTest, PackedMatrixShrinksDomByOrderOfMagnitude) {
   // the packed bound with generous headroom.
   EXPECT_LT(bytes, elements * 32) << bytes;
   EXPECT_GE(bytes, elements * 9);  // sanity: the data itself is counted
+}
+
+TEST(JsonPackedArrayTest, HostileRowShapesKeepDomLinearInInput) {
+  // One long row followed by many one-element rows: a parser that sized
+  // each row's columns from its sibling would retain 1000 x the long row.
+  std::string doc = "[[";
+  for (int i = 0; i < 100000; ++i) doc += i ? ",1" : "1";
+  doc += "]";
+  for (int i = 0; i < 1000; ++i) doc += ",[1]";
+  doc += "]";
+  const JsonValue v = JsonParse(doc).TakeValue();
+  ASSERT_EQ(v.array_size(), 1001u);
+  ASSERT_TRUE(v.array()[1000].is_packed_array());
+  EXPECT_LT(v.DeepMemoryBytes(), doc.size() * 16)
+      << v.DeepMemoryBytes() << " retained for " << doc.size() << " bytes";
 }
 
 }  // namespace

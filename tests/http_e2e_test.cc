@@ -112,8 +112,10 @@ class TestClient {
     return Status::OK();
   }
 
+  /// Reads one response. Bytes past its end stay buffered for the next
+  /// call, so pipelined responses are read in order.
   Result<HttpResponse> ReadResponse() {
-    std::string buffer;
+    std::string& buffer = pending_;
     size_t header_end;
     while ((header_end = buffer.find("\r\n\r\n")) == std::string::npos) {
       COCONUT_RETURN_NOT_OK(Recv(&buffer));
@@ -151,6 +153,7 @@ class TestClient {
       COCONUT_RETURN_NOT_OK(Recv(&buffer));
     }
     response.body = buffer.substr(0, content_length);
+    buffer.erase(0, content_length);
     return response;
   }
 
@@ -171,6 +174,7 @@ class TestClient {
 
   int fd_ = -1;
   bool connected_ = false;
+  std::string pending_;  // received bytes not yet consumed by a response
 };
 
 series::SaxConfig TestSax() {
@@ -339,6 +343,73 @@ TEST_F(HttpE2eTest, KeepAliveServesManyRequestsPerConnection) {
       client.Post("/api/v1/list_indexes", "", /*close_connection=*/true);
   ASSERT_TRUE(last.ok());
   EXPECT_EQ(last.value().connection_header, "close");
+}
+
+TEST_F(HttpE2eTest, PipelinedRequestsAreAnsweredInOrder) {
+  const series::SeriesCollection data =
+      testutil::RandomWalkCollection(100, 32, 77);
+  api::RegisterDatasetRequest reg;
+  reg.name = "walk";
+  reg.data = data;
+  ASSERT_EQ(Post("register_dataset", reg.ToJsonString()).status, 200);
+  api::BuildIndexRequest build;
+  build.index = "idx";
+  build.dataset = "walk";
+  build.spec.sax = TestSax();
+  ASSERT_EQ(Post("build_index", build.ToJsonString()).status, 200);
+
+  auto http_post = [](const std::string& method, const std::string& body) {
+    return "POST /api/v1/" + method + " HTTP/1.1\r\nHost: x\r\n" +
+           "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n" +
+           body;
+  };
+  // An exact query for a copy of series `id` finds it at distance 0 only
+  // if every byte of its body arrived intact.
+  auto query_for = [&](size_t id) {
+    api::QueryRequest query;
+    query.index = "idx";
+    query.query.assign(data[id].begin(), data[id].end());
+    return http_post("query", query.ToJsonString());
+  };
+  auto expect_found = [](TestClient* client, uint64_t id) {
+    Result<HttpResponse> response = client->ReadResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_EQ(response.value().status, 200) << response.value().body;
+    auto report = api::QueryReport::FromJson(
+        JsonParse(response.value().body).TakeValue());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_TRUE(report.value().found);
+    EXPECT_EQ(report.value().series_id, id);
+    EXPECT_NEAR(report.value().distance, 0.0, 1e-3);
+  };
+
+  TestClient client(server_->port());
+  ASSERT_TRUE(client.connected());
+  // A body over 1 MiB and the request after it in one send: the body
+  // spans many receives, and the next request's bytes trail it.
+  api::RegisterDatasetRequest big;
+  big.name = "big";
+  big.data = testutil::RandomWalkCollection(256, 256, 5);
+  const std::string big_body = big.ToJsonString();
+  ASSERT_GE(big_body.size(), size_t{1} << 20);
+  ASSERT_TRUE(
+      client.SendAll(http_post("register_dataset", big_body) + query_for(42))
+          .ok());
+  Result<HttpResponse> registered = client.ReadResponse();
+  ASSERT_TRUE(registered.ok()) << registered.status().ToString();
+  ASSERT_EQ(registered.value().status, 200) << registered.value().body;
+  auto report = api::RegisterDatasetResponse::FromJson(
+      JsonParse(registered.value().body).TakeValue());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report.value().dataset, "big");
+  EXPECT_EQ(report.value().series, 256u);
+  EXPECT_EQ(report.value().series_length, 256u);
+  expect_found(&client, 42);
+
+  // Two small requests in one send arrive in the same receive.
+  ASSERT_TRUE(client.SendAll(query_for(7) + query_for(93)).ok());
+  expect_found(&client, 7);
+  expect_found(&client, 93);
 }
 
 TEST_F(HttpE2eTest, ProtocolAndDispatchErrors) {
