@@ -1,7 +1,9 @@
-// Distributed front-door bench: (A) bulk-ingest framing — the same batch
-// stream pushed through the coordinator's JSON ingest_batch and through
-// the CRC-checked binary ingest_batch_bin framing, comparing throughput,
-// bytes on the wire and process CPU; (B) query fan-out cost — closed-loop
+// Distributed front-door bench: (A) bulk-ingest framing on the
+// client -> coordinator hop — the same batch stream pushed through the
+// coordinator's JSON ingest_batch and through the CRC-checked binary
+// ingest_batch_bin framing, comparing throughput, bytes on the wire and
+// process CPU (the coordinator ships sub-batches to its shards as binary
+// frames either way); (B) query fan-out cost — closed-loop
 // query p50/p99 against a single-process service versus a coordinator
 // scatter-gathering over K in-process shard servers at K in {1,2,4}.
 // Everything (client, coordinator, shards) runs in this one process over
@@ -26,7 +28,6 @@
 #include "common/json.h"
 #include "dist/binary_codec.h"
 #include "dist/coordinator.h"
-#include "dist/service_endpoint.h"
 #include "dist/topology.h"
 #include "palm/api.h"
 #include "palm/http_client.h"
@@ -109,7 +110,6 @@ double PercentileOfSorted(const std::vector<double>& sorted, double p) {
 struct Cluster {
   struct Shard {
     std::unique_ptr<palm::api::Service> service;
-    std::unique_ptr<palm::dist::ServiceEndpoint> endpoint;
     std::unique_ptr<palm::HttpServer> server;
   };
   std::vector<Shard> shards;
@@ -129,19 +129,16 @@ std::string FreshRoot(const std::string& name) {
   return root;
 }
 
-Cluster MakeCluster(size_t k, const std::string& name, bool binary_ingest) {
+Cluster MakeCluster(size_t k, const std::string& name) {
   Cluster cluster;
   palm::dist::CoordinatorOptions options;
-  options.binary_ingest = binary_ingest;
   for (size_t s = 0; s < k; ++s) {
     Cluster::Shard shard;
     shard.service =
         palm::api::Service::Create(FreshRoot(name + "/shard" + std::to_string(s)))
             .TakeValue();
-    shard.endpoint =
-        std::make_unique<palm::dist::ServiceEndpoint>(shard.service.get());
     shard.server =
-        palm::HttpServer::Start(shard.endpoint.get(), {}).TakeValue();
+        palm::HttpServer::Start(shard.service.get(), {}).TakeValue();
     options.shards.push_back(
         palm::dist::ShardEndpoint{"127.0.0.1", shard.server->port()});
     cluster.shards.push_back(std::move(shard));
@@ -166,7 +163,7 @@ struct IngestResult {
 /// Pushes the same deterministic batch stream through one framing.
 IngestResult RunIngest(const Options& options, bool binary) {
   const std::string framing = binary ? "binary" : "json";
-  Cluster cluster = MakeCluster(2, "ingest_" + framing, binary);
+  Cluster cluster = MakeCluster(2, "ingest_" + framing);
 
   palm::api::CreateStreamRequest create;
   create.stream = "live";
@@ -334,7 +331,7 @@ int Main(int argc, char** argv) {
   for (const size_t k : {size_t{1}, size_t{2}, size_t{4}}) {
     std::fprintf(stderr, "bench_dist: queries (coordinator, k=%zu)...\n", k);
     Cluster cluster =
-        MakeCluster(k, "query_k" + std::to_string(k), /*binary_ingest=*/true);
+        MakeCluster(k, "query_k" + std::to_string(k));
     palm::api::RegisterDatasetRequest reg;
     reg.name = "walk";
     reg.data = data;

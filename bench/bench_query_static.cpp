@@ -3,13 +3,12 @@
 // behind the heat map. Expected shape: CTree answers with fewer I/Os and
 // far higher locality than ADS+; materialization removes raw fetches.
 //
-// Also measures the service-layer dispatch overhead of the API redesign
-// (BM_Dispatch*): the same exact query through (a) the typed
-// api::Service::Query path, (b) the legacy string-returning
-// palm::Server::Query wrapper, and (c) the full JSON-RPC
-// Service::Dispatch round trip (parse request JSON -> typed call ->
-// serialize response). (c) minus (a) is what the wire format costs; CI
-// uploads these as a JSON artifact to track the tax over time.
+// Also measures the front door's dispatch overhead (BM_Dispatch*): the
+// same exact query through (a) the typed api::Service::Query path and
+// (b) the full JSON-RPC Service::Dispatch round trip (parse request JSON
+// -> method table -> typed call -> serialize response). (b) minus (a) is
+// what the wire format costs; CI uploads these as a JSON artifact to
+// track the tax over time.
 //
 // BM_Parse_IngestBatch is the ingest side of the same tax: parsing one
 // 64-series JSON batch into its typed request.
@@ -18,8 +17,8 @@
 #include <filesystem>
 
 #include "bench/bench_util.h"
+#include "palm/api.h"
 #include "palm/heatmap.h"
-#include "palm/server.h"
 #include "series/kernels.h"
 #include "workload/seismic.h"
 
@@ -114,16 +113,15 @@ QUERY_BENCH(BM_Exact_CLSMFull, palm::IndexFamily::kClsm, true, true);
 
 constexpr size_t kDispatchCount = 4'000;
 
-/// One legacy Server (which owns the typed Service) with a built CTree
-/// index over a small astronomy collection, shared across the dispatch
-/// benchmarks.
-palm::Server* DispatchServer() {
-  static std::unique_ptr<palm::Server> server = [] {
+/// One Service with a built CTree index over a small astronomy
+/// collection, shared across the dispatch benchmarks.
+palm::api::Service* DispatchService() {
+  static std::unique_ptr<palm::api::Service> service = [] {
     const std::string root =
         std::filesystem::temp_directory_path().string() +
         "/bench_dispatch_server";
     std::filesystem::remove_all(root);
-    auto srv = palm::Server::Create(root).TakeValue();
+    auto srv = palm::api::Service::Create(root).TakeValue();
     const auto& collection = AstroCollection(kDispatchCount);
     if (!srv->RegisterDataset("astro", collection, nullptr).ok()) {
       std::abort();
@@ -135,7 +133,7 @@ palm::Server* DispatchServer() {
     if (!srv->BuildIndex("ctree", spec, "astro").ok()) std::abort();
     return srv;
   }();
-  return server.get();
+  return service.get();
 }
 
 std::vector<palm::api::QueryRequest> DispatchQueries() {
@@ -154,7 +152,7 @@ std::vector<palm::api::QueryRequest> DispatchQueries() {
 
 /// (a) Typed path: request struct in, report struct out — no JSON at all.
 void BM_Dispatch_Typed(benchmark::State& state) {
-  palm::api::Service* service = DispatchServer()->service();
+  palm::api::Service* service = DispatchService();
   const auto queries = DispatchQueries();
   size_t q = 0;
   for (auto _ : state) {
@@ -166,25 +164,10 @@ void BM_Dispatch_Typed(benchmark::State& state) {
 }
 BENCHMARK(BM_Dispatch_Typed)->Unit(benchmark::kMillisecond);
 
-/// (b) Legacy path: the pre-redesign contract — struct in, JSON string
-/// out (typed call + response serialization).
-void BM_Dispatch_Legacy(benchmark::State& state) {
-  palm::Server* server = DispatchServer();
-  const auto queries = DispatchQueries();
-  size_t q = 0;
-  for (auto _ : state) {
-    auto json = server->Query(queries[q % queries.size()]);
-    if (!json.ok()) std::abort();
-    benchmark::DoNotOptimize(json.value().size());
-    ++q;
-  }
-}
-BENCHMARK(BM_Dispatch_Legacy)->Unit(benchmark::kMillisecond);
-
-/// (c) Wire path: JSON params in, JSON response out through
+/// (b) Wire path: JSON params in, JSON response out through
 /// Service::Dispatch — what one HTTP request costs minus the socket.
 void BM_Dispatch_Json(benchmark::State& state) {
-  palm::api::Service* service = DispatchServer()->service();
+  palm::api::Service* service = DispatchService();
   const auto queries = DispatchQueries();
   std::vector<std::string> params;
   params.reserve(queries.size());

@@ -7,7 +7,7 @@
 //                [--quota TOKEN=RPS[:BURST]]... [--quota-file PATH]
 //                [--port-file PATH]
 //                [--topology HOST:PORT,HOST:PORT,...]
-//                [--topology-file PATH] [--degraded-reads] [--json-ingest]
+//                [--topology-file PATH] [--degraded-reads]
 //
 //   port        TCP port on 127.0.0.1 (default 8765; 0 = ephemeral — the
 //               chosen port is printed, and written to --port-file if set)
@@ -35,8 +35,6 @@
 //   --degraded-reads when a shard is down, serve queries from the
 //               surviving shards (answers carry "degraded": true) instead
 //               of failing with 503
-//   --json-ingest    ship ingest sub-batches as JSON instead of the
-//               CRC-checked binary framing (bench comparison knob)
 //
 // Try it:
 //   curl -s localhost:8765/healthz
@@ -97,7 +95,6 @@ int main(int argc, char** argv) {
   std::string topology_text;
   std::string topology_file;
   bool degraded_reads = false;
-  bool json_ingest = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--demo") == 0) {
       demo = true;
@@ -149,8 +146,6 @@ int main(int argc, char** argv) {
       topology_file = argv[++i];
     } else if (std::strcmp(argv[i], "--degraded-reads") == 0) {
       degraded_reads = true;
-    } else if (std::strcmp(argv[i], "--json-ingest") == 0) {
-      json_ingest = true;
     } else {
       port = static_cast<uint16_t>(std::atoi(argv[i]));
     }
@@ -159,7 +154,11 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
 
-  // ---- coordinator mode: fan out to palm_shardd processes.
+  // The backend behind the front door: a coordinator fanning out to
+  // palm_shardd processes, or a local single-process service.
+  std::unique_ptr<palm::dist::Coordinator> coordinator;
+  std::unique_ptr<palm::api::Service> service;
+  std::string root;
   if (!topology_text.empty() || !topology_file.empty()) {
     auto endpoints =
         topology_file.empty()
@@ -173,7 +172,6 @@ int main(int argc, char** argv) {
     palm::dist::CoordinatorOptions coordinator_options;
     coordinator_options.shards = endpoints.TakeValue();
     coordinator_options.degraded_reads = degraded_reads;
-    coordinator_options.binary_ingest = !json_ingest;
     auto coordinator_result =
         palm::dist::Coordinator::Create(std::move(coordinator_options));
     if (!coordinator_result.ok()) {
@@ -181,81 +179,45 @@ int main(int argc, char** argv) {
                    coordinator_result.status().ToString().c_str());
       return 1;
     }
-    auto coordinator = coordinator_result.TakeValue();
-    if (cache) {
-      palm::api::QueryCacheOptions cache_options;
-      cache_options.cache_negative_results = cache_negative;
-      coordinator->EnableQueryCache(cache_options);
-      std::printf("query answer cache enabled%s\n",
-                  cache_negative ? " (negative results cached)" : "");
-    }
-    if (quota) {
-      coordinator->ConfigureQuotas(quota_options);
-      std::printf("quotas enabled for %zu client token(s)\n",
-                  quota_options.clients.size());
-    }
-
-    palm::HttpServerOptions options;
-    options.port = port;
-    auto server_result =
-        palm::HttpServer::Start(coordinator.get(), options);
-    if (!server_result.ok()) {
-      std::fprintf(stderr, "http: %s\n",
-                   server_result.status().ToString().c_str());
+    coordinator = coordinator_result.TakeValue();
+  } else {
+    // A unique per-run directory: a fixed shared name would let two
+    // instances clobber each other's data and turn the remove_all on exit
+    // into deleting another process's (or a symlink target's) files.
+    root = (std::filesystem::temp_directory_path() /
+            "coconut_palm_serve.XXXXXX")
+               .string();
+    if (::mkdtemp(root.data()) == nullptr) {
+      std::fprintf(stderr, "mkdtemp %s: %s\n", root.c_str(),
+                   std::strerror(errno));
       return 1;
     }
-    auto server = server_result.TakeValue();
-    if (!port_file.empty() && !WritePortFile(port_file, server->port())) {
+    auto service_result = palm::api::Service::Create(root);
+    if (!service_result.ok()) {
+      std::fprintf(stderr, "service: %s\n",
+                   service_result.status().ToString().c_str());
       return 1;
     }
-    std::printf(
-        "palm_serve (coordinator, %zu shard%s%s) listening on "
-        "http://%s:%u\n",
-        coordinator->num_shards(), coordinator->num_shards() == 1 ? "" : "s",
-        degraded_reads ? ", degraded reads on" : "",
-        server->address().c_str(), server->port());
-    std::fflush(stdout);
-    while (!g_stop.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    std::printf("shutting down...\n");
-    server->Stop();
-    return 0;
+    service = service_result.TakeValue();
   }
-
-  // ---- single-process mode.
-  // A unique per-run directory: a fixed shared name would let two
-  // instances clobber each other's data and turn the remove_all on exit
-  // into deleting another process's (or a symlink target's) files.
-  std::string root = (std::filesystem::temp_directory_path() /
-                      "coconut_palm_serve.XXXXXX")
-                         .string();
-  if (::mkdtemp(root.data()) == nullptr) {
-    std::fprintf(stderr, "mkdtemp %s: %s\n", root.c_str(),
-                 std::strerror(errno));
-    return 1;
-  }
-  auto service_result = palm::api::Service::Create(root);
-  if (!service_result.ok()) {
-    std::fprintf(stderr, "service: %s\n",
-                 service_result.status().ToString().c_str());
-    return 1;
-  }
-  auto service = service_result.TakeValue();
+  palm::api::FrontDoor* front_door =
+      coordinator != nullptr
+          ? static_cast<palm::api::FrontDoor*>(coordinator.get())
+          : service.get();
   if (cache) {
     palm::api::QueryCacheOptions cache_options;
     cache_options.cache_negative_results = cache_negative;
-    service->EnableQueryCache(cache_options);
+    front_door->EnableQueryCache(cache_options);
     std::printf("query answer cache enabled%s\n",
                 cache_negative ? " (negative results cached)" : "");
   }
   if (quota) {
-    service->ConfigureQuotas(quota_options);
+    front_door->ConfigureQuotas(quota_options);
     std::printf("quotas enabled for %zu client token(s)\n",
                 quota_options.clients.size());
   }
 
-  if (demo) {
+  if (service != nullptr && demo) {
     series::SaxConfig sax{.series_length = 128, .num_segments = 16,
                           .bits_per_segment = 8};
     workload::RandomWalkGenerator gen(128, 4242);
@@ -275,7 +237,7 @@ int main(int argc, char** argv) {
     std::printf("demo data ready: dataset 'walk' (2000x128), index 'ctree'\n");
   }
 
-  if (durable) {
+  if (service != nullptr && durable) {
     palm::VariantSpec spec;
     spec.sax = series::SaxConfig{.series_length = 128, .num_segments = 16,
                                  .bits_per_segment = 8};
@@ -294,7 +256,7 @@ int main(int argc, char** argv) {
 
   palm::HttpServerOptions options;
   options.port = port;
-  auto server_result = palm::HttpServer::Start(service.get(), options);
+  auto server_result = palm::HttpServer::Start(front_door, options);
   if (!server_result.ok()) {
     std::fprintf(stderr, "http: %s\n",
                  server_result.status().ToString().c_str());
@@ -305,10 +267,19 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("palm_serve listening on http://%s:%u\n",
-              server->address().c_str(), server->port());
+  if (coordinator != nullptr) {
+    std::printf(
+        "palm_serve (coordinator, %zu shard%s%s) listening on "
+        "http://%s:%u\n",
+        coordinator->num_shards(), coordinator->num_shards() == 1 ? "" : "s",
+        degraded_reads ? ", degraded reads on" : "",
+        server->address().c_str(), server->port());
+  } else {
+    std::printf("palm_serve listening on http://%s:%u\n",
+                server->address().c_str(), server->port());
+  }
   std::printf("methods (POST /api/v1/<method>):");
-  for (const std::string& method : palm::api::Service::Methods()) {
+  for (const std::string& method : palm::api::FrontDoor::Methods()) {
     std::printf(" %s", method.c_str());
   }
   std::printf("\nexample:\n");
@@ -322,6 +293,6 @@ int main(int argc, char** argv) {
   }
   std::printf("shutting down...\n");
   server->Stop();
-  std::filesystem::remove_all(root);
+  if (!root.empty()) std::filesystem::remove_all(root);
   return 0;
 }

@@ -14,9 +14,10 @@
 //               fresh temp directory, removed on exit; a fixed --root
 //               makes durable streams survive shard restarts)
 //
-// Serves every POST /api/v1/<method> of palm_serve plus the binary
-// bulk-ingest endpoint POST /api/v1/ingest_batch_bin (Content-Type
-// application/x-palm-ingest-v1 — see src/dist/binary_codec.h).
+// Serves every POST /api/v1/<method> of palm_serve — the same front door,
+// including the binary bulk-ingest endpoint POST /api/v1/ingest_batch_bin
+// (Content-Type application/x-palm-ingest-v1 — see
+// src/dist/binary_codec.h) the coordinator ships sub-batches with.
 #include <stdlib.h>  // mkdtemp (POSIX)
 
 #include <atomic>
@@ -29,7 +30,6 @@
 #include <string>
 #include <thread>
 
-#include "dist/service_endpoint.h"
 #include "palm/api.h"
 #include "palm/http_server.h"
 
@@ -90,11 +90,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   auto service = service_result.TakeValue();
-  palm::dist::ServiceEndpoint endpoint(service.get());
 
   palm::HttpServerOptions options;
   options.port = port;
-  auto server_result = palm::HttpServer::Start(&endpoint, options);
+  auto server_result = palm::HttpServer::Start(service.get(), options);
   if (!server_result.ok()) {
     std::fprintf(stderr, "http: %s\n",
                  server_result.status().ToString().c_str());

@@ -9,7 +9,7 @@
 #include <filesystem>
 
 #include "palm/comparison.h"
-#include "palm/server.h"
+#include "palm/api.h"
 #include "workload/seismic.h"
 
 using namespace coconut;
@@ -29,18 +29,12 @@ series::SaxConfig Sax() {
                            .bits_per_segment = 8};
 }
 
-double GetJsonNumber(const std::string& json, const std::string& key) {
-  auto pos = json.find("\"" + key + "\":");
-  if (pos == std::string::npos) return 0.0;
-  return std::atof(json.c_str() + pos + key.size() + 3);
-}
-
 }  // namespace
 
 int main() {
   const std::string root = std::filesystem::temp_directory_path().string() +
                            "/coconut_seismic_example";
-  auto server = palm::Server::Create(root).TakeValue();
+  auto server = palm::api::Service::Create(root).TakeValue();
 
   // The recommender's advice for this scenario.
   palm::Scenario scenario;
@@ -49,7 +43,8 @@ int main() {
   scenario.window_queries = true;
   scenario.dataset_size = kBatch * kBatches;
   scenario.expected_queries = 30;
-  std::printf("recommender: %s\n\n", server->RecommendJson(scenario).c_str());
+  std::printf("recommender: %s\n\n",
+              server->Recommend(scenario).ToJsonString().c_str());
 
   // The three contenders of the demo script.
   struct Contender {
@@ -95,11 +90,11 @@ int main() {
   for (int b = 0; b < kBatches; ++b) {
     auto batch = gen.NextBatch();
     for (size_t c = 0; c < contenders.size(); ++c) {
-      std::string report =
-          server->IngestBatch(contenders[c].name, batch.series,
-                              batch.timestamps)
-              .TakeValue();
-      ingest_seconds[c] += GetJsonNumber(report, "seconds");
+      ingest_seconds[c] += server
+                               ->IngestBatch(contenders[c].name, batch.series,
+                                             batch.timestamps)
+                               .TakeValue()
+                               .seconds;
     }
     // Every few batches, search the most recent window while updates are
     // in flight.
@@ -107,19 +102,19 @@ int main() {
       const int64_t now = gen.current_time();
       core::TimeWindow window{now - static_cast<int64_t>(4 * kBatch), now};
       for (size_t c = 0; c < contenders.size(); ++c) {
-        palm::QueryRequest req;
+        palm::api::QueryRequest req;
         req.index = contenders[c].name;
         req.query = quake;
         req.window = window;
-        std::string response = server->Query(req).TakeValue();
-        query_under_load_ms[c] += GetJsonNumber(response, "seconds") * 1e3;
+        query_under_load_ms[c] += server->Query(req).TakeValue().seconds * 1e3;
       }
       ++queries_done;
     }
   }
 
   std::printf("after %d batches (%d series each):\n%s\n", kBatches,
-              static_cast<int>(kBatch), server->ListIndexes().c_str());
+              static_cast<int>(kBatch),
+              server->ListIndexes().TakeValue().ToJsonString().c_str());
 
   std::vector<palm::ComparisonRow> ingest_rows;
   std::vector<palm::ComparisonRow> query_rows;
@@ -145,19 +140,19 @@ int main() {
     core::TimeWindow window{now - span, now};
     std::printf("  window = %3.0f%% of history:\n", fraction * 100);
     for (const auto& c : contenders) {
-      palm::QueryRequest req;
+      palm::api::QueryRequest req;
       req.index = c.name;
       req.query = quake;
       req.window = window;
-      std::string response = server->Query(req).TakeValue();
+      const palm::api::QueryReport report = server->Query(req).TakeValue();
       std::printf(
-          "    %-9s %6.2f ms, reads(seq=%4.0f rand=%4.0f), partitions "
-          "visited=%2.0f skipped=%2.0f\n",
-          c.name, GetJsonNumber(response, "seconds") * 1e3,
-          GetJsonNumber(response, "sequential_reads"),
-          GetJsonNumber(response, "random_reads"),
-          GetJsonNumber(response, "partitions_visited"),
-          GetJsonNumber(response, "partitions_skipped"));
+          "    %-9s %6.2f ms, reads(seq=%4llu rand=%4llu), partitions "
+          "visited=%2llu skipped=%2llu\n",
+          c.name, report.seconds * 1e3,
+          static_cast<unsigned long long>(report.io.sequential_reads),
+          static_cast<unsigned long long>(report.io.random_reads),
+          static_cast<unsigned long long>(report.counters.partitions_visited),
+          static_cast<unsigned long long>(report.counters.partitions_skipped));
     }
   }
 

@@ -14,20 +14,6 @@ namespace dist {
 
 namespace {
 
-/// Mirrors the api.cc cap so a coordinator rejects oversized heat-map
-/// requests with the same message a single-process service would.
-constexpr uint64_t kMaxHeatMapBinsPerAxis = 4096;
-
-/// Methods the coordinator front door understands, sorted. ingest_batch_bin
-/// is listed even though it is selected by Content-Type, so curl users can
-/// discover it from the unknown-method error.
-const char* const kCoordinatorMethods[] = {
-    "build_index",  "create_stream", "drain_stream",     "drop_dataset",
-    "drop_index",   "ingest_batch",  "ingest_batch_bin", "list_indexes",
-    "query",        "query_batch",   "recommend",        "register_dataset",
-    "server_stats",
-};
-
 template <typename T>
 Result<T> ParseShardBody(const ShardEndpoint& endpoint,
                          const Result<std::string>& raw) {
@@ -71,38 +57,8 @@ Result<std::unique_ptr<Coordinator>> Coordinator::Create(
   return std::unique_ptr<Coordinator>(new Coordinator(std::move(options)));
 }
 
-void Coordinator::EnableQueryCache(const api::QueryCacheOptions& options) {
-  query_cache_ = std::make_unique<api::QueryCache>(options);
-}
-
-void Coordinator::ConfigureQuotas(const api::QuotaOptions& options) {
-  quota_ = std::make_unique<api::QuotaEnforcer>(options);
-}
-
 api::ServerStatsResponse Coordinator::ServerStats() const {
-  api::ServerStatsResponse response;
-  if (query_cache_ != nullptr) {
-    const api::QueryCacheStats cache = query_cache_->Snapshot();
-    response.cache_enabled = true;
-    response.cache_entries = cache.entries;
-    response.cache_bytes = cache.bytes;
-    response.cache_hits = cache.hits;
-    response.cache_misses = cache.misses;
-    response.cache_inserts = cache.inserts;
-    response.cache_evictions = cache.evictions;
-    response.cache_stale_drops = cache.stale_drops;
-    response.cache_invalidations = cache.invalidations;
-    response.cache_negative_enabled = query_cache_->negative_caching_enabled();
-    response.cache_negative_hits = cache.negative_hits;
-    response.cache_negative_inserts = cache.negative_inserts;
-  }
-  if (quota_ != nullptr) {
-    const api::QuotaStats quota = quota_->Snapshot();
-    response.quota_enabled = true;
-    response.quota_admitted = quota.admitted;
-    response.quota_throttled = quota.throttled;
-    response.quota_unauthenticated = quota.unauthenticated;
-  }
+  api::ServerStatsResponse response = FrontDoor::ServerStats();
   response.shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
     const ShardClient::Health health = shard->health();
@@ -139,8 +95,8 @@ Status Coordinator::CheckTopologySpec(const VariantSpec& spec) const {
 
 std::vector<Result<std::string>> Coordinator::Scatter(
     const std::string& method,
-    const std::vector<std::optional<std::string>>& params, bool idempotent,
-    bool binary) {
+    const std::vector<std::optional<std::string>>& params, bool idempotent) {
+  const bool binary = method == "ingest_batch_bin";
   const size_t num_shards = shards_.size();
   std::vector<Result<std::string>> results;
   results.reserve(num_shards);
@@ -182,13 +138,9 @@ void Coordinator::ScatterCleanup(
 Result<api::RegisterDatasetResponse> Coordinator::RegisterDataset(
     const api::RegisterDatasetRequest& request) {
   COCONUT_RETURN_NOT_OK(api::ValidateName(request.name, "dataset"));
-  if (request.data.length() == 0) {
-    return Status::InvalidArgument("dataset series length must be positive");
-  }
-  if (request.timestamps.has_value() &&
-      request.timestamps->size() != request.data.size()) {
-    return Status::InvalidArgument("one timestamp per series required");
-  }
+  COCONUT_RETURN_NOT_OK(api::ValidateDataset(
+      request.data,
+      request.timestamps.has_value() ? &*request.timestamps : nullptr));
   // Staged RAW (un-normalized): shards z-normalize their slices on their
   // own register_dataset with the same function, so the stored bits match
   // the single-process path. The coordinator z-normalizes a private copy
@@ -379,7 +331,7 @@ Result<api::BuildIndexReport> Coordinator::BuildIndex(
   }
   report.build_seconds = timer.ElapsedSeconds();
 
-  if (query_cache_ != nullptr) query_cache_->InvalidateIndex(request.index);
+  InvalidateCachedAnswers(request.index);
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     handle->building = false;
@@ -452,7 +404,7 @@ Result<api::CreateStreamResponse> Coordinator::CreateStream(
 
   handle->local_to_global.assign(num_shards, {});
   handle->has_index.assign(num_shards, true);
-  if (query_cache_ != nullptr) query_cache_->InvalidateIndex(request.stream);
+  InvalidateCachedAnswers(request.stream);
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     handle->building = false;
@@ -466,17 +418,8 @@ Result<api::IngestBatchReport> Coordinator::IngestBatch(
   if (handle == nullptr || !handle->streaming) {
     return Status::NotFound("stream '" + request.stream + "' not found");
   }
-  if (request.timestamps.size() != request.batch.size()) {
-    return Status::InvalidArgument("one timestamp per series required");
-  }
-  if (request.batch.size() > 0 &&
-      static_cast<int>(request.batch.length()) !=
-          handle->spec.sax.series_length) {
-    return Status::InvalidArgument(
-        "batch series length " + std::to_string(request.batch.length()) +
-        " != stream series length " +
-        std::to_string(handle->spec.sax.series_length));
-  }
+  COCONUT_RETURN_NOT_OK(api::ValidateIngest(
+      request.batch, request.timestamps, handle->spec.sax.series_length));
   std::lock_guard<std::mutex> op_lock(handle->op_mutex);
   WallTimer timer;
   const size_t num_shards = shards_.size();
@@ -529,12 +472,10 @@ Result<api::IngestBatchReport> Coordinator::IngestBatch(
   // partitions, ...) are sums of CURRENT per-shard stats, not deltas.
   std::vector<std::optional<std::string>> params(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    params[s] = options_.binary_ingest ? EncodeIngestFrame(sub[s])
-                                       : sub[s].ToJsonString();
+    params[s] = EncodeIngestFrame(sub[s]);
   }
   std::vector<Result<std::string>> raw =
-      Scatter("ingest_batch", params, /*idempotent=*/false,
-              options_.binary_ingest);
+      Scatter("ingest_batch_bin", params, /*idempotent=*/false);
 
   // Pass 3 — gather. Mappings commit per shard for whatever prefix that
   // shard admitted, so queries keep translating every series that IS
@@ -717,56 +658,28 @@ Result<api::QueryReport> Coordinator::Query(const api::QueryRequest& request) {
   if (handle == nullptr) {
     return Status::NotFound("index '" + request.index + "' not found");
   }
-  // Same boundary validation (and messages) as api::Service::Query.
-  if (request.query.empty()) {
-    return Status::InvalidArgument("query vector must not be empty");
-  }
-  if (static_cast<int>(request.query.size()) !=
-      handle->spec.sax.series_length) {
-    return Status::InvalidArgument(
-        "query length " + std::to_string(request.query.size()) +
-        " != index series length " +
-        std::to_string(handle->spec.sax.series_length));
-  }
-  if (request.approx_candidates <= 0) {
-    return Status::InvalidArgument("approx_candidates must be positive");
-  }
-  if (request.window.has_value() &&
-      request.window->begin > request.window->end) {
-    return Status::InvalidArgument(
-        "query window begin must be <= end (got begin=" +
-        std::to_string(request.window->begin) +
-        ", end=" + std::to_string(request.window->end) + ")");
-  }
+  COCONUT_RETURN_NOT_OK(
+      api::ValidateQuery(request, handle->spec.sax.series_length));
   if (request.capture_heatmap) {
-    if (request.heatmap_time_bins == 0 ||
-        request.heatmap_location_bins == 0) {
-      return Status::InvalidArgument("heatmap bins must be positive");
-    }
-    if (request.heatmap_time_bins > kMaxHeatMapBinsPerAxis ||
-        request.heatmap_location_bins > kMaxHeatMapBinsPerAxis) {
-      return Status::InvalidArgument(
-          "heatmap bins exceed the maximum of " +
-          std::to_string(kMaxHeatMapBinsPerAxis) + " per axis");
-    }
     return Status::NotSupported(
         "heat maps are not captured for sharded indexes yet");
   }
-
-  api::QueryCache* cache = query_cache_.get();
-  const bool cacheable =
-      cache != nullptr && api::QueryCache::Cacheable(request);
-  std::string cache_key;
-  if (cacheable) {
-    cache_key = api::QueryCache::KeyFor(request);
-    if (std::optional<api::QueryReport> hit =
-            cache->Lookup(cache_key, handle->version)) {
-      return *std::move(hit);
-    }
+  api::CachedQuery cached(query_cache(), request);
+  if (std::optional<api::QueryReport> hit = cached.Probe(
+          [&] { return std::optional<uint64_t>(handle->version.load()); })) {
+    return *std::move(hit);
   }
-
+  // The version only moves under the op mutex, so the fill bracket below
+  // is trivially equal; a degraded answer is never stamped (it covers a
+  // subset of the key space, and the version stays put when the dead
+  // shard comes back).
   std::lock_guard<std::mutex> op_lock(handle->op_mutex);
-  const uint64_t version_before = handle->version;
+  return cached.Fill([&] { return handle->version.load(); },
+                     [&] { return QueryLocked(request, handle.get()); });
+}
+
+Result<api::QueryReport> Coordinator::QueryLocked(
+    const api::QueryRequest& request, DistHandle* handle) {
   WallTimer timer;
   const std::string params = request.ToJsonString();
   std::vector<std::optional<std::string>> per_shard(shards_.size());
@@ -801,13 +714,8 @@ Result<api::QueryReport> Coordinator::Query(const api::QueryRequest& request) {
   }
   COCONUT_ASSIGN_OR_RETURN(
       api::QueryReport report,
-      FoldShardReports(request, handle.get(), answers, degraded));
+      FoldShardReports(request, handle, answers, degraded));
   report.seconds = timer.ElapsedSeconds();
-  // Never cache a degraded answer: it covers a subset of the key space,
-  // and the version stamp does not move when the dead shard comes back.
-  if (cacheable && !report.degraded && handle->version == version_before) {
-    cache->Insert(cache_key, request.index, version_before, report);
-  }
   return report;
 }
 
@@ -919,19 +827,6 @@ api::QueryBatchResponse Coordinator::QueryBatch(
 
 // ------------------------------------------------------- misc front door
 
-api::RecommendResponse Coordinator::Recommend(const Scenario& scenario) {
-  // Pure function of the scenario — served locally, no shard round trip.
-  Recommendation rec = palm::Recommend(scenario);
-  api::RecommendResponse response;
-  response.variant = rec.variant_name();
-  response.materialized = rec.spec.materialized;
-  response.fill_factor = rec.spec.fill_factor;
-  response.growth_factor = rec.spec.growth_factor;
-  response.buffer_entries = rec.spec.buffer_entries;
-  response.rationale = rec.rationale;
-  return response;
-}
-
 Result<api::ListIndexesResponse> Coordinator::ListIndexes() {
   std::vector<std::pair<std::string, std::shared_ptr<DistHandle>>> pinned;
   {
@@ -1025,122 +920,8 @@ Result<api::DropIndexResponse> Coordinator::DropIndex(
     response.entries += parsed.value().entries;
     response.reclaimed_bytes += parsed.value().reclaimed_bytes;
   }
-  if (query_cache_ != nullptr) query_cache_->InvalidateIndex(request.index);
+  InvalidateCachedAnswers(request.index);
   return response;
-}
-
-// ------------------------------------------------------------- dispatch
-
-Result<std::string> Coordinator::Dispatch(const HttpRequestInfo& request) {
-  // Admission first, exactly like api::Service::Dispatch: a throttled
-  // client pays for nothing past the token bucket.
-  if (quota_ != nullptr) {
-    COCONUT_RETURN_NOT_OK(quota_->Admit(request.client_token));
-  }
-  const std::string& method = request.method;
-  if (method == "ingest_batch_bin") {
-    if (request.content_type != kBinaryIngestContentType) {
-      return Status::InvalidArgument(
-          "ingest_batch_bin requires Content-Type " +
-          std::string(kBinaryIngestContentType) + " (got '" +
-          request.content_type + "')");
-    }
-    COCONUT_ASSIGN_OR_RETURN(const api::IngestBatchRequest decoded,
-                             DecodeIngestFrame(request.body));
-    COCONUT_ASSIGN_OR_RETURN(const api::IngestBatchReport report,
-                             IngestBatch(decoded));
-    return report.ToJsonString();
-  }
-  COCONUT_ASSIGN_OR_RETURN(
-      const JsonValue params,
-      JsonParse(request.body.empty() ? std::string_view("{}")
-                                     : std::string_view(request.body)));
-  if (method == "register_dataset") {
-    COCONUT_ASSIGN_OR_RETURN(const api::RegisterDatasetRequest typed,
-                             api::RegisterDatasetRequest::FromJson(params));
-    COCONUT_ASSIGN_OR_RETURN(const api::RegisterDatasetResponse out,
-                             RegisterDataset(typed));
-    return out.ToJsonString();
-  }
-  if (method == "build_index") {
-    COCONUT_ASSIGN_OR_RETURN(const api::BuildIndexRequest typed,
-                             api::BuildIndexRequest::FromJson(params));
-    COCONUT_ASSIGN_OR_RETURN(const api::BuildIndexReport out,
-                             BuildIndex(typed));
-    return out.ToJsonString();
-  }
-  if (method == "create_stream") {
-    COCONUT_ASSIGN_OR_RETURN(const api::CreateStreamRequest typed,
-                             api::CreateStreamRequest::FromJson(params));
-    COCONUT_ASSIGN_OR_RETURN(const api::CreateStreamResponse out,
-                             CreateStream(typed));
-    return out.ToJsonString();
-  }
-  if (method == "ingest_batch") {
-    COCONUT_ASSIGN_OR_RETURN(const api::IngestBatchRequest typed,
-                             api::IngestBatchRequest::FromJson(params));
-    COCONUT_ASSIGN_OR_RETURN(const api::IngestBatchReport out,
-                             IngestBatch(typed));
-    return out.ToJsonString();
-  }
-  if (method == "drain_stream") {
-    COCONUT_ASSIGN_OR_RETURN(const api::DrainStreamRequest typed,
-                             api::DrainStreamRequest::FromJson(params));
-    COCONUT_ASSIGN_OR_RETURN(const api::DrainStreamReport out,
-                             DrainStream(typed));
-    return out.ToJsonString();
-  }
-  if (method == "query") {
-    COCONUT_ASSIGN_OR_RETURN(const api::QueryRequest typed,
-                             api::QueryRequest::FromJson(params));
-    COCONUT_ASSIGN_OR_RETURN(const api::QueryReport out, Query(typed));
-    return out.ToJsonString();
-  }
-  if (method == "query_batch") {
-    COCONUT_ASSIGN_OR_RETURN(const api::QueryBatchRequest typed,
-                             api::QueryBatchRequest::FromJson(params));
-    return QueryBatch(typed).ToJsonString();
-  }
-  if (method == "recommend") {
-    COCONUT_ASSIGN_OR_RETURN(const api::RecommendRequest typed,
-                             api::RecommendRequest::FromJson(params));
-    return Recommend(typed.scenario).ToJsonString();
-  }
-  if (method == "list_indexes") {
-    if (!params.is_object() || !params.object().empty()) {
-      return Status::InvalidArgument("list_indexes takes no parameters");
-    }
-    COCONUT_ASSIGN_OR_RETURN(const api::ListIndexesResponse out,
-                             ListIndexes());
-    return out.ToJsonString();
-  }
-  if (method == "drop_index") {
-    COCONUT_ASSIGN_OR_RETURN(const api::DropIndexRequest typed,
-                             api::DropIndexRequest::FromJson(params));
-    COCONUT_ASSIGN_OR_RETURN(const api::DropIndexResponse out,
-                             DropIndex(typed));
-    return out.ToJsonString();
-  }
-  if (method == "drop_dataset") {
-    COCONUT_ASSIGN_OR_RETURN(const api::DropDatasetRequest typed,
-                             api::DropDatasetRequest::FromJson(params));
-    COCONUT_ASSIGN_OR_RETURN(const api::DropDatasetResponse out,
-                             DropDataset(typed));
-    return out.ToJsonString();
-  }
-  if (method == "server_stats") {
-    if (!params.is_object() || !params.object().empty()) {
-      return Status::InvalidArgument("server_stats takes no parameters");
-    }
-    return ServerStats().ToJsonString();
-  }
-  std::string known;
-  for (const char* name : kCoordinatorMethods) {
-    if (!known.empty()) known += ", ";
-    known += name;
-  }
-  return Status::NotFound("unknown method '" + method +
-                          "' (known methods: " + known + ")");
 }
 
 }  // namespace dist

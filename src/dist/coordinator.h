@@ -1,6 +1,7 @@
 #ifndef COCONUT_DIST_COORDINATOR_H_
 #define COCONUT_DIST_COORDINATOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -16,10 +17,8 @@
 #include "dist/shard_client.h"
 #include "dist/topology.h"
 #include "palm/api.h"
-#include "palm/http_server.h"
 #include "palm/query_cache.h"
 #include "palm/quota.h"
-#include "palm/recommender.h"
 #include "series/series.h"
 
 namespace coconut {
@@ -36,13 +35,9 @@ struct CoordinatorOptions {
   /// `degraded` on the wire). Off by default: a dead shard fails reads
   /// with a structured kUnavailable naming it.
   bool degraded_reads = false;
-  /// Ship ingest sub-batches with the CRC-checked binary framing
-  /// (POST /api/v1/ingest_batch_bin); off = JSON ingest_batch. A bench
-  /// comparison knob — binary is strictly better on bytes and CPU.
-  bool binary_ingest = true;
 };
 
-/// The distributed Palm front door: one process that owns the global
+/// The distributed Palm backend: one process that owns the global
 /// series-id space, the global timestamp watermark and the request fan-out
 /// across N independent shard-server processes (palm_shardd), each a
 /// complete single-process Palm service holding one invSAX key range.
@@ -53,7 +48,15 @@ struct CoordinatorOptions {
 /// test pins the two answer-for-answer. The coordinator forwards RAW
 /// series (shards z-normalize on ingest with the same function, so the
 /// stored bits match the single-process path) and z-normalizes a private
-/// copy only to route.
+/// copy only to route; ingest sub-batches travel as CRC-checked binary
+/// frames (ingest_batch_bin).
+///
+/// The front door itself — quota admission, the binary or JSON body
+/// decode, the method table, the request checks and the answer cache — is
+/// the api::FrontDoor it shares with api::Service, so a coordinator
+/// refuses a malformed request with the same status and message a
+/// single-process service would. The coordinator adds only the `shards`
+/// health array of server_stats.
 ///
 /// State model: shard servers persist their data (raw stores, WALs,
 /// indexes); the coordinator's own registry — id maps, watermark, dataset
@@ -65,48 +68,37 @@ struct CoordinatorOptions {
 /// Thread safety: same discipline as api::Service — a registry
 /// shared_mutex guards the name maps, and per-handle op mutexes serialize
 /// ingest/drain/query per stream or index.
-class Coordinator : public HttpDispatcher {
+class Coordinator final : public api::FrontDoor {
  public:
   static Result<std::unique_ptr<Coordinator>> Create(
       CoordinatorOptions options);
   ~Coordinator() override;
 
-  /// The JSON front door (HttpServer plugs in here): quota admission,
-  /// params parse, method routing — including the binary ingest endpoint,
-  /// negotiated by Content-Type.
-  Result<std::string> Dispatch(const HttpRequestInfo& request) override;
-
-  /// Front-door policy, mirroring api::Service: call before serving
-  /// concurrent traffic.
-  void EnableQueryCache(const api::QueryCacheOptions& options);
-  void ConfigureQuotas(const api::QuotaOptions& options);
-
-  /// Coordinator cache/quota counters plus per-shard health (the `shards`
-  /// array of server_stats).
-  api::ServerStatsResponse ServerStats() const;
+  /// Cache/quota counters plus per-shard health (the `shards` array).
+  api::ServerStatsResponse ServerStats() const override;
 
   size_t num_shards() const { return shards_.size(); }
 
-  // ---- typed operations (same shapes as api::Service).
+  // ---- typed operations (fanned out to the shard servers).
 
   Result<api::RegisterDatasetResponse> RegisterDataset(
-      const api::RegisterDatasetRequest& request);
+      const api::RegisterDatasetRequest& request) override;
   Result<api::BuildIndexReport> BuildIndex(
-      const api::BuildIndexRequest& request);
+      const api::BuildIndexRequest& request) override;
   Result<api::CreateStreamResponse> CreateStream(
-      const api::CreateStreamRequest& request);
+      const api::CreateStreamRequest& request) override;
   Result<api::IngestBatchReport> IngestBatch(
-      const api::IngestBatchRequest& request);
+      const api::IngestBatchRequest& request) override;
   Result<api::DrainStreamReport> DrainStream(
-      const api::DrainStreamRequest& request);
-  Result<api::QueryReport> Query(const api::QueryRequest& request);
-  api::QueryBatchResponse QueryBatch(const api::QueryBatchRequest& request);
-  api::RecommendResponse Recommend(const Scenario& scenario);
-  Result<api::ListIndexesResponse> ListIndexes();
+      const api::DrainStreamRequest& request) override;
+  Result<api::QueryReport> Query(const api::QueryRequest& request) override;
+  api::QueryBatchResponse QueryBatch(
+      const api::QueryBatchRequest& request) override;
+  Result<api::ListIndexesResponse> ListIndexes() override;
   Result<api::DropIndexResponse> DropIndex(
-      const api::DropIndexRequest& request);
+      const api::DropIndexRequest& request) override;
   Result<api::DropDatasetResponse> DropDataset(
-      const api::DropDatasetRequest& request);
+      const api::DropDatasetRequest& request) override;
 
  private:
   /// Raw (un-normalized) dataset staged at the coordinator until
@@ -135,8 +127,9 @@ class Coordinator : public HttpDispatcher {
     std::vector<bool> has_index;
     /// Coordinator-side snapshot stamp for the answer cache: bumped on
     /// every successful mutation (ingest/drain/drop). Valid because all
-    /// mutations of shard data flow through this coordinator.
-    uint64_t version = 1;
+    /// mutations of shard data flow through this coordinator. Bumped under
+    /// op_mutex; atomic because the cache probe reads it without the lock.
+    std::atomic<uint64_t> version{1};
     /// True while the creating thread populates the handle outside the
     /// registry lock; PinHandle skips building handles.
     bool building = true;
@@ -153,12 +146,11 @@ class Coordinator : public HttpDispatcher {
   Status CheckTopologySpec(const VariantSpec& spec) const;
 
   /// Fans a call out to every shard whose params entry is set (nullopt =
-  /// skip). Returns one Result per shard, positionally. `binary` posts
-  /// the params string as a binary ingest frame instead of JSON.
+  /// skip). Returns one Result per shard, positionally. ingest_batch_bin
+  /// params are binary ingest frames, posted as such.
   std::vector<Result<std::string>> Scatter(
       const std::string& method,
-      const std::vector<std::optional<std::string>>& params, bool idempotent,
-      bool binary = false);
+      const std::vector<std::optional<std::string>>& params, bool idempotent);
   /// Same params for every shard.
   std::vector<Result<std::string>> ScatterSame(const std::string& method,
                                                const std::string& params,
@@ -166,6 +158,10 @@ class Coordinator : public HttpDispatcher {
   /// Best-effort cleanup scatter (errors ignored) for unwind paths.
   void ScatterCleanup(const std::string& method,
                       const std::vector<std::optional<std::string>>& params);
+
+  /// One query's scatter and fold; caller holds the handle's op mutex.
+  Result<api::QueryReport> QueryLocked(const api::QueryRequest& request,
+                                       DistHandle* handle);
 
   /// Gathers per-shard query reports into one: counters/io summed, the
   /// match folded by (distance, global id) with local ids translated
@@ -183,9 +179,6 @@ class Coordinator : public HttpDispatcher {
   mutable std::shared_mutex mu_;
   std::map<std::string, std::shared_ptr<const Dataset>> datasets_;
   std::map<std::string, std::shared_ptr<DistHandle>> handles_;
-
-  std::unique_ptr<api::QueryCache> query_cache_;
-  std::unique_ptr<api::QuotaEnforcer> quota_;
 };
 
 }  // namespace dist

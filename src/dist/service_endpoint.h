@@ -5,26 +5,22 @@
 
 #include "common/status.h"
 #include "palm/api.h"
-#include "palm/http_server.h"
 
 namespace coconut {
 namespace palm {
 namespace dist {
 
-/// The shard-server dispatcher: every JSON method of api::Service plus
-/// the binary bulk-ingest endpoint (POST /api/v1/ingest_batch_bin,
-/// negotiated by Content-Type — see binary_codec.h). This is what
-/// palm_shardd serves; a shard is a complete single-process Palm service
-/// that happens to hold one key range of a distributed deployment.
-///
-/// The binary path bypasses the service's quota enforcer (it goes through
-/// the typed IngestBatch, not Dispatch): shard servers sit behind the
-/// coordinator, which enforces quotas at the front door.
+/// A plain forwarder to an api::Service, which is itself a complete
+/// HttpDispatcher (binary ingest frames included): shard servers pass the
+/// Service to HttpServer::Start directly. Kept only so the palmbench
+/// harness, which still constructs one per shard, keeps compiling.
 class ServiceEndpoint : public HttpDispatcher {
  public:
   explicit ServiceEndpoint(api::Service* service) : service_(service) {}
 
-  Result<std::string> Dispatch(const HttpRequestInfo& request) override;
+  Result<std::string> Dispatch(const HttpRequestInfo& request) override {
+    return service_->Dispatch(request);
+  }
 
  private:
   api::Service* service_;

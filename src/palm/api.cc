@@ -9,7 +9,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "palm/query_cache.h"
-#include "palm/quota.h"
 #include "palm/sharded_index.h"
 #include "palm/sharded_streaming_index.h"
 #include "series/series.h"
@@ -113,7 +112,6 @@ namespace {
 /// with a huge "series_length", heat map bin counts) are bounded here so
 /// a hostile request yields InvalidArgument, not std::bad_alloc.
 constexpr uint64_t kMaxSeriesLength = 1u << 20;
-constexpr uint64_t kMaxHeatMapBinsPerAxis = 4096;
 /// Caps for wire-supplied VariantSpec knobs that size buffers, spawn
 /// threads, or create per-shard storage stacks. Generous relative to any
 /// real configuration, but small enough that one request cannot exhaust
@@ -1902,41 +1900,6 @@ Service::Service(std::string root_dir, size_t pool_bytes)
 
 Service::~Service() = default;
 
-void Service::EnableQueryCache(const QueryCacheOptions& options) {
-  query_cache_ = std::make_unique<QueryCache>(options);
-}
-
-void Service::ConfigureQuotas(const QuotaOptions& options) {
-  quota_ = std::make_unique<QuotaEnforcer>(options);
-}
-
-ServerStatsResponse Service::ServerStats() const {
-  ServerStatsResponse response;
-  if (query_cache_ != nullptr) {
-    const QueryCacheStats cache = query_cache_->Snapshot();
-    response.cache_enabled = true;
-    response.cache_entries = cache.entries;
-    response.cache_bytes = cache.bytes;
-    response.cache_hits = cache.hits;
-    response.cache_misses = cache.misses;
-    response.cache_inserts = cache.inserts;
-    response.cache_evictions = cache.evictions;
-    response.cache_stale_drops = cache.stale_drops;
-    response.cache_invalidations = cache.invalidations;
-    response.cache_negative_enabled = query_cache_->negative_caching_enabled();
-    response.cache_negative_hits = cache.negative_hits;
-    response.cache_negative_inserts = cache.negative_inserts;
-  }
-  if (quota_ != nullptr) {
-    const QuotaStats quota = quota_->Snapshot();
-    response.quota_enabled = true;
-    response.quota_admitted = quota.admitted;
-    response.quota_throttled = quota.throttled;
-    response.quota_unauthenticated = quota.unauthenticated;
-  }
-  return response;
-}
-
 std::shared_ptr<Service::IndexHandle> Service::FindHandle(
     const std::string& name) const {
   auto it = indexes_.find(name);
@@ -2022,12 +1985,7 @@ Result<RegisterDatasetResponse> Service::RegisterDataset(
     const std::string& name, const series::SeriesCollection& data,
     const std::vector<int64_t>* timestamps) {
   COCONUT_RETURN_NOT_OK(ValidateName(name, "dataset"));
-  if (data.length() == 0) {
-    return Status::InvalidArgument("dataset series length must be positive");
-  }
-  if (timestamps != nullptr && timestamps->size() != data.size()) {
-    return Status::InvalidArgument("one timestamp per series required");
-  }
+  COCONUT_RETURN_NOT_OK(ValidateDataset(data, timestamps));
   // The normalize-and-copy loop scales with the dataset (up to the wire
   // body cap), so it runs before the lock; the exclusive section is just
   // the duplicate check and the map insert. A racing duplicate wastes
@@ -2108,7 +2066,7 @@ Result<BuildIndexReport> Service::BuildIndex(const std::string& index_name,
     // A republished name restarts its snapshot-version counter, so any
     // cached answers from a previous life of this name must go before the
     // handle becomes visible.
-    if (query_cache_ != nullptr) query_cache_->InvalidateIndex(index_name);
+    InvalidateCachedAnswers(index_name);
     std::unique_lock<std::shared_mutex> lock(mu_);
     handle->building.store(false);
   } else {
@@ -2243,7 +2201,7 @@ Result<CreateStreamResponse> Service::CreateStream(
     handle->next_series_id = outcome.ordinals;
   }
   // See BuildIndex: a recreated name restarts its version counter.
-  if (query_cache_ != nullptr) query_cache_->InvalidateIndex(stream_name);
+  InvalidateCachedAnswers(stream_name);
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     handle->building.store(false);
@@ -2296,16 +2254,8 @@ Result<IngestBatchReport> Service::IngestBatch(
   if (handle == nullptr) {
     return Status::NotFound("stream '" + stream_name + "' not found");
   }
-  if (timestamps.size() != batch.size()) {
-    return Status::InvalidArgument("one timestamp per series required");
-  }
-  if (batch.size() > 0 &&
-      static_cast<int>(batch.length()) != handle->spec.sax.series_length) {
-    return Status::InvalidArgument(
-        "batch series length " + std::to_string(batch.length()) +
-        " != stream series length " +
-        std::to_string(handle->spec.sax.series_length));
-  }
+  COCONUT_RETURN_NOT_OK(
+      ValidateIngest(batch, timestamps, handle->spec.sax.series_length));
   std::lock_guard<std::mutex> op_lock(handle->op_mutex);
   // A concurrent DropIndex tombstones, then waits on op_mutex: if it won
   // that race the members below are torn down — bounce like a miss.
@@ -2458,56 +2408,17 @@ Result<QueryReport> Service::Query(const QueryRequest& request) {
   // Validate at the API boundary: a malformed query used to reach the
   // index layers and misbehave there (empty spans, wrong-length distance
   // computations, zero candidate heaps).
-  if (request.query.empty()) {
-    return Status::InvalidArgument("query vector must not be empty");
-  }
-  if (static_cast<int>(request.query.size()) !=
-      handle->spec.sax.series_length) {
-    return Status::InvalidArgument(
-        "query length " + std::to_string(request.query.size()) +
-        " != index series length " +
-        std::to_string(handle->spec.sax.series_length));
-  }
-  if (request.approx_candidates <= 0) {
-    return Status::InvalidArgument("approx_candidates must be positive");
-  }
-  if (request.window.has_value() &&
-      request.window->begin > request.window->end) {
-    // The wire parser rejects this too; re-checked here so the typed
-    // in-process path cannot slip an inverted window into a silent empty
-    // scan.
-    return Status::InvalidArgument(
-        "query window begin must be <= end (got begin=" +
-        std::to_string(request.window->begin) +
-        ", end=" + std::to_string(request.window->end) + ")");
-  }
-  if (request.capture_heatmap) {
-    if (request.heatmap_time_bins == 0 ||
-        request.heatmap_location_bins == 0) {
-      return Status::InvalidArgument("heatmap bins must be positive");
-    }
-    // BuildHeatMap allocates time_bins * location_bins cells up front.
-    if (request.heatmap_time_bins > kMaxHeatMapBinsPerAxis ||
-        request.heatmap_location_bins > kMaxHeatMapBinsPerAxis) {
-      return Status::InvalidArgument(
-          "heatmap bins exceed the maximum of " +
-          std::to_string(kMaxHeatMapBinsPerAxis) + " per axis");
-    }
-  }
-  // Cache probe, off the op mutex: serving a hit touches no index state.
-  // A hit requires the entry's snapshot version to equal the index's
+  COCONUT_RETURN_NOT_OK(
+      ValidateQuery(request, handle->spec.sax.series_length));
+  // Cache probe, off the op mutex so a hit never waits behind a scan. A
+  // hit requires the entry's snapshot version to equal the index's
   // current one, so a concurrent admission that lands just after this read
   // merely orders the (cached) query before the ingest — the answer is
   // still the exact answer at its version.
-  QueryCache* cache = query_cache_.get();
-  const bool cacheable = cache != nullptr && QueryCache::Cacheable(request);
-  std::string cache_key;
-  if (cacheable) {
-    cache_key = QueryCache::KeyFor(request);
-    if (std::optional<QueryReport> hit =
-            cache->Lookup(cache_key, IndexVersion(*handle))) {
-      return *std::move(hit);
-    }
+  CachedQuery cached(query_cache(), request);
+  if (std::optional<QueryReport> hit =
+          cached.Probe([&] { return ProbeVersion(*handle); })) {
+    return *std::move(hit);
   }
   // Lock-free read path: a stream that serves queries from epoch-published
   // snapshots never needs the per-handle op mutex, so a query cannot stall
@@ -2516,39 +2427,31 @@ Result<QueryReport> Service::Query(const QueryRequest& request) {
   // guard, so DropIndex's Synchronize (which runs after the tombstone is
   // set) waits this query out before teardown and before the cache purge.
   // Heat-map capture mutates the handle's shared access tracker, so it
-  // stays on the serialized path.
+  // stays on the serialized path. There the fill bracket is what proves
+  // the scan saw one snapshot: background seals/merges publish without
+  // the op mutex.
+  std::optional<stream::epoch::EpochGuard> guard;
+  std::unique_lock<std::mutex> op_lock(handle->op_mutex, std::defer_lock);
   if (handle->stream_index != nullptr &&
       handle->stream_index->ConcurrentReadsSafe() && !request.capture_heatmap) {
-    stream::epoch::EpochGuard guard;
-    if (handle->building.load()) {
-      return Status::NotFound("index '" + request.index + "' not found");
-    }
-    // Fill guard, lock-free form: the version counter is monotone (never
-    // reused, never rolled back), so two equal bracket reads prove the
-    // scan observed one stable snapshot even though seals/merges publish
-    // concurrently. A racing publish lands between the reads, the bracket
-    // differs, and the entry is simply not stamped — a stale answer can
-    // never be inserted at the new version.
-    const uint64_t version_before = cacheable ? IndexVersion(*handle) : 0;
-    Result<QueryReport> report = QueryLocked(request, handle.get());
-    if (cacheable && report.ok() && IndexVersion(*handle) == version_before) {
-      cache->Insert(cache_key, request.index, version_before, report.value());
-    }
-    return report;
+    guard.emplace();
+  } else {
+    op_lock.lock();
   }
-  std::lock_guard<std::mutex> op_lock(handle->op_mutex);
   if (handle->building.load()) {
     return Status::NotFound("index '" + request.index + "' not found");
   }
-  // Fill guard: only a scan bracketed by two equal version reads observed
-  // one stable snapshot (background seals/merges publish without the op
-  // mutex, and direct-library ingest does not go through the service).
-  const uint64_t version_before = cacheable ? IndexVersion(*handle) : 0;
-  Result<QueryReport> report = QueryLocked(request, handle.get());
-  if (cacheable && report.ok() && IndexVersion(*handle) == version_before) {
-    cache->Insert(cache_key, request.index, version_before, report.value());
-  }
-  return report;
+  return cached.Fill([&] { return IndexVersion(*handle); },
+                     [&] { return QueryLocked(request, handle.get()); });
+}
+
+std::optional<uint64_t> Service::ProbeVersion(const IndexHandle& handle) {
+  // DropIndex tombstones the handle and then runs Synchronize before the
+  // teardown resets the index, so a version read inside an epoch guard
+  // that still sees the handle live cannot reach freed index state.
+  stream::epoch::EpochGuard guard;
+  if (handle.building.load()) return std::nullopt;
+  return IndexVersion(handle);
 }
 
 uint64_t Service::IndexVersion(const IndexHandle& handle) {
@@ -2655,16 +2558,13 @@ void Service::QueryGroup(const std::vector<QueryRequest>& requests,
   // them would replay a different wire shape than a fresh single query.
   std::vector<size_t> pending;
   pending.reserve(ordinals.size());
-  QueryCache* cache = query_cache_.get();
-  if (cache != nullptr && handle != nullptr) {
+  if (handle != nullptr) {
     for (size_t ordinal : ordinals) {
-      const QueryRequest& r = requests[ordinal];
-      if (QueryCache::Cacheable(r)) {
-        if (std::optional<QueryReport> hit =
-                cache->Lookup(QueryCache::KeyFor(r), IndexVersion(*handle))) {
-          (*results)[ordinal] = *std::move(hit);
-          continue;
-        }
+      CachedQuery cached(query_cache(), requests[ordinal]);
+      if (std::optional<QueryReport> hit =
+              cached.Probe([&] { return ProbeVersion(*handle); })) {
+        (*results)[ordinal] = *std::move(hit);
+        continue;
       }
       pending.push_back(ordinal);
     }
@@ -2684,10 +2584,8 @@ void Service::QueryGroup(const std::vector<QueryRequest>& requests,
     for (size_t ordinal : pending) {
       const QueryRequest& r = requests[ordinal];
       const bool eligible =
-          r.exact && !r.capture_heatmap && !r.query.empty() &&
-          static_cast<int>(r.query.size()) == handle->spec.sax.series_length &&
-          r.approx_candidates > 0 &&
-          (!r.window.has_value() || r.window->begin <= r.window->end);
+          r.exact && !r.capture_heatmap &&
+          ValidateQuery(r, handle->spec.sax.series_length).ok();
       if (!eligible) {
         fallback.push_back(ordinal);
         continue;
@@ -2824,9 +2722,9 @@ std::vector<Result<QueryReport>> Service::QueryBatch(
   return results;
 }
 
-QueryBatchResponse Service::QueryBatchResponseFor(
-    const std::vector<QueryRequest>& requests, size_t threads) {
-  std::vector<Result<QueryReport>> results = QueryBatch(requests, threads);
+QueryBatchResponse Service::QueryBatch(const QueryBatchRequest& request) {
+  std::vector<Result<QueryReport>> results =
+      QueryBatch(request.queries, static_cast<size_t>(request.threads));
   QueryBatchResponse response;
   response.results.reserve(results.size());
   for (Result<QueryReport>& result : results) {
@@ -2842,19 +2740,7 @@ QueryBatchResponse Service::QueryBatchResponseFor(
   return response;
 }
 
-RecommendResponse Service::Recommend(const Scenario& scenario) {
-  Recommendation rec = palm::Recommend(scenario);
-  RecommendResponse response;
-  response.variant = rec.variant_name();
-  response.materialized = rec.spec.materialized;
-  response.fill_factor = rec.spec.fill_factor;
-  response.growth_factor = rec.spec.growth_factor;
-  response.buffer_entries = rec.spec.buffer_entries;
-  response.rationale = rec.rationale;
-  return response;
-}
-
-ListIndexesResponse Service::ListIndexes() const {
+Result<ListIndexesResponse> Service::ListIndexes() {
   // Snapshot the pinned handles under one brief shared hold, then read
   // each one under its op mutex with no registry lock — waiting out a
   // backpressure-stalled ingest on one index must not park the registry
@@ -2957,7 +2843,7 @@ Result<DropIndexResponse> Service::DropIndex(const std::string& index_name) {
   // The name is about to disappear; purge its cached answers so a future
   // index reusing the name (whose version counter restarts at 0) can
   // never collide with this one's entries.
-  if (query_cache_ != nullptr) query_cache_->InvalidateIndex(index_name);
+  InvalidateCachedAnswers(index_name);
   // op_mutex released before TeardownHandle takes mu_ exclusively (never
   // hold both): late ops that pinned the handle pre-tombstone bounce off
   // `building` under the op mutex instead of touching torn-down members.
@@ -3007,136 +2893,6 @@ stream::StreamingIndex* Service::stream_index(const std::string& name) {
 storage::StorageManager* Service::index_storage(const std::string& name) {
   std::shared_ptr<IndexHandle> handle = PinHandle(name);
   return handle == nullptr ? nullptr : handle->storage.get();
-}
-
-// ------------------------------------------------------------- dispatch
-
-namespace {
-
-/// The common parse -> typed call -> serialize shape of a dispatched
-/// method.
-template <typename Request, typename Response>
-Result<std::string> RunTyped(const JsonValue& params,
-                             Result<Response> (Service::*method)(
-                                 const Request&),
-                             Service* service) {
-  COCONUT_ASSIGN_OR_RETURN(const Request request, Request::FromJson(params));
-  COCONUT_ASSIGN_OR_RETURN(const Response response,
-                           (service->*method)(request));
-  return response.ToJsonString();
-}
-
-struct MethodEntry {
-  const char* name;
-  Result<std::string> (*handler)(Service* service, const JsonValue& params);
-};
-
-/// The single method registry: Dispatch routes through it and Methods()
-/// projects its names, so the two cannot drift. Sorted by name.
-constexpr MethodEntry kMethodTable[] = {
-    {"build_index",
-     [](Service* s, const JsonValue& p) {
-       return RunTyped<BuildIndexRequest>(p, &Service::BuildIndex, s);
-     }},
-    {"create_stream",
-     [](Service* s, const JsonValue& p) {
-       return RunTyped<CreateStreamRequest>(p, &Service::CreateStream, s);
-     }},
-    {"drain_stream",
-     [](Service* s, const JsonValue& p) {
-       return RunTyped<DrainStreamRequest>(p, &Service::DrainStream, s);
-     }},
-    {"drop_dataset",
-     [](Service* s, const JsonValue& p) {
-       return RunTyped<DropDatasetRequest>(p, &Service::DropDataset, s);
-     }},
-    {"drop_index",
-     [](Service* s, const JsonValue& p) {
-       return RunTyped<DropIndexRequest>(p, &Service::DropIndex, s);
-     }},
-    {"ingest_batch",
-     [](Service* s, const JsonValue& p) {
-       return RunTyped<IngestBatchRequest>(p, &Service::IngestBatch, s);
-     }},
-    {"list_indexes",
-     [](Service* s, const JsonValue& p) -> Result<std::string> {
-       if (!p.is_object() || !p.object().empty()) {
-         return Status::InvalidArgument("list_indexes takes no parameters");
-       }
-       return s->ListIndexes().ToJsonString();
-     }},
-    {"query",
-     [](Service* s, const JsonValue& p) {
-       return RunTyped<QueryRequest>(p, &Service::Query, s);
-     }},
-    {"query_batch",
-     [](Service* s, const JsonValue& p) -> Result<std::string> {
-       COCONUT_ASSIGN_OR_RETURN(const QueryBatchRequest request,
-                                QueryBatchRequest::FromJson(p));
-       return s->QueryBatchResponseFor(request.queries,
-                                       static_cast<size_t>(request.threads))
-           .ToJsonString();
-     }},
-    {"recommend",
-     [](Service* s, const JsonValue& p) -> Result<std::string> {
-       COCONUT_ASSIGN_OR_RETURN(const RecommendRequest request,
-                                RecommendRequest::FromJson(p));
-       return s->Recommend(request.scenario).ToJsonString();
-     }},
-    {"register_dataset",
-     [](Service* s, const JsonValue& p) {
-       return RunTyped<RegisterDatasetRequest>(p, &Service::RegisterDataset,
-                                               s);
-     }},
-    {"server_stats",
-     [](Service* s, const JsonValue& p) -> Result<std::string> {
-       if (!p.is_object() || !p.object().empty()) {
-         return Status::InvalidArgument("server_stats takes no parameters");
-       }
-       return s->ServerStats().ToJsonString();
-     }},
-};
-
-}  // namespace
-
-const std::vector<std::string>& Service::Methods() {
-  static const std::vector<std::string> kMethods = [] {
-    std::vector<std::string> names;
-    for (const MethodEntry& entry : kMethodTable) {
-      names.emplace_back(entry.name);
-    }
-    return names;
-  }();
-  return kMethods;
-}
-
-Result<std::string> Service::Dispatch(const std::string& method,
-                                      const std::string& params_json) {
-  return Dispatch(method, params_json, std::string());
-}
-
-Result<std::string> Service::Dispatch(const std::string& method,
-                                      const std::string& params_json,
-                                      const std::string& client_token) {
-  // Admission first: a throttled client pays for nothing past the token
-  // bucket — not even the params parse.
-  if (quota_ != nullptr) {
-    COCONUT_RETURN_NOT_OK(quota_->Admit(client_token));
-  }
-  COCONUT_ASSIGN_OR_RETURN(
-      const JsonValue params,
-      JsonParse(params_json.empty() ? std::string_view("{}")
-                                    : std::string_view(params_json)));
-  for (const MethodEntry& entry : kMethodTable) {
-    if (method == entry.name) return entry.handler(this, params);
-  }
-  std::string known;
-  for (const std::string& m : Methods()) {
-    if (!known.empty()) known += ", ";
-    known += m;
-  }
-  return Status::NotFound("unknown method '" + method +
-                          "' (known methods: " + known + ")");
 }
 
 }  // namespace api

@@ -8,6 +8,7 @@
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
@@ -27,6 +28,28 @@
 
 namespace coconut {
 namespace palm {
+
+/// One API request as seen by the transport: the /api/v1/<method> suffix,
+/// the raw body bytes, the Content-Type the client declared (empty when
+/// absent — treated as JSON), and the bearer credential.
+struct HttpRequestInfo {
+  std::string method;
+  std::string body;
+  std::string content_type;
+  std::string client_token;
+};
+
+/// Seam between the HTTP transport and whatever answers API calls: an
+/// api::FrontDoor (a Service or a dist::Coordinator) or a forwarder to
+/// one. Implementations must be thread-safe: every server worker calls
+/// Dispatch concurrently. The returned string is always a JSON response
+/// body; failures map to HTTP codes through api::StatusCodeToHttpStatus.
+class HttpDispatcher {
+ public:
+  virtual ~HttpDispatcher() = default;
+  virtual Result<std::string> Dispatch(const HttpRequestInfo& request) = 0;
+};
+
 namespace api {
 
 /// Wire protocol version, embedded in every error payload so clients can
@@ -73,8 +96,8 @@ Status ValidateName(const std::string& name, const char* what);
 Result<VariantSpec> VariantSpecFromJson(const JsonValue& value);
 void VariantSpecToJson(const VariantSpec& spec, JsonWriter* writer);
 
-/// IoStats <-> {"sequential_reads":...,...} (the report fragment every
-/// legacy response embedded under "io").
+/// IoStats <-> {"sequential_reads":...,...} (the fragment every report
+/// embeds under "io").
 void IoStatsToJson(const storage::IoStats& io, JsonWriter* writer);
 Result<storage::IoStats> IoStatsFromJson(const JsonValue& value);
 
@@ -121,8 +144,8 @@ struct BuildIndexRequest {
   std::string ToJsonString() const;
 };
 
-/// Build report — serializes byte-identically to the pre-redesign
-/// Server::BuildIndex JSON (pinned in api_test.cc).
+/// Build report — its bytes are pinned against the historical wire shape
+/// in api_test.cc.
 struct BuildIndexReport {
   std::string index;
   std::string variant;
@@ -170,8 +193,8 @@ struct IngestBatchRequest {
 };
 
 /// Ingest report. PR 5 appended the backpressure fields (seals_inflight
-/// through stall_ms_p99) to the pre-redesign shape — a wire-additive
-/// change mirrored in the legacy serializer replicas api_test pins.
+/// through stall_ms_p99) to the original shape — a wire-additive change
+/// mirrored in the serializer replicas api_test pins.
 struct IngestBatchReport {
   std::string stream;
   uint64_t ingested = 0;
@@ -251,7 +274,7 @@ struct QueryRequest {
   std::string ToJsonString() const;
 };
 
-/// Query report — byte-identical to the pre-redesign Query JSON.
+/// Query report — byte-identical to the historical query JSON.
 struct QueryReport {
   std::string index;
   bool exact = true;
@@ -316,8 +339,8 @@ struct RecommendRequest {
   std::string ToJsonString() const;
 };
 
-/// Recommendation — byte-identical to the pre-redesign RecommendJson
-/// shape: {"variant":...,"spec":{...4 knobs...},"rationale":[...]}.
+/// Recommendation — byte-identical to the historical recommend shape:
+/// {"variant":...,"spec":{...4 knobs...},"rationale":[...]}.
 struct RecommendResponse {
   std::string variant;
   bool materialized = false;
@@ -435,19 +458,131 @@ struct ServerStatsResponse {
   std::string ToJsonString() const;
 };
 
-// -------------------------------------------------------------- service
+// -------------------------------------------------------- request checks
+
+/// Largest heat-map grid a query may ask for, per axis: BuildHeatMap
+/// allocates time_bins * location_bins cells up front.
+inline constexpr uint64_t kMaxHeatMapBinsPerAxis = 4096;
+
+/// The request checks every front door runs before touching an index.
+/// Each depends only on the request and the target's series length, so a
+/// coordinator and a single-process service refuse the same request with
+/// the same message.
+///
+/// Query shape: non-empty, `series_length` long, positive
+/// approx_candidates, window begin <= end, heat-map bins in
+/// [1, kMaxHeatMapBinsPerAxis] when a capture is asked for.
+Status ValidateQuery(const QueryRequest& request, int series_length);
+/// One timestamp per series, every series `series_length` long.
+Status ValidateIngest(const series::SeriesCollection& batch,
+                      const std::vector<int64_t>& timestamps,
+                      int series_length);
+/// A positive series length and, when given, one timestamp per series.
+Status ValidateDataset(const series::SeriesCollection& data,
+                       const std::vector<int64_t>* timestamps);
+
+// ------------------------------------------------------------ front door
 
 class QueryCache;          // palm/query_cache.h
 struct QueryCacheOptions;  // palm/query_cache.h
 class QuotaEnforcer;       // palm/quota.h
 struct QuotaOptions;       // palm/quota.h
 
-/// The transport-agnostic Palm service: every operation of the demo's
-/// algorithms backend as a typed method, plus a JSON-RPC style Dispatch
-/// that parses a wire request, validates it, runs the typed method and
-/// serializes the typed response. palm::Server is a thin adapter over
-/// this class; the HTTP transport (http_server.h) serves Dispatch
-/// directly. This is the seam future distributed shards plug into.
+/// The one front door of a Palm backend — the algorithms server of the
+/// paper's Figure 1 as the wire sees it. It owns the front-door policy
+/// (the optional answer cache and per-client quotas) and the dispatch
+/// path every transport takes:
+///
+///   quota admission -> ingest_batch_bin frame (by Content-Type) or JSON
+///   params parse -> one sorted method table -> typed operation
+///
+/// The typed operations are the backend: api::Service answers them in
+/// process, dist::Coordinator by fanning out to shard servers. Both sit
+/// behind this one table, so every front door lists the same methods and
+/// refuses a malformed request with the same status and message.
+///
+/// Thread safety: Dispatch and the typed operations are called
+/// concurrently; EnableQueryCache and ConfigureQuotas must run before the
+/// front door takes concurrent traffic.
+class FrontDoor : public HttpDispatcher {
+ public:
+  FrontDoor();
+  ~FrontDoor() override;  // Out of line: QueryCache/QuotaEnforcer are
+                          // incomplete here.
+
+  /// The transport entry (HttpServer plugs in here). Failures carry a
+  /// Status the transport maps through ApiError::FromStatus: 401/429
+  /// from quota admission, 400 for a malformed body, 404 for an unknown
+  /// method (the message lists Methods()).
+  Result<std::string> Dispatch(const HttpRequestInfo& request) final;
+  /// Runs `method` with a JSON body (empty = "{}") under `client_token`
+  /// (empty = anonymous). With no quotas configured the token is ignored.
+  Result<std::string> Dispatch(std::string_view method,
+                               std::string_view params_json,
+                               const std::string& client_token = {});
+
+  /// Every method name Dispatch understands, sorted — including
+  /// ingest_batch_bin, whose body is a binary frame (dist/binary_codec.h)
+  /// sent with that codec's Content-Type.
+  static const std::vector<std::string>& Methods();
+
+  /// Turns the exact LRU answer cache on (off by default — opt in).
+  void EnableQueryCache(const QueryCacheOptions& options);
+  /// Installs per-client token quotas, enforced before anything else a
+  /// request costs.
+  void ConfigureQuotas(const QuotaOptions& options);
+  /// Cache and quota counters (zeros with `enabled` false when off).
+  virtual ServerStatsResponse ServerStats() const;
+
+  /// The recommender — a pure function of the scenario, answered locally
+  /// by every front door.
+  static RecommendResponse Recommend(const Scenario& scenario);
+
+  // ---- typed operations (wire-shaped requests).
+
+  virtual Result<RegisterDatasetResponse> RegisterDataset(
+      const RegisterDatasetRequest& request) = 0;
+  virtual Result<BuildIndexReport> BuildIndex(
+      const BuildIndexRequest& request) = 0;
+  virtual Result<CreateStreamResponse> CreateStream(
+      const CreateStreamRequest& request) = 0;
+  virtual Result<IngestBatchReport> IngestBatch(
+      const IngestBatchRequest& request) = 0;
+  virtual Result<DrainStreamReport> DrainStream(
+      const DrainStreamRequest& request) = 0;
+  virtual Result<QueryReport> Query(const QueryRequest& request) = 0;
+  /// Positional results; a failed query fails only its own entry.
+  virtual QueryBatchResponse QueryBatch(const QueryBatchRequest& request) = 0;
+  virtual Result<ListIndexesResponse> ListIndexes() = 0;
+  virtual Result<DropIndexResponse> DropIndex(
+      const DropIndexRequest& request) = 0;
+  virtual Result<DropDatasetResponse> DropDataset(
+      const DropDatasetRequest& request) = 0;
+
+ protected:
+  /// Null when the cache is off. Backends probe and fill it through
+  /// CachedQuery (query_cache.h) and invalidate a name on every
+  /// build/create/drop of it.
+  QueryCache* query_cache() const { return query_cache_.get(); }
+  /// Drops every cached answer for `index` (no-op with the cache off).
+  void InvalidateCachedAnswers(const std::string& index);
+
+ private:
+  Result<std::string> Route(std::string_view method, std::string_view body,
+                            std::string_view content_type,
+                            const std::string& client_token);
+
+  /// Installed once at startup, internally thread-safe afterwards.
+  std::unique_ptr<QueryCache> query_cache_;
+  std::unique_ptr<QuotaEnforcer> quota_;
+};
+
+// -------------------------------------------------------------- service
+
+/// The single-process Palm backend: every operation of the demo's
+/// algorithms server, run in this process over local indexes and
+/// streams. The HTTP transport (http_server.h) serves it directly, and
+/// so does every shard server (palm_shardd) of a distributed deployment.
 ///
 /// Thread safety: operations that mutate the registry (register, build,
 /// create, drop) take an exclusive lock for their brief edges; per-index
@@ -459,65 +594,35 @@ struct QuotaOptions;       // palm/quota.h
 /// mutex they re-check the handle's tombstone flag: a concurrent
 /// DropIndex marks the handle building, waits out the in-flight op on
 /// that same mutex, and tears down only after it drains.
-class Service {
+class Service final : public FrontDoor {
  public:
   static Result<std::unique_ptr<Service>> Create(
       const std::string& root_dir, size_t pool_bytes_per_index = 4ull << 20);
 
-  ~Service();  // Out of line: QueryCache/QuotaEnforcer are incomplete here.
-
-  // ---- JSON-RPC entry point.
-
-  /// Runs `method` with `params_json` (empty = "{}") and returns the
-  /// response JSON. Unknown methods and malformed/invalid params fail with
-  /// a Status the transport maps through ApiError::FromStatus.
-  /// `client_token` is the credential the transport extracted (HTTP:
-  /// Authorization: Bearer); when quotas are configured the request is
-  /// admitted through the token bucket first (kUnauthenticated -> 401,
-  /// kResourceExhausted -> 429) — with no quotas configured the token is
-  /// ignored, today's open-door behavior.
-  Result<std::string> Dispatch(const std::string& method,
-                               const std::string& params_json,
-                               const std::string& client_token);
-  /// Anonymous-client convenience (token = "").
-  Result<std::string> Dispatch(const std::string& method,
-                               const std::string& params_json);
-
-  /// Every method name Dispatch understands, sorted.
-  static const std::vector<std::string>& Methods();
-
-  // ---- front-door policy (set at startup, before serving traffic).
-
-  /// Turns the exact LRU answer cache on (off by default — opt in). Call
-  /// before the service takes concurrent traffic.
-  void EnableQueryCache(const QueryCacheOptions& options);
-
-  /// Installs per-client token quotas enforced at the Dispatch boundary.
-  /// Call before the service takes concurrent traffic.
-  void ConfigureQuotas(const QuotaOptions& options);
-
-  /// Cache and quota counters (zeros with `enabled` false when off).
-  ServerStatsResponse ServerStats() const;
+  ~Service() override;
 
   // ---- typed operations (wire-shaped requests).
 
   Result<RegisterDatasetResponse> RegisterDataset(
-      const RegisterDatasetRequest& request);
-  Result<BuildIndexReport> BuildIndex(const BuildIndexRequest& request);
-  Result<CreateStreamResponse> CreateStream(const CreateStreamRequest& request);
-  Result<IngestBatchReport> IngestBatch(const IngestBatchRequest& request);
-  Result<DrainStreamReport> DrainStream(const DrainStreamRequest& request);
-  Result<QueryReport> Query(const QueryRequest& request);
-  /// One result per request, positionally; distinct indexes run in
-  /// parallel on a small pool, same-index requests serialize.
-  std::vector<Result<QueryReport>> QueryBatch(
-      const std::vector<QueryRequest>& requests, size_t threads = 0);
-  QueryBatchResponse QueryBatchResponseFor(
-      const std::vector<QueryRequest>& requests, size_t threads = 0);
-  RecommendResponse Recommend(const Scenario& scenario);
-  ListIndexesResponse ListIndexes() const;
-  Result<DropIndexResponse> DropIndex(const DropIndexRequest& request);
-  Result<DropDatasetResponse> DropDataset(const DropDatasetRequest& request);
+      const RegisterDatasetRequest& request) override;
+  Result<BuildIndexReport> BuildIndex(
+      const BuildIndexRequest& request) override;
+  Result<CreateStreamResponse> CreateStream(
+      const CreateStreamRequest& request) override;
+  Result<IngestBatchReport> IngestBatch(
+      const IngestBatchRequest& request) override;
+  Result<DrainStreamReport> DrainStream(
+      const DrainStreamRequest& request) override;
+  Result<QueryReport> Query(const QueryRequest& request) override;
+  /// Distinct indexes run in parallel on a small pool (request.threads
+  /// workers; 0 = hardware concurrency capped at 8), same-index requests
+  /// serialize.
+  QueryBatchResponse QueryBatch(const QueryBatchRequest& request) override;
+  Result<ListIndexesResponse> ListIndexes() override;
+  Result<DropIndexResponse> DropIndex(
+      const DropIndexRequest& request) override;
+  Result<DropDatasetResponse> DropDataset(
+      const DropDatasetRequest& request) override;
 
   // ---- in-process conveniences (no JSON, no copy of the series data).
 
@@ -535,6 +640,10 @@ class Service {
   Result<DrainStreamReport> DrainStream(const std::string& stream_name);
   Result<DropIndexResponse> DropIndex(const std::string& index_name);
   Result<DropDatasetResponse> DropDataset(const std::string& dataset_name);
+  /// QueryBatch without the wire shape: one Result per request,
+  /// positionally.
+  std::vector<Result<QueryReport>> QueryBatch(
+      const std::vector<QueryRequest>& requests, size_t threads = 0);
 
   /// Direct access for examples/benches (nullptr when absent). The
   /// returned pointers are NOT drop-safe: they outlive the internal
@@ -585,8 +694,6 @@ class Service {
     std::mutex op_mutex;
   };
 
-  // Out of line (like ~Service): an inline body would instantiate the
-  // unique_ptr deleters of the still-incomplete front-door types.
   Service(std::string root_dir, size_t pool_bytes);
 
   /// Registry mutation; caller holds mu_ exclusively. Inserts a
@@ -632,6 +739,10 @@ class Service {
   /// The handle's current snapshot-version stamp (static or streaming).
   static uint64_t IndexVersion(const IndexHandle& handle);
 
+  /// IndexVersion for a cache probe made without the op mutex: read inside
+  /// an epoch guard, nullopt once the handle is tombstoned.
+  static std::optional<uint64_t> ProbeVersion(const IndexHandle& handle);
+
   /// Runs one QueryBatch group (all requests target the same index name).
   /// Exact static-index requests with matching search options are bucketed
   /// and answered through DataSeriesIndex::ExactSearchBatch — one shared
@@ -663,12 +774,6 @@ class Service {
   /// shared_ptr so an op can pin a handle across its (registry-lock-free)
   /// work while DropIndex concurrently erases the map entry.
   std::map<std::string, std::shared_ptr<IndexHandle>> indexes_;
-
-  /// Front-door policy objects; null = feature off. Installed once at
-  /// startup (EnableQueryCache/ConfigureQuotas), internally thread-safe
-  /// afterwards, so ops read the pointers without the registry lock.
-  std::unique_ptr<QueryCache> query_cache_;
-  std::unique_ptr<QuotaEnforcer> quota_;
 };
 
 }  // namespace api

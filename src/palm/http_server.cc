@@ -168,37 +168,7 @@ std::string JsonError(const Status& status) {
   return api::ApiError::FromStatus(status).ToJsonString();
 }
 
-/// The canonical dispatcher: bodies straight into the typed service. The
-/// Content-Type is deliberately ignored (curl -d sends form-urlencoded;
-/// the body was always treated as JSON) — binary framings are negotiated
-/// only by the distributed endpoints, which implement HttpDispatcher
-/// themselves.
-class ServiceDispatcher : public HttpDispatcher {
- public:
-  explicit ServiceDispatcher(api::Service* service) : service_(service) {}
-
-  Result<std::string> Dispatch(const HttpRequestInfo& request) override {
-    return service_->Dispatch(request.method, request.body,
-                              request.client_token);
-  }
-
- private:
-  api::Service* service_;
-};
-
 }  // namespace
-
-Result<std::unique_ptr<HttpServer>> HttpServer::Start(
-    api::Service* service, const HttpServerOptions& options) {
-  if (service == nullptr) {
-    return Status::InvalidArgument("HttpServer needs a service");
-  }
-  auto adapter = std::make_unique<ServiceDispatcher>(service);
-  COCONUT_ASSIGN_OR_RETURN(std::unique_ptr<HttpServer> server,
-                           Start(adapter.get(), options));
-  server->owned_dispatcher_ = std::move(adapter);
-  return server;
-}
 
 Result<std::unique_ptr<HttpServer>> HttpServer::Start(
     HttpDispatcher* dispatcher, const HttpServerOptions& options) {

@@ -17,29 +17,6 @@
 namespace coconut {
 namespace palm {
 
-/// One API request as seen by the transport: the /api/v1/<method> suffix,
-/// the raw body bytes, the Content-Type the client declared (empty when
-/// absent — treated as JSON), and the bearer credential.
-struct HttpRequestInfo {
-  std::string method;
-  std::string body;
-  std::string content_type;
-  std::string client_token;
-};
-
-/// Seam between the HTTP transport and whatever answers API calls. The
-/// canonical implementation forwards to api::Service::Dispatch; the
-/// distributed coordinator and shard endpoints implement it directly so
-/// they can negotiate non-JSON bodies by Content-Type. Implementations
-/// must be thread-safe: every server worker calls Dispatch concurrently.
-/// The returned string is always a JSON response body; failures map to
-/// HTTP codes through api::StatusCodeToHttpStatus.
-class HttpDispatcher {
- public:
-  virtual ~HttpDispatcher() = default;
-  virtual Result<std::string> Dispatch(const HttpRequestInfo& request) = 0;
-};
-
 struct HttpServerOptions {
   /// Interface to bind; the demo backend is loopback-only by default.
   std::string bind_address = "127.0.0.1";
@@ -55,33 +32,30 @@ struct HttpServerOptions {
   int keep_alive_timeout_ms = 5000;
 };
 
-/// Minimal embedded HTTP/1.1 server putting a real wire behind the typed
-/// service layer — the REST backend of the paper's Figure 1, and the seam
-/// future distributed shards plug into.
+/// Minimal embedded HTTP/1.1 server putting a real wire in front of an
+/// HttpDispatcher — the REST backend of the paper's Figure 1.
 ///
-///   POST /api/v1/<method>   body = request JSON  ->  response JSON
-///   GET  /healthz                                ->  {"ok":true}
+///   POST /api/v1/<method>   body = request  ->  response JSON
+///   GET  /healthz                           ->  {"ok":true}
 ///
-/// <method> is any api::Service::Methods() name; the body goes straight
-/// into Service::Dispatch and failures map to HTTP codes through
-/// api::StatusCodeToHttpStatus with an ApiError JSON body. Supports
-/// keep-alive with Content-Length framing (no chunked encoding — requests
-/// carrying Transfer-Encoding are rejected with 501).
+/// <method>, the body, its Content-Type and the bearer token go to the
+/// dispatcher as one HttpRequestInfo — normally an api::FrontDoor (a
+/// Service or a dist::Coordinator), whose Methods() lists the names.
+/// Failures map to HTTP codes through api::StatusCodeToHttpStatus with an
+/// ApiError JSON body. Supports keep-alive with Content-Length framing
+/// (no chunked encoding — requests carrying Transfer-Encoding are
+/// rejected with 501).
 ///
 /// Threading: one acceptor thread hands connections to a fixed worker
-/// pool; concurrency control for the service itself lives in
-/// api::Service (registry lock + per-index operation mutexes). Stop() is
-/// graceful: stops accepting, lets in-flight requests finish, joins every
-/// thread; the destructor calls it.
+/// pool; concurrency control for the backend lives behind the dispatcher
+/// (registry lock + per-index operation mutexes). Stop() is graceful:
+/// stops accepting, lets in-flight requests finish, joins every thread;
+/// the destructor calls it.
 class HttpServer {
  public:
   /// Binds, listens and starts the acceptor + workers. On success the
   /// server is live; port() reports the actual port (useful with port 0).
-  static Result<std::unique_ptr<HttpServer>> Start(
-      api::Service* service, const HttpServerOptions& options = {});
-
-  /// Same, but serving an arbitrary dispatcher (coordinator, shard
-  /// endpoint). The dispatcher must outlive the server.
+  /// The dispatcher must outlive the server.
   static Result<std::unique_ptr<HttpServer>> Start(
       HttpDispatcher* dispatcher, const HttpServerOptions& options = {});
 
@@ -106,9 +80,6 @@ class HttpServer {
   void HandleConnection(int fd);
 
   HttpDispatcher* dispatcher_;
-  /// Keeps the Service->HttpDispatcher adapter alive for the
-  /// Start(api::Service*) convenience overload.
-  std::unique_ptr<HttpDispatcher> owned_dispatcher_;
   HttpServerOptions options_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;

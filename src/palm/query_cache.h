@@ -123,6 +123,52 @@ class QueryCache {
   QueryCacheStats stats_;
 };
 
+/// One query's pass through the answer cache: Probe before the target's
+/// op lock (a hit reads only the target's version), then Fill around the
+/// scan. Fill stamps the answer only when two reads of the target's
+/// version bracket the scan with the same value — the scan observed one
+/// stable snapshot — and never stamps a degraded (partial key space)
+/// answer. With no cache, or an uncacheable request, both are
+/// pass-throughs that never call `version()`.
+class CachedQuery {
+ public:
+  CachedQuery(QueryCache* cache, const QueryRequest& request)
+      : cache_(cache != nullptr && QueryCache::Cacheable(request) ? cache
+                                                                  : nullptr),
+        request_(request) {
+    if (cache_ != nullptr) key_ = QueryCache::KeyFor(request);
+  }
+
+  /// `version()` returns the target's snapshot stamp, or nullopt when the
+  /// target is going away (nothing to serve). It must be safe to call
+  /// without the target's op lock.
+  template <typename VersionFn>
+  std::optional<QueryReport> Probe(VersionFn version) {
+    if (cache_ == nullptr) return std::nullopt;
+    const std::optional<uint64_t> stamp = version();
+    if (!stamp.has_value()) return std::nullopt;
+    return cache_->Lookup(key_, *stamp);
+  }
+
+  /// `version()` reads the target's snapshot stamp; `scan()` computes the
+  /// answer. Call with the target's read lock (or epoch guard) held.
+  template <typename VersionFn, typename ScanFn>
+  Result<QueryReport> Fill(VersionFn version, ScanFn scan) {
+    if (cache_ == nullptr) return scan();
+    const uint64_t before = version();
+    Result<QueryReport> report = scan();
+    if (report.ok() && !report.value().degraded && version() == before) {
+      cache_->Insert(key_, request_.index, before, report.value());
+    }
+    return report;
+  }
+
+ private:
+  QueryCache* const cache_;
+  const QueryRequest& request_;
+  std::string key_;
+};
+
 }  // namespace api
 }  // namespace palm
 }  // namespace coconut

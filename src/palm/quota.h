@@ -65,8 +65,8 @@ struct QuotaStats {
   uint64_t unauthenticated = 0;
 };
 
-/// Token-bucket rate limiter keyed by client token, sitting at the
-/// Service::Dispatch boundary. Thread-safe; Admit is O(log clients).
+/// Token-bucket rate limiter keyed by client token, the first step of
+/// api::FrontDoor's dispatch. Thread-safe; Admit is O(log clients).
 class QuotaEnforcer {
  public:
   explicit QuotaEnforcer(QuotaOptions options);

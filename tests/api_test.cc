@@ -1,18 +1,18 @@
 // Tests for the typed service API (palm/api.h): every request/response
 // struct round-trips parse -> serialize, malformed and unknown-field
 // payloads are rejected with structured errors, request validation fires
-// at the API boundary, the drop lifecycle releases storage, and — the
-// redesign's contract — the dispatcher's JSON is byte-identical to the
-// pre-redesign string-returning Server methods (the legacy serialization
-// sequences are replicated inline here and pinned against the typed
-// serializers).
+// at the API boundary, the drop lifecycle releases storage, and the
+// dispatcher's JSON is byte-identical to the historical wire payloads
+// (the original serialization sequences are replicated inline here and
+// pinned against the typed serializers).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 
+#include "dist/coordinator.h"
 #include "palm/api.h"
+#include "palm/http_server.h"
 #include "palm/query_cache.h"
-#include "palm/server.h"
 #include "tests/test_util.h"
 
 namespace coconut {
@@ -435,9 +435,9 @@ TEST(ApiParse, BackpressureKnobs) {
 
 // ------------------------------------- legacy byte-identity (tentpole)
 
-// The exact pre-redesign serialization sequences, copied from the old
-// palm::Server (JsonWriter call for call). The typed reports must emit
-// identical bytes: existing clients parse these payloads.
+// The exact historical serialization sequences, JsonWriter call for
+// call. The typed reports must emit identical bytes: existing clients
+// parse these payloads.
 
 std::string LegacyIoJson(const storage::IoStats& io) {
   JsonWriter w;
@@ -625,19 +625,21 @@ TEST_F(ServiceTest, TypedReportsMatchLegacyBytes) {
             }());
 }
 
-TEST_F(ServiceTest, LegacyServerWrapperEmitsTypedSerialization) {
-  // The legacy string-returning Server must emit exactly what the typed
-  // structs serialize to: parse its output back through the typed layer
-  // and require byte-for-byte re-serialization.
-  service_.reset();
-  auto server = Server::Create(root_ + "_srv").TakeValue();
+TEST_F(ServiceTest, DispatchedJsonReparsesByteIdentically) {
+  // What the wire carries must be exactly what the typed structs
+  // serialize to: parse each dispatched response back through the typed
+  // layer and require byte-for-byte re-serialization.
   const series::SeriesCollection data =
       testutil::RandomWalkCollection(120, 32, 9);
-  ASSERT_TRUE(server->RegisterDataset("walk", data, nullptr).ok());
+  ASSERT_TRUE(service_->RegisterDataset("walk", data, nullptr).ok());
 
-  VariantSpec spec = TestSpec();
+  BuildIndexRequest build_request;
+  build_request.index = "idx";
+  build_request.dataset = "walk";
+  build_request.spec = TestSpec();
   const std::string build_json =
-      server->BuildIndex("idx", spec, "walk").TakeValue();
+      service_->Dispatch("build_index", build_request.ToJsonString())
+          .TakeValue();
   auto build = BuildIndexReport::FromJson(JsonParse(build_json).TakeValue());
   ASSERT_TRUE(build.ok()) << build.status().ToString();
   EXPECT_EQ(build.value().ToJsonString(), build_json);
@@ -645,24 +647,25 @@ TEST_F(ServiceTest, LegacyServerWrapperEmitsTypedSerialization) {
   QueryRequest query;
   query.index = "idx";
   query.query = testutil::NoisyCopy(data, 3, 0.2, 4);
-  const std::string query_json = server->Query(query).TakeValue();
+  const std::string query_json =
+      service_->Dispatch("query", query.ToJsonString()).TakeValue();
   auto parsed = QueryReport::FromJson(JsonParse(query_json).TakeValue());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed.value().ToJsonString(), query_json);
 
-  const std::string list_json = server->ListIndexes();
+  const std::string list_json =
+      service_->Dispatch("list_indexes", "").TakeValue();
   auto list = ListIndexesResponse::FromJson(JsonParse(list_json).TakeValue());
   ASSERT_TRUE(list.ok()) << list.status().ToString();
   EXPECT_EQ(list.value().ToJsonString(), list_json);
 
-  Scenario scenario;
-  scenario.sax = TestSax();
-  const std::string rec_json = server->RecommendJson(scenario);
+  RecommendRequest recommend;
+  recommend.scenario.sax = TestSax();
+  const std::string rec_json =
+      service_->Dispatch("recommend", recommend.ToJsonString()).TakeValue();
   auto rec = RecommendResponse::FromJson(JsonParse(rec_json).TakeValue());
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   EXPECT_EQ(rec.value().ToJsonString(), rec_json);
-
-  std::filesystem::remove_all(root_ + "_srv");
 }
 
 // ------------------------------------------------------------ dispatcher
@@ -933,7 +936,7 @@ TEST_F(ServiceTest, HostileNamesRejectedAtBoundary) {
     EXPECT_NE(entry.path().filename().string().rfind("idx_", 0), 0u)
         << entry.path();
   }
-  EXPECT_EQ(service_->ListIndexes().indexes.size(), 0u);
+  EXPECT_EQ(service_->ListIndexes().value().indexes.size(), 0u);
 
   // The full allowed charset works end to end.
   EXPECT_TRUE(ValidateName("ok-Name_1.v2", "index").ok());
@@ -1013,14 +1016,14 @@ TEST_F(ServiceTest, ConcurrentBuildsDoNotBlockQueries) {
     query.query = testutil::NoisyCopy(data, i % 10, 0.3, i);
     EXPECT_TRUE(service_->Query(query).ok());
     // ListIndexes skips handles still building instead of touching them.
-    for (const auto& info : service_->ListIndexes().indexes) {
+    for (const auto& info : service_->ListIndexes().TakeValue().indexes) {
       EXPECT_TRUE(info.name == "base" || info.name == "one" ||
                   info.name == "two");
     }
   }
   b1.join();
   b2.join();
-  EXPECT_EQ(service_->ListIndexes().indexes.size(), 3u);
+  EXPECT_EQ(service_->ListIndexes().value().indexes.size(), 3u);
   EXPECT_TRUE(service_->DropIndex("one").ok());
 }
 
@@ -1033,7 +1036,7 @@ TEST_F(ServiceTest, FailedBuildOrCreateLeavesNoGhostHandle) {
   VariantSpec bad = TestSpec();
   bad.num_shards = 0;
   EXPECT_FALSE(service_->BuildIndex("idx", bad, "walk").ok());
-  EXPECT_EQ(service_->ListIndexes().indexes.size(), 0u);
+  EXPECT_EQ(service_->ListIndexes().value().indexes.size(), 0u);
   EXPECT_EQ(service_->index_storage("idx"), nullptr);
   QueryRequest query;
   query.index = "idx";
@@ -1046,7 +1049,7 @@ TEST_F(ServiceTest, FailedBuildOrCreateLeavesNoGhostHandle) {
   VariantSpec bad_stream = TestSpec();
   bad_stream.mode = StreamMode::kBTP;  // BTP requires CLSM
   EXPECT_FALSE(service_->CreateStream("s", bad_stream).ok());
-  EXPECT_EQ(service_->ListIndexes().indexes.size(), 1u);
+  EXPECT_EQ(service_->ListIndexes().value().indexes.size(), 1u);
   EXPECT_EQ(service_->Dispatch("list_indexes", "").ok(), true);
   VariantSpec good_stream = TestSpec();
   good_stream.mode = StreamMode::kTP;
@@ -1054,14 +1057,23 @@ TEST_F(ServiceTest, FailedBuildOrCreateLeavesNoGhostHandle) {
 }
 
 TEST_F(ServiceTest, DispatchTableCoversEveryAdvertisedMethod) {
-  // Methods() and the dispatch table must agree: every advertised name
-  // routes (no "unknown method" error), even if the params are invalid.
-  for (const std::string& method : Service::Methods()) {
-    Result<std::string> out = service_->Dispatch(method, "{}");
-    if (!out.ok()) {
-      EXPECT_EQ(out.status().message().find("unknown method"),
-                std::string::npos)
-          << method;
+  // Methods() and the dispatch table must agree on every front door:
+  // every advertised name routes (no "unknown method" error), even if the
+  // params are invalid. The coordinator fans out to this same service.
+  auto shard = HttpServer::Start(service_.get(), {}).TakeValue();
+  dist::CoordinatorOptions options;
+  options.shards.push_back(dist::ShardEndpoint{"127.0.0.1", shard->port()});
+  auto coordinator = dist::Coordinator::Create(std::move(options)).TakeValue();
+  for (FrontDoor* front_door :
+       {static_cast<FrontDoor*>(service_.get()),
+        static_cast<FrontDoor*>(coordinator.get())}) {
+    for (const std::string& method : FrontDoor::Methods()) {
+      Result<std::string> out = front_door->Dispatch(method, "{}");
+      if (!out.ok()) {
+        EXPECT_EQ(out.status().message().find("unknown method"),
+                  std::string::npos)
+            << method;
+      }
     }
   }
 }
@@ -1119,11 +1131,11 @@ TEST_F(ServiceTest, DropIndexReleasesStorage) {
   EXPECT_GT(dropped.value().reclaimed_bytes, 0u);
   EXPECT_FALSE(std::filesystem::exists(dir));
   EXPECT_EQ(service_->static_index("idx"), nullptr);
-  EXPECT_EQ(service_->ListIndexes().indexes.size(), 0u);
+  EXPECT_EQ(service_->ListIndexes().value().indexes.size(), 0u);
 
   // Dropped name is reusable.
   ASSERT_TRUE(service_->BuildIndex("idx", TestSpec(), "walk").ok());
-  EXPECT_EQ(service_->ListIndexes().indexes.size(), 1u);
+  EXPECT_EQ(service_->ListIndexes().value().indexes.size(), 1u);
 
   // Double drop reports not_found.
   ASSERT_TRUE(service_->DropIndex("idx").ok());

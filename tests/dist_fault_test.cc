@@ -26,7 +26,6 @@
 
 #include "dist/binary_codec.h"
 #include "dist/coordinator.h"
-#include "dist/service_endpoint.h"
 #include "palm/api.h"
 #include "palm/http_client.h"
 #include "palm/http_server.h"
@@ -63,7 +62,6 @@ VariantSpec StreamSpec(size_t num_shards) {
 
 struct Shard {
   std::unique_ptr<api::Service> service;
-  std::unique_ptr<ServiceEndpoint> endpoint;
   std::unique_ptr<HttpServer> server;
 };
 
@@ -80,8 +78,7 @@ std::unique_ptr<Shard> StartShard(const std::string& root) {
   auto shard = std::make_unique<Shard>();
   std::filesystem::create_directories(root);
   shard->service = api::Service::Create(root).TakeValue();
-  shard->endpoint = std::make_unique<ServiceEndpoint>(shard->service.get());
-  shard->server = HttpServer::Start(shard->endpoint.get(), {}).TakeValue();
+  shard->server = HttpServer::Start(shard->service.get(), {}).TakeValue();
   return shard;
 }
 
@@ -359,7 +356,7 @@ TEST(DistFaultTest, CoordinatorRecontactsRestartedShard) {
   shard = StartShard(root + "/shard0_reborn");
   HttpServerOptions reuse;
   reuse.port = port;
-  auto reborn = HttpServer::Start(shard->endpoint.get(), reuse);
+  auto reborn = HttpServer::Start(shard->service.get(), reuse);
   if (!reborn.ok()) {
     GTEST_SKIP() << "could not rebind port " << port << ": "
                  << reborn.status().ToString();
@@ -399,8 +396,7 @@ TEST(DistFaultTest, SigkilledShardProcessMidTrafficIsStructured) {
     auto service_result = api::Service::Create(root + "/shard1");
     if (service_result.ok()) {
       auto service = service_result.TakeValue();
-      ServiceEndpoint endpoint(service.get());
-      auto server_result = HttpServer::Start(&endpoint, {});
+      auto server_result = HttpServer::Start(service.get(), {});
       if (server_result.ok()) {
         auto server = server_result.TakeValue();
         port = server->port();

@@ -8,9 +8,10 @@
 // so the whole suite also runs under TSan.
 //
 // Covered: static builds and streaming ingest, exact and approximate
-// search, window queries, kStrict/kClamp watermark semantics, JSON and
-// binary ingest framing, query batches, and a concurrent-ingest run
-// compared at quiesce points.
+// search, window queries, kStrict/kClamp watermark semantics, query
+// batches, a concurrent-ingest run compared at quiesce points, and the
+// front door itself: the same raw request refused with the same status
+// and message by a coordinator and by a service.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,8 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include "dist/binary_codec.h"
 #include "dist/coordinator.h"
-#include "dist/service_endpoint.h"
 #include "palm/api.h"
 #include "palm/http_server.h"
 #include "tests/test_util.h"
@@ -56,7 +57,6 @@ VariantSpec TestSpec(size_t num_shards, bool streaming) {
 /// HTTP listener, indistinguishable on the wire from palm_shardd.
 struct Shard {
   std::unique_ptr<api::Service> service;
-  std::unique_ptr<ServiceEndpoint> endpoint;
   std::unique_ptr<HttpServer> server;
 };
 
@@ -64,16 +64,14 @@ class Cluster {
  public:
   /// Builds K shard servers, a coordinator over them, and the
   /// single-process reference service the coordinator is pinned against.
-  Cluster(size_t k, const std::string& root, bool binary_ingest = true) {
+  Cluster(size_t k, const std::string& root) {
     for (size_t s = 0; s < k; ++s) {
       auto shard = std::make_unique<Shard>();
       const std::string shard_root = root + "/shard" + std::to_string(s);
       std::filesystem::create_directories(shard_root);
       shard->service = api::Service::Create(shard_root).TakeValue();
-      shard->endpoint =
-          std::make_unique<ServiceEndpoint>(shard->service.get());
       shard->server =
-          HttpServer::Start(shard->endpoint.get(), {}).TakeValue();
+          HttpServer::Start(shard->service.get(), {}).TakeValue();
       shards_.push_back(std::move(shard));
     }
     CoordinatorOptions options;
@@ -81,7 +79,6 @@ class Cluster {
       options.shards.push_back(
           ShardEndpoint{"127.0.0.1", shard->server->port()});
     }
-    options.binary_ingest = binary_ingest;
     coordinator_ = Coordinator::Create(std::move(options)).TakeValue();
 
     const std::string ref_root = root + "/reference";
@@ -265,36 +262,6 @@ TEST_P(DistOracleTest, StreamingLockstepMatchesSingleProcess) {
   QuerySweep(cluster, "live", data, 40, /*seed=*/5000 + k, "post-drain");
 }
 
-TEST_P(DistOracleTest, JsonIngestFramingIsEquivalentToo) {
-  // Same lockstep as above but with the coordinator shipping JSON
-  // sub-batches — the framing must be an encoding detail, not a semantic.
-  const size_t k = GetParam();
-  const std::string root = TestRoot("json" + std::to_string(k));
-  Cluster cluster(k, root, /*binary_ingest=*/false);
-  const auto data = testutil::RandomWalkCollection(120, 32, /*seed=*/11 * k);
-
-  api::CreateStreamRequest create;
-  create.stream = "live";
-  create.spec = TestSpec(k, /*streaming=*/true);
-  ASSERT_TRUE(cluster.coordinator().CreateStream(create).ok());
-  ASSERT_TRUE(cluster.reference().CreateStream(create).ok());
-
-  api::IngestBatchRequest ingest;
-  ingest.stream = "live";
-  ingest.batch = data;
-  for (size_t i = 0; i < data.size(); ++i) {
-    ingest.timestamps.push_back(static_cast<int64_t>(i));
-  }
-  ASSERT_TRUE(cluster.coordinator().IngestBatch(ingest).ok());
-  ASSERT_TRUE(cluster.reference().IngestBatch(ingest).ok());
-  api::DrainStreamRequest drain;
-  drain.stream = "live";
-  ASSERT_TRUE(cluster.coordinator().DrainStream(drain).ok());
-  ASSERT_TRUE(cluster.reference().DrainStream(drain).ok());
-
-  QuerySweep(cluster, "live", data, 24, /*seed=*/123, "json-framing");
-}
-
 TEST_P(DistOracleTest, StrictPolicyRejectsIdentically) {
   const size_t k = GetParam();
   const std::string root = TestRoot("strict" + std::to_string(k));
@@ -419,9 +386,7 @@ TEST_P(DistOracleTest, QueryBatchMatchesSingleProcess) {
   if (k > 1) batch.queries[6].capture_heatmap = true;
 
   api::QueryBatchResponse dist = cluster.coordinator().QueryBatch(batch);
-  std::vector<api::QueryRequest> ref_queries = batch.queries;
-  api::QueryBatchResponse ref =
-      cluster.reference().QueryBatchResponseFor(ref_queries);
+  api::QueryBatchResponse ref = cluster.reference().QueryBatch(batch);
   ASSERT_EQ(dist.results.size(), ref.results.size());
   for (size_t i = 0; i < dist.results.size(); ++i) {
     ASSERT_EQ(dist.results[i].ok, ref.results[i].ok) << "entry " << i;
@@ -559,6 +524,91 @@ TEST_P(DistOracleTest, ValidationErrorsMirrorTheService) {
   ASSERT_FALSE(dist_result.ok());
   ASSERT_FALSE(ref_result.ok());
   EXPECT_EQ(dist_result.status().message(), ref_result.status().message());
+}
+
+TEST_P(DistOracleTest, FrontDoorsRefuseRawRequestsIdentically) {
+  const size_t k = GetParam();
+  const std::string root = TestRoot("front_door" + std::to_string(k));
+  Cluster cluster(k, root);
+  // Quotas on both front doors (the shards behind the coordinator have
+  // none): "ok" is unlimited, "slow" gets one request, anyone else is
+  // refused. A frozen clock keeps the retry horizon in the 429 message
+  // deterministic.
+  api::QuotaOptions quotas;
+  quotas.clients["ok"] = api::ClientQuota{};
+  quotas.clients["slow"] =
+      api::ClientQuota{.requests_per_second = 0.5, .burst = 1.0};
+  quotas.clock_seconds = [] { return 0.0; };
+  cluster.coordinator().ConfigureQuotas(quotas);
+  cluster.reference().ConfigureQuotas(quotas);
+
+  api::CreateStreamRequest create;
+  create.stream = "live";
+  create.spec = TestSpec(k, /*streaming=*/true);
+  ASSERT_TRUE(cluster.coordinator().CreateStream(create).ok());
+  ASSERT_TRUE(cluster.reference().CreateStream(create).ok());
+
+  const auto expect_same_error = [&](const HttpRequestInfo& request,
+                                     const std::string& what) {
+    Result<std::string> dist_result = cluster.coordinator().Dispatch(request);
+    Result<std::string> ref_result = cluster.reference().Dispatch(request);
+    ASSERT_FALSE(dist_result.ok()) << what;
+    ASSERT_FALSE(ref_result.ok()) << what;
+    EXPECT_EQ(dist_result.status().code(), ref_result.status().code()) << what;
+    EXPECT_EQ(dist_result.status().message(), ref_result.status().message())
+        << what;
+  };
+  const auto request = [](std::string method, std::string body) {
+    HttpRequestInfo info;
+    info.method = std::move(method);
+    info.body = std::move(body);
+    info.client_token = "ok";
+    return info;
+  };
+
+  expect_same_error(request("frobnicate", "{}"), "unknown method");
+  expect_same_error(request("list_indexes", "{\"x\":1}"),
+                    "list_indexes params");
+  expect_same_error(request("server_stats", "{\"x\":1}"),
+                    "server_stats params");
+  expect_same_error(request("query", "{\"index\":"), "malformed JSON");
+  expect_same_error(request("drain_stream", "{\"stream\":\"live\",\"x\":1}"),
+                    "unknown field");
+
+  api::IngestBatchRequest ingest;
+  ingest.stream = "live";
+  ingest.batch = testutil::RandomWalkCollection(4, 32, /*seed=*/5);
+  ingest.timestamps = {0, 1, 2, 3};
+  const std::string frame = EncodeIngestFrame(ingest);
+  HttpRequestInfo binary = request("ingest_batch_bin", frame);
+  binary.content_type = "application/json";
+  expect_same_error(binary, "binary ingest without its Content-Type");
+  binary.content_type = kBinaryIngestContentType;
+  binary.body = frame.substr(0, frame.size() - 3);
+  expect_same_error(binary, "torn binary frame");
+
+  HttpRequestInfo stranger = request("list_indexes", "");
+  stranger.client_token = "";
+  expect_same_error(stranger, "missing token");
+  stranger.client_token = "mallory";
+  expect_same_error(stranger, "unknown token");
+  HttpRequestInfo slow = request("list_indexes", "");
+  slow.client_token = "slow";
+  ASSERT_TRUE(cluster.coordinator().Dispatch(slow).ok());
+  ASSERT_TRUE(cluster.reference().Dispatch(slow).ok());
+  expect_same_error(slow, "throttled token");
+
+  // And an intact frame is ingested the same way through both.
+  binary.body = frame;
+  Result<std::string> dist_ingest = cluster.coordinator().Dispatch(binary);
+  Result<std::string> ref_ingest = cluster.reference().Dispatch(binary);
+  ASSERT_TRUE(dist_ingest.ok()) << dist_ingest.status().ToString();
+  ASSERT_TRUE(ref_ingest.ok()) << ref_ingest.status().ToString();
+  api::DrainStreamRequest drain;
+  drain.stream = "live";
+  ASSERT_TRUE(cluster.coordinator().DrainStream(drain).ok());
+  ASSERT_TRUE(cluster.reference().DrainStream(drain).ok());
+  QuerySweep(cluster, "live", ingest.batch, 4, /*seed=*/99, "binary ingest");
 }
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, DistOracleTest,

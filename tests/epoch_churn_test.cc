@@ -218,7 +218,10 @@ class EpochChurnTest : public ::testing::Test {
     auto* tp = dynamic_cast<TemporalPartitioningIndex*>(stream.get());
 
     std::atomic<bool> stop{false};
-    std::atomic<size_t> acknowledged{0};
+    // Series handed to Ingest so far. Bumped BEFORE each call: an async
+    // seal can list an entry before Ingest returns, so only a count taken
+    // ahead of the call bounds what any snapshot can hold.
+    std::atomic<size_t> submitted{0};
 
     // Fixed probes: over a grow-only index the exact nearest distance for
     // a fixed query is non-increasing. A reader that ever saw a worse
@@ -267,7 +270,7 @@ class EpochChurnTest : public ::testing::Test {
             sealed += part.entries;
             EXPECT_LE(part.t_min, part.t_max);
           }
-          EXPECT_LE(sealed, acknowledged.load(std::memory_order_acquire));
+          EXPECT_LE(sealed, submitted.load(std::memory_order_acquire));
         }
         std::this_thread::yield();
       }
@@ -282,9 +285,9 @@ class EpochChurnTest : public ::testing::Test {
     // exactly the writer edge the epoch scheme must make safe.
     for (size_t i = 0; i < collection_.size(); ++i) {
       ASSERT_TRUE(raw_->Append(collection_[i]).ok());
+      submitted.store(i + 1, std::memory_order_release);
       ASSERT_TRUE(
           stream->Ingest(i, collection_[i], static_cast<int64_t>(i)).ok());
-      acknowledged.store(i + 1, std::memory_order_release);
       if ((i + 1) % 150 == 0) {
         ASSERT_TRUE(stream->FlushAll().ok());
       }
@@ -524,18 +527,20 @@ TEST_F(EpochChurnTest, StatsAndSearchServeWhileFlusherParkedAtCap) {
 // must come back OK or NotFound (never a crash, never a freed snapshot),
 // the drop itself must succeed mid-traffic, and afterwards every querier
 // observes NotFound. Exercises the Synchronize barrier DropIndex runs
-// between quiescing the handle and tearing it down.
+// between quiescing the handle and tearing it down, with the answer cache
+// on and off (the cache probe reads the index version before any lock).
 namespace palm {
 namespace api {
 namespace {
 
-TEST(EpochDropRaceTest, DropIndexWhileLockFreeQueriesAndListingsRace) {
-  const std::string root =
-      std::filesystem::temp_directory_path().string() + "/epoch_drop_race";
+void RunDropRace(bool with_cache) {
+  const std::string root = std::filesystem::temp_directory_path().string() +
+                           (with_cache ? "/epoch_drop_race_cached"
+                                       : "/epoch_drop_race_uncached");
   std::filesystem::remove_all(root);
   {
     std::unique_ptr<Service> service = Service::Create(root).TakeValue();
-    service->EnableQueryCache(QueryCacheOptions{});
+    if (with_cache) service->EnableQueryCache(QueryCacheOptions{});
 
     constexpr size_t kLength = 32;
     CreateStreamRequest create;
@@ -587,7 +592,7 @@ TEST(EpochDropRaceTest, DropIndexWhileLockFreeQueriesAndListingsRace) {
     }
     std::thread lister([&] {
       while (!stop.load(std::memory_order_acquire)) {
-        for (const auto& info : service->ListIndexes().indexes) {
+        for (const auto& info : service->ListIndexes().TakeValue().indexes) {
           EXPECT_EQ(info.name, "live");
           EXPECT_TRUE(info.streaming);
         }
@@ -607,9 +612,17 @@ TEST(EpochDropRaceTest, DropIndexWhileLockFreeQueriesAndListingsRace) {
     lister.join();
     // Post-drop, every querier observed the index gone.
     EXPECT_EQ(not_found_seen.load(std::memory_order_acquire), 2u);
-    EXPECT_TRUE(service->ListIndexes().indexes.empty());
+    EXPECT_TRUE(service->ListIndexes().value().indexes.empty());
   }
   std::filesystem::remove_all(root);
+}
+
+TEST(EpochDropRaceTest, DropIndexWhileLockFreeQueriesAndListingsRace) {
+  RunDropRace(/*with_cache=*/true);
+}
+
+TEST(EpochDropRaceTest, DropIndexWhileUncachedQueriesAndListingsRace) {
+  RunDropRace(/*with_cache=*/false);
 }
 
 }  // namespace

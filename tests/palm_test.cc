@@ -6,7 +6,7 @@
 #include "palm/factory.h"
 #include "palm/heatmap.h"
 #include "palm/recommender.h"
-#include "palm/server.h"
+#include "palm/api.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
 
@@ -324,7 +324,7 @@ class ServerTest : public ::testing::Test {
   void SetUp() override {
     root_ = std::filesystem::temp_directory_path().string() +
             "/coconut_server_test_" + std::to_string(::getpid());
-    server_ = Server::Create(root_).TakeValue();
+    server_ = api::Service::Create(root_).TakeValue();
     workload::RandomWalkGenerator gen(64, 21);
     collection_ = gen.Generate(300);
     ASSERT_TRUE(server_->RegisterDataset("walk", collection_, nullptr).ok());
@@ -342,36 +342,40 @@ class ServerTest : public ::testing::Test {
   }
 
   std::string root_;
-  std::unique_ptr<Server> server_;
+  std::unique_ptr<api::Service> server_;
   series::SeriesCollection collection_{64};
 };
 
 TEST_F(ServerTest, BuildReportsMetricsAsJson) {
-  auto report = server_->BuildIndex("ct", CTreeSpec(), "walk").TakeValue();
-  EXPECT_NE(report.find("\"variant\":\"CTree\""), std::string::npos);
-  EXPECT_NE(report.find("\"entries\":300"), std::string::npos);
-  EXPECT_NE(report.find("\"build_seconds\":"), std::string::npos);
-  EXPECT_NE(report.find("\"sequential_writes\":"), std::string::npos);
+  const api::BuildIndexReport report =
+      server_->BuildIndex("ct", CTreeSpec(), "walk").TakeValue();
+  EXPECT_EQ(report.variant, "CTree");
+  EXPECT_EQ(report.entries, 300u);
+  const std::string json = report.ToJsonString();
+  EXPECT_NE(json.find("\"variant\":\"CTree\""), std::string::npos);
+  EXPECT_NE(json.find("\"entries\":300"), std::string::npos);
+  EXPECT_NE(json.find("\"build_seconds\":"), std::string::npos);
+  EXPECT_NE(json.find("\"sequential_writes\":"), std::string::npos);
 }
 
 TEST_F(ServerTest, QueryFindsPlantedSeries) {
   ASSERT_TRUE(server_->BuildIndex("ct", CTreeSpec(), "walk").ok());
-  QueryRequest req;
+  api::QueryRequest req;
   req.index = "ct";
   req.query.assign(collection_[42].begin(), collection_[42].end());
   req.exact = true;
-  auto response = server_->Query(req).TakeValue();
-  EXPECT_NE(response.find("\"found\":true"), std::string::npos);
-  EXPECT_NE(response.find("\"series_id\":42"), std::string::npos);
+  const api::QueryReport response = server_->Query(req).TakeValue();
+  EXPECT_TRUE(response.found);
+  EXPECT_EQ(response.series_id, 42u);
 }
 
 TEST_F(ServerTest, QueryWithHeatmapEmbedsAccessPattern) {
   ASSERT_TRUE(server_->BuildIndex("ct", CTreeSpec(), "walk").ok());
-  QueryRequest req;
+  api::QueryRequest req;
   req.index = "ct";
   req.query.assign(collection_[1].begin(), collection_[1].end());
   req.capture_heatmap = true;
-  auto response = server_->Query(req).TakeValue();
+  const std::string response = server_->Query(req).TakeValue().ToJsonString();
   EXPECT_NE(response.find("\"heatmap\":{"), std::string::npos);
   EXPECT_NE(response.find("\"access_locality\":"), std::string::npos);
 }
@@ -380,14 +384,15 @@ TEST_F(ServerTest, DuplicateNamesRejected) {
   ASSERT_TRUE(server_->BuildIndex("ct", CTreeSpec(), "walk").ok());
   EXPECT_EQ(server_->BuildIndex("ct", CTreeSpec(), "walk").status().code(),
             StatusCode::kAlreadyExists);
-  EXPECT_EQ(server_->RegisterDataset("walk", collection_, nullptr).code(),
-            StatusCode::kAlreadyExists);
+  EXPECT_EQ(
+      server_->RegisterDataset("walk", collection_, nullptr).status().code(),
+      StatusCode::kAlreadyExists);
 }
 
 TEST_F(ServerTest, UnknownTargetsRejected) {
   EXPECT_EQ(server_->BuildIndex("x", CTreeSpec(), "nope").status().code(),
             StatusCode::kNotFound);
-  QueryRequest req;
+  api::QueryRequest req;
   req.index = "missing";
   req.query.assign(64, 0.0f);
   EXPECT_EQ(server_->Query(req).status().code(), StatusCode::kNotFound);
@@ -405,15 +410,15 @@ TEST_F(ServerTest, StreamingLifecycle) {
   auto batch = gen.Generate(100);
   std::vector<int64_t> timestamps(100);
   for (size_t i = 0; i < 100; ++i) timestamps[i] = static_cast<int64_t>(i);
-  auto report = server_->IngestBatch("live", batch, timestamps).TakeValue();
-  EXPECT_NE(report.find("\"ingested\":100"), std::string::npos);
+  EXPECT_EQ(
+      server_->IngestBatch("live", batch, timestamps).TakeValue().ingested,
+      100u);
 
-  QueryRequest req;
+  api::QueryRequest req;
   req.index = "live";
   req.query.assign(batch[50].begin(), batch[50].end());
   req.window = core::TimeWindow{0, 99};
-  auto response = server_->Query(req).TakeValue();
-  EXPECT_NE(response.find("\"found\":true"), std::string::npos);
+  EXPECT_TRUE(server_->Query(req).TakeValue().found);
 }
 
 TEST_F(ServerTest, ListIndexesEnumeratesAll) {
@@ -423,7 +428,7 @@ TEST_F(ServerTest, ListIndexesEnumeratesAll) {
   lsm_spec.family = IndexFamily::kClsm;
   lsm_spec.mode = StreamMode::kPP;
   ASSERT_TRUE(server_->CreateStream("live", lsm_spec).ok());
-  std::string list = server_->ListIndexes();
+  const std::string list = server_->ListIndexes().TakeValue().ToJsonString();
   EXPECT_NE(list.find("\"name\":\"ct\""), std::string::npos);
   EXPECT_NE(list.find("\"name\":\"live\""), std::string::npos);
   EXPECT_NE(list.find("\"streaming\":true"), std::string::npos);
@@ -441,9 +446,9 @@ TEST_F(ServerTest, QueryBatchMatchesSequentialQueries) {
   lsm.family = IndexFamily::kClsm;
   ASSERT_TRUE(server_->BuildIndex("lsm", lsm, "walk").ok());
 
-  std::vector<QueryRequest> requests;
+  std::vector<api::QueryRequest> requests;
   for (int q = 0; q < 12; ++q) {
-    QueryRequest req;
+    api::QueryRequest req;
     req.index = q % 3 == 0 ? "ct" : (q % 3 == 1 ? "ads" : "lsm");
     req.query.assign(collection_[(q * 29) % 300].begin(),
                      collection_[(q * 29) % 300].end());
@@ -455,21 +460,16 @@ TEST_F(ServerTest, QueryBatchMatchesSequentialQueries) {
   for (size_t i = 0; i < requests.size(); ++i) {
     ASSERT_TRUE(batched[i].ok()) << i << ": " << batched[i].status().ToString();
     // Every query plants an exact member of the dataset: found at ~0.
-    EXPECT_NE(batched[i].value().find("\"found\":true"), std::string::npos)
-        << i;
+    EXPECT_TRUE(batched[i].value().found) << i;
     // Same index + same query sequentially must find the same series.
-    auto solo = server_->Query(requests[i]).TakeValue();
-    auto id_of = [](const std::string& json) {
-      auto pos = json.find("\"series_id\":");
-      return json.substr(pos, json.find(',', pos) - pos);
-    };
-    EXPECT_EQ(id_of(batched[i].value()), id_of(solo)) << i;
+    const api::QueryReport solo = server_->Query(requests[i]).TakeValue();
+    EXPECT_EQ(batched[i].value().series_id, solo.series_id) << i;
   }
 }
 
 TEST_F(ServerTest, QueryBatchReportsPerRequestErrors) {
   ASSERT_TRUE(server_->BuildIndex("ct", CTreeSpec(), "walk").ok());
-  std::vector<QueryRequest> requests(3);
+  std::vector<api::QueryRequest> requests(3);
   requests[0].index = "ct";
   requests[0].query.assign(collection_[5].begin(), collection_[5].end());
   requests[1].index = "missing";
@@ -485,9 +485,9 @@ TEST_F(ServerTest, QueryBatchReportsPerRequestErrors) {
 }
 
 TEST_F(ServerTest, QueryBatchEmptyAndDefaultThreads) {
-  EXPECT_TRUE(server_->QueryBatch({}).empty());
+  EXPECT_TRUE(server_->QueryBatch(std::vector<api::QueryRequest>{}).empty());
   ASSERT_TRUE(server_->BuildIndex("ct", CTreeSpec(), "walk").ok());
-  std::vector<QueryRequest> one(1);
+  std::vector<api::QueryRequest> one(1);
   one[0].index = "ct";
   one[0].query.assign(collection_[0].begin(), collection_[0].end());
   auto results = server_->QueryBatch(one);  // threads = 0 -> hardware pick.
@@ -502,33 +502,35 @@ TEST_F(ServerTest, AsyncStreamIngestsAndDrains) {
   spec.mode = StreamMode::kBTP;
   spec.buffer_entries = 64;
   spec.async_ingest = true;  // Defaults to the shared background pool.
-  auto created = server_->CreateStream("alive", spec).TakeValue();
-  EXPECT_NE(created.find("\"variant\":\"CLSM-BTP-async\""),
-            std::string::npos);
+  EXPECT_EQ(server_->CreateStream("alive", spec).TakeValue().variant,
+            "CLSM-BTP-async");
 
   workload::RandomWalkGenerator gen(64, 33);
   auto batch = gen.Generate(300);
   std::vector<int64_t> timestamps(300);
   for (size_t i = 0; i < 300; ++i) timestamps[i] = static_cast<int64_t>(i);
-  auto report = server_->IngestBatch("alive", batch, timestamps).TakeValue();
+  const std::string report =
+      server_->IngestBatch("alive", batch, timestamps).TakeValue()
+          .ToJsonString();
   EXPECT_NE(report.find("\"ingested\":300"), std::string::npos);
   EXPECT_NE(report.find("\"pending_tasks\":"), std::string::npos);
   EXPECT_NE(report.find("\"seals_completed\":"), std::string::npos);
 
   // The drain barrier quiesces the stream: everything sealed, nothing
   // pending, and the answer over the full batch is exact.
-  auto drained = server_->DrainStream("alive").TakeValue();
-  EXPECT_NE(drained.find("\"drained\":true"), std::string::npos);
-  EXPECT_NE(drained.find("\"total_entries\":300"), std::string::npos);
-  EXPECT_NE(drained.find("\"buffered\":0"), std::string::npos);
-  EXPECT_NE(drained.find("\"pending_tasks\":0"), std::string::npos);
+  const api::DrainStreamReport drained =
+      server_->DrainStream("alive").TakeValue();
+  EXPECT_TRUE(drained.drained);
+  EXPECT_EQ(drained.total_entries, 300u);
+  EXPECT_EQ(drained.buffered, 0u);
+  EXPECT_EQ(drained.pending_tasks, 0u);
 
-  QueryRequest req;
+  api::QueryRequest req;
   req.index = "alive";
   req.query.assign(batch[123].begin(), batch[123].end());
-  auto response = server_->Query(req).TakeValue();
-  EXPECT_NE(response.find("\"found\":true"), std::string::npos);
-  EXPECT_NE(response.find("\"series_id\":123"), std::string::npos);
+  const api::QueryReport response = server_->Query(req).TakeValue();
+  EXPECT_TRUE(response.found);
+  EXPECT_EQ(response.series_id, 123u);
 
   EXPECT_EQ(server_->DrainStream("nope").status().code(),
             StatusCode::kNotFound);
@@ -572,7 +574,7 @@ TEST_F(ServerTest, RecommendJsonCarriesRationale) {
   s.sax = TestSax();
   s.streaming = true;
   s.window_queries = true;
-  std::string json = server_->RecommendJson(s);
+  const std::string json = server_->Recommend(s).ToJsonString();
   EXPECT_NE(json.find("\"variant\":\"CLSM"), std::string::npos);
   EXPECT_NE(json.find("\"rationale\":["), std::string::npos);
 }

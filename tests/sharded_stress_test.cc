@@ -1,5 +1,5 @@
 // Concurrency stress over the sharding layer: many threads query one
-// ShardedIndex — directly and through Server::QueryBatch — while other
+// ShardedIndex — directly and through Service::QueryBatch — while other
 // threads read IoStats and buffer-pool accounting mid-flight. Results must
 // stay exact throughout (each query re-verified against the brute-force
 // oracle) and the whole file must be clean under ASan/UBSan and TSan (CI
@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "palm/server.h"
+#include "palm/api.h"
 #include "palm/sharded_index.h"
 #include "tests/test_util.h"
 
@@ -111,29 +111,28 @@ TEST(ShardedStressTest, ConcurrentExactSearchStaysExact) {
   EXPECT_GT(sharded->AggregateIoStats().total_ios(), 0u);
 }
 
-// Server::QueryBatch against sharded and unsharded indexes concurrently
+// Service::QueryBatch against sharded and unsharded indexes concurrently
 // with accounting readers; every response must carry the oracle distance.
 TEST(ShardedStressTest, QueryBatchOverShardedIndexUnderLoad) {
   const std::string root =
       storage::MakeTempStorage("sharded_stress_srv").TakeValue()->directory();
-  auto server = Server::Create(root).TakeValue();
+  auto server = api::Service::Create(root).TakeValue();
 
   auto collection = testutil::RandomWalkCollection(260, 64, 102);
   ASSERT_TRUE(server->RegisterDataset("data", collection, nullptr).ok());
 
   auto sharded_report = server->BuildIndex("shardy", ShardedSpec(4), "data");
   ASSERT_TRUE(sharded_report.ok()) << sharded_report.status().ToString();
-  EXPECT_NE(sharded_report.value().find("\"shards\":4"), std::string::npos)
-      << sharded_report.value();
+  EXPECT_EQ(sharded_report.value().shards, 4u);
   ASSERT_TRUE(server->BuildIndex("flat", ShardedSpec(1), "data").ok());
 
   // Queries alternate between the two indexes; QueryBatch serializes per
   // index while the sharded handle fans out internally.
   constexpr size_t kBatch = 32;
-  std::vector<QueryRequest> requests;
+  std::vector<api::QueryRequest> requests;
   std::vector<double> oracle_distance;
   for (size_t i = 0; i < kBatch; ++i) {
-    QueryRequest req;
+    api::QueryRequest req;
     req.index = i % 2 == 0 ? "shardy" : "flat";
     req.query = testutil::NoisyCopy(collection, (i * 29 + 3) % 260,
                                     i % 4 == 0 ? 2.0 : 0.5, 700 + i);
@@ -160,7 +159,7 @@ TEST(ShardedStressTest, QueryBatchOverShardedIndexUnderLoad) {
     }
   });
 
-  std::vector<std::vector<Result<std::string>>> rounds;
+  std::vector<std::vector<Result<api::QueryReport>>> rounds;
   for (int round = 0; round < 3; ++round) {
     rounds.push_back(server->QueryBatch(requests, 4));
   }
@@ -171,13 +170,10 @@ TEST(ShardedStressTest, QueryBatchOverShardedIndexUnderLoad) {
     ASSERT_EQ(results.size(), requests.size());
     for (size_t i = 0; i < results.size(); ++i) {
       ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
-      // The JSON reports sqrt(distance_sq); re-derive and compare.
-      const std::string& json = results[i].value();
-      const auto pos = json.find("\"distance\":");
-      ASSERT_NE(pos, std::string::npos) << json;
-      const double dist = std::stod(json.substr(pos + 11));
+      // The report carries sqrt(distance_sq); re-derive and compare.
+      const double dist = results[i].value().distance;
       EXPECT_NEAR(dist * dist, oracle_distance[i], 1e-6)
-          << "request " << i << ": " << json;
+          << "request " << i << ": " << results[i].value().ToJsonString();
     }
   }
 }
