@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <concepts>
 #include <filesystem>
 #include <limits>
+#include <optional>
+#include <string_view>
 #include <thread>
 
 #include "common/thread_pool.h"
@@ -134,7 +137,23 @@ int ApiCodeToHttpStatus(const std::string& code) {
   return 500;
 }
 
-// ------------------------------------------- field extraction helpers
+// ------------------------------------------------------ the wire codec
+//
+// Every wire struct declares its JSON shape once, as a field list:
+//
+//   template <class V> void Fields(V& v, QueryRequest& r) {
+//     v(Req("index"), r.index);
+//     v(Opt("exact"), r.exact);
+//     ...
+//   }
+//
+// Three visitors walk each list. The key pass (KeyProbe) runs first and
+// rejects a member the list does not declare, so a request's errors keep
+// their precedence: not an object, then an unknown field, then the fields
+// in list order. The Reader then fills the struct and the Writer emits it,
+// both in list order. The codec of an entry follows from the member's type
+// (string, bool, double, 64-bit integers, vectors) or from a wrapper that
+// adds a range, an enum spelling table or a nested object.
 
 Status ExpectObject(const JsonValue& value, const char* what) {
   if (!value.is_object()) {
@@ -144,136 +163,403 @@ Status ExpectObject(const JsonValue& value, const char* what) {
   return Status::OK();
 }
 
-/// Strict wire contract: a request naming fields the server does not know
-/// is rejected, not silently half-honored.
-Status RejectUnknown(const JsonValue& obj, const char* what,
-                     std::initializer_list<std::string_view> allowed) {
-  for (const JsonValue::Member& m : obj.object()) {
-    if (std::find(allowed.begin(), allowed.end(), m.first) == allowed.end()) {
-      return Status::InvalidArgument(std::string(what) + ": unknown field '" +
-                                     m.first + "'");
+Status FieldError(const char* what, std::string_view key, const char* need) {
+  return Status::InvalidArgument(std::string(what) + ": field '" +
+                                 std::string(key) + "' " + need);
+}
+
+/// Where a value sits, for error messages: "<what>: field '<key>' ...".
+struct Ctx {
+  const char* what;
+  std::string_view key;
+};
+
+/// One field-list entry's key and presence rules.
+struct Key {
+  std::string_view name;
+  bool required = false;
+  /// False: the field is neither read nor written (still a known key).
+  bool gate = true;
+  /// False: the field is not written (still read when present). Keeps
+  /// wire-additive fields off legacy outputs.
+  bool emit = true;
+  /// A missing key reads as JSON null, so the codec's own type error
+  /// reports it.
+  bool absent_as_null = false;
+
+  Key If(bool on) const {
+    Key k = *this;
+    k.gate = on;
+    return k;
+  }
+  Key EmitIf(bool on) const {
+    Key k = *this;
+    k.emit = on;
+    return k;
+  }
+  Key AbsentAsNull() const {
+    Key k = *this;
+    k.absent_as_null = true;
+    return k;
+  }
+};
+
+constexpr Key Req(std::string_view name) { return Key{name, true}; }
+constexpr Key Opt(std::string_view name) { return Key{name, false}; }
+
+// ---- codecs chosen by the member's type.
+
+Status ReadValue(const JsonValue& v, const Ctx& c, std::string& out) {
+  if (!v.is_string()) return FieldError(c.what, c.key, "must be a string");
+  out = v.string_value();
+  return Status::OK();
+}
+void WriteValue(JsonWriter* w, const std::string& value) { w->String(value); }
+
+Status ReadValue(const JsonValue& v, const Ctx& c, bool& out) {
+  if (!v.is_bool()) return FieldError(c.what, c.key, "must be a boolean");
+  out = v.bool_value();
+  return Status::OK();
+}
+void WriteValue(JsonWriter* w, bool value) { w->Bool(value); }
+
+Status ReadValue(const JsonValue& v, const Ctx& c, double& out) {
+  if (!v.is_number()) return FieldError(c.what, c.key, "must be a number");
+  out = v.AsDouble();
+  return Status::OK();
+}
+void WriteValue(JsonWriter* w, double value) { w->Double(value); }
+
+/// uint64_t and size_t.
+template <std::unsigned_integral U>
+  requires(sizeof(U) == sizeof(uint64_t))
+Status ReadValue(const JsonValue& v, const Ctx& c, U& out) {
+  if (!v.is_number()) return FieldError(c.what, c.key, "must be a number");
+  Result<uint64_t> r = v.AsUint64();
+  if (!r.ok()) {
+    return FieldError(c.what, c.key, "must be a non-negative integer");
+  }
+  out = r.value();
+  return Status::OK();
+}
+template <std::unsigned_integral U>
+  requires(sizeof(U) == sizeof(uint64_t))
+void WriteValue(JsonWriter* w, U value) {
+  w->Uint(value);
+}
+
+Status ReadValue(const JsonValue& v, const Ctx& c, int64_t& out) {
+  if (!v.is_number()) return FieldError(c.what, c.key, "must be a number");
+  Result<int64_t> r = v.AsInt64();
+  if (!r.ok()) return FieldError(c.what, c.key, "must be an integer");
+  out = r.value();
+  return Status::OK();
+}
+void WriteValue(JsonWriter* w, int64_t value) { w->Int(value); }
+
+/// A query vector.
+Status ReadValue(const JsonValue& v, const Ctx& c, std::vector<float>& out) {
+  if (!v.is_array()) {
+    return FieldError(c.what, c.key, "must be an array of numbers");
+  }
+  out.reserve(v.array_size());
+  if (v.is_packed_array()) {
+    for (const double x : v.packed_numbers()) {
+      out.push_back(static_cast<float>(x));
+    }
+    return Status::OK();
+  }
+  for (const JsonValue& x : v.array()) {
+    if (!x.is_number()) {
+      return FieldError(c.what, c.key, "must contain only numbers");
+    }
+    out.push_back(static_cast<float>(x.AsDouble()));
+  }
+  return Status::OK();
+}
+void WriteValue(JsonWriter* w, const std::vector<float>& values) {
+  w->BeginArray();
+  for (const float x : values) w->Double(x);
+  w->EndArray();
+}
+
+/// A timestamp column.
+Status ReadValue(const JsonValue& v, const Ctx& c, std::vector<int64_t>& out) {
+  if (!v.is_array()) {
+    return FieldError(c.what, c.key, "must be an array of integers");
+  }
+  const size_t n = v.array_size();
+  out.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (!v.element_is_number(i)) {
+      return FieldError(c.what, c.key, "must contain only integers");
+    }
+    Result<int64_t> x = v.ElementAsInt64(i);
+    if (!x.ok()) {
+      return FieldError(c.what, c.key, "must contain only integers");
+    }
+    out.push_back(x.value());
+  }
+  return Status::OK();
+}
+void WriteValue(JsonWriter* w, const std::vector<int64_t>& values) {
+  w->BeginArray();
+  for (const int64_t x : values) w->Int(x);
+  w->EndArray();
+}
+
+/// A recommendation's rationale.
+Status ReadValue(const JsonValue& v, const Ctx& c,
+                 std::vector<std::string>& out) {
+  if (!v.is_array() || v.is_packed_array()) {
+    return FieldError(c.what, c.key, "must be an array of strings");
+  }
+  for (const JsonValue& x : v.array()) {
+    if (!x.is_string()) {
+      return FieldError(c.what, c.key, "must contain only strings");
+    }
+    out.push_back(x.string_value());
+  }
+  return Status::OK();
+}
+void WriteValue(JsonWriter* w, const std::vector<std::string>& values) {
+  w->BeginArray();
+  for (const std::string& x : values) w->String(x);
+  w->EndArray();
+}
+
+/// query_batch results: a report, or an {"error":{...}} entry in its place.
+Status ReadValue(const JsonValue& v, const Ctx& c,
+                 std::vector<QueryBatchResponse::Entry>& out) {
+  if (!v.is_array() || v.is_packed_array()) {
+    return FieldError(c.what, c.key, "must be an array of result objects");
+  }
+  out.reserve(v.array().size());
+  for (const JsonValue& entry : v.array()) {
+    QueryBatchResponse::Entry parsed;
+    parsed.ok = entry.Find("error") == nullptr;
+    if (parsed.ok) {
+      COCONUT_ASSIGN_OR_RETURN(parsed.report, QueryReport::FromJson(entry));
+    } else {
+      COCONUT_ASSIGN_OR_RETURN(parsed.error, ApiError::FromJson(entry));
+    }
+    out.push_back(std::move(parsed));
+  }
+  return Status::OK();
+}
+void WriteValue(JsonWriter* w,
+                const std::vector<QueryBatchResponse::Entry>& entries) {
+  w->BeginArray();
+  for (const QueryBatchResponse::Entry& entry : entries) {
+    if (entry.ok) {
+      entry.report.ToJson(w);
+    } else {
+      entry.error.ToJson(w);
+    }
+  }
+  w->EndArray();
+}
+
+/// Wire-optional values (written only under EmitIf(has_value())).
+template <class T>
+Status ReadValue(const JsonValue& v, const Ctx& c, std::optional<T>& out) {
+  T value{};
+  COCONUT_RETURN_NOT_OK(ReadValue(v, c, value));
+  out = std::move(value);
+  return Status::OK();
+}
+template <class T>
+void WriteValue(JsonWriter* w, const std::optional<T>& value) {
+  WriteValue(w, *value);
+}
+
+// ---- wrappers that add a rule to a member.
+
+/// Integers that narrow into `value` or drive allocations and thread
+/// counts: out-of-range values are rejected instead of silently truncated
+/// or honored at host-exhausting magnitudes.
+template <class I>
+struct IntIn {
+  I& value;
+  int64_t min;
+  int64_t max;
+};
+template <class I>
+Status ReadValue(const JsonValue& v, const Ctx& c, const IntIn<I>& f) {
+  int64_t x = 0;
+  COCONUT_RETURN_NOT_OK(ReadValue(v, c, x));
+  if (x < f.min || x > f.max) {
+    return Status::InvalidArgument(
+        std::string(c.what) + ": field '" + std::string(c.key) +
+        "' must be in [" + std::to_string(f.min) + ", " +
+        std::to_string(f.max) + "]");
+  }
+  f.value = static_cast<I>(x);
+  return Status::OK();
+}
+template <class I>
+void WriteValue(JsonWriter* w, const IntIn<I>& f) {
+  w->Int(static_cast<int64_t>(f.value));
+}
+
+template <class U>
+struct UintIn {
+  U& value;
+  uint64_t max;
+};
+template <class U>
+Status ReadValue(const JsonValue& v, const Ctx& c, const UintIn<U>& f) {
+  uint64_t x = 0;
+  COCONUT_RETURN_NOT_OK(ReadValue(v, c, x));
+  if (x > f.max) {
+    return Status::InvalidArgument(std::string(c.what) + ": field '" +
+                                   std::string(c.key) + "' must be at most " +
+                                   std::to_string(f.max));
+  }
+  f.value = static_cast<U>(x);
+  return Status::OK();
+}
+template <class U>
+void WriteValue(JsonWriter* w, const UintIn<U>& f) {
+  w->Uint(static_cast<uint64_t>(f.value));
+}
+
+/// One enum value and its wire spelling. A table of these serves both
+/// directions and the "(want a|b|c)" hint.
+template <class E>
+struct Spelling {
+  E value;
+  const char* name;
+};
+
+constexpr Spelling<IndexFamily> kFamilies[] = {
+    {IndexFamily::kAds, "ads"},
+    {IndexFamily::kCTree, "ctree"},
+    {IndexFamily::kClsm, "clsm"}};
+constexpr Spelling<StreamMode> kModes[] = {{StreamMode::kStatic, "static"},
+                                           {StreamMode::kPP, "pp"},
+                                           {StreamMode::kTP, "tp"},
+                                           {StreamMode::kBTP, "btp"}};
+constexpr Spelling<stream::TimestampPolicy> kTimestampPolicies[] = {
+    {stream::TimestampPolicy::kPermissive, "permissive"},
+    {stream::TimestampPolicy::kStrict, "strict"},
+    {stream::TimestampPolicy::kClamp, "clamp"}};
+constexpr Spelling<stream::BackpressurePolicy> kBackpressurePolicies[] = {
+    {stream::BackpressurePolicy::kBlock, "block"},
+    {stream::BackpressurePolicy::kReject, "reject"}};
+constexpr Spelling<bool> kDurability[] = {{true, "on"}, {false, "off"}};
+
+template <class E, size_t N>
+struct Enum {
+  E& value;
+  const Spelling<E> (&table)[N];
+};
+/// An empty string keeps the default, like an absent key.
+template <class E, size_t N>
+Status ReadValue(const JsonValue& v, const Ctx& c, const Enum<E, N>& f) {
+  std::string s;
+  COCONUT_RETURN_NOT_OK(ReadValue(v, c, s));
+  if (s.empty()) return Status::OK();
+  std::string want;
+  for (const Spelling<E>& spelling : f.table) {
+    if (s == spelling.name) {
+      f.value = spelling.value;
+      return Status::OK();
+    }
+    if (!want.empty()) want += '|';
+    want += spelling.name;
+  }
+  return Status::InvalidArgument(std::string(c.what) + ": unknown " +
+                                 std::string(c.key) + " '" + s + "' (want " +
+                                 want + ")");
+}
+template <class E, size_t N>
+void WriteValue(JsonWriter* w, const Enum<E, N>& f) {
+  const char* name = f.table[0].name;
+  for (const Spelling<E>& spelling : f.table) {
+    if (spelling.value == f.value) name = spelling.name;
+  }
+  w->String(name);
+}
+
+/// A heat map's max_count.
+struct Uint32 {
+  uint32_t& value;
+};
+Status ReadValue(const JsonValue& v, const Ctx& c, const Uint32& f) {
+  uint64_t x = 0;
+  COCONUT_RETURN_NOT_OK(ReadValue(v, c, x));
+  if (x > std::numeric_limits<uint32_t>::max()) {
+    return FieldError(c.what, c.key, "does not fit in 32 bits");
+  }
+  f.value = static_cast<uint32_t>(x);
+  return Status::OK();
+}
+void WriteValue(JsonWriter* w, const Uint32& f) { w->Uint(f.value); }
+
+/// A heat map's cells: time_bins rows of location_bins 32-bit counts.
+struct Cells {
+  HeatMap& map;
+};
+Status ReadValue(const JsonValue& v, const Ctx& c, const Cells& f) {
+  HeatMap& map = f.map;
+  const std::string what(c.what);
+  if (!v.is_array() || v.array_size() != map.time_bins) {
+    return Status::InvalidArgument(what + ": '" + std::string(c.key) +
+                                   "' must be an array of time_bins rows");
+  }
+  const auto bad_row = [&what] {
+    return Status::InvalidArgument(
+        what + ": each cells row must have location_bins entries");
+  };
+  // Numbers where rows were expected.
+  if (v.is_packed_array()) return bad_row();
+  map.counts.reserve(map.time_bins * map.location_bins);
+  for (const JsonValue& row : v.array()) {
+    if (!row.is_array() || row.array_size() != map.location_bins) {
+      return bad_row();
+    }
+    for (size_t j = 0; j < row.array_size(); ++j) {
+      Result<uint64_t> cell = row.element_is_number(j)
+                                  ? row.ElementAsUint64(j)
+                                  : Result<uint64_t>(Status::InvalidArgument(
+                                        "not a number"));
+      if (!cell.ok() ||
+          cell.value() > std::numeric_limits<uint32_t>::max()) {
+        return Status::InvalidArgument(what +
+                                       ": cells must be 32-bit counts");
+      }
+      map.counts.push_back(static_cast<uint32_t>(cell.value()));
     }
   }
   return Status::OK();
 }
-
-Status FieldError(const char* what, const char* key, const char* need) {
-  return Status::InvalidArgument(std::string(what) + ": field '" + key +
-                                 "' " + need);
-}
-
-Status OptString(const JsonValue& obj, const char* key, const char* what,
-                 std::string* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_string()) return FieldError(what, key, "must be a string");
-  *out = v->string_value();
-  return Status::OK();
-}
-
-Result<std::string> ReqString(const JsonValue& obj, const char* key,
-                              const char* what) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return FieldError(what, key, "is required");
-  if (!v->is_string()) return FieldError(what, key, "must be a string");
-  return v->string_value();
-}
-
-Status OptBool(const JsonValue& obj, const char* key, const char* what,
-               bool* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_bool()) return FieldError(what, key, "must be a boolean");
-  *out = v->bool_value();
-  return Status::OK();
-}
-
-Status OptUint(const JsonValue& obj, const char* key, const char* what,
-               uint64_t* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_number()) return FieldError(what, key, "must be a number");
-  Result<uint64_t> r = v->AsUint64();
-  if (!r.ok()) {
-    return FieldError(what, key, "must be a non-negative integer");
+void WriteValue(JsonWriter* w, const Cells& f) {
+  w->BeginArray();
+  for (size_t t = 0; t < f.map.time_bins; ++t) {
+    w->BeginArray();
+    for (size_t l = 0; l < f.map.location_bins; ++l) w->Uint(f.map.at(t, l));
+    w->EndArray();
   }
-  *out = r.value();
-  return Status::OK();
+  w->EndArray();
 }
 
-Status OptInt(const JsonValue& obj, const char* key, const char* what,
-              int64_t* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_number()) return FieldError(what, key, "must be a number");
-  Result<int64_t> r = v->AsInt64();
-  if (!r.ok()) return FieldError(what, key, "must be an integer");
-  *out = r.value();
-  return Status::OK();
-}
-
-/// Range-checked variants for wire fields that are narrowed to int/size_t
-/// or drive allocations and thread counts: out-of-range values are
-/// rejected instead of silently truncated or honored at host-exhausting
-/// magnitudes.
-Status OptUintInRange(const JsonValue& obj, const char* key,
-                      const char* what, uint64_t* out, uint64_t max) {
-  COCONUT_RETURN_NOT_OK(OptUint(obj, key, what, out));
-  if (*out > max) {
-    return Status::InvalidArgument(std::string(what) + ": field '" + key +
-                                   "' must be at most " +
-                                   std::to_string(max));
+/// The api_version inside an error body: written as kApiVersion, and any
+/// other version is refused on read.
+struct ApiVersion {};
+Status ReadValue(const JsonValue& v, const Ctx& c, const ApiVersion&) {
+  uint64_t version = 0;
+  COCONUT_RETURN_NOT_OK(ReadValue(v, c, version));
+  if (version != static_cast<uint64_t>(kApiVersion)) {
+    return Status::InvalidArgument(std::string(c.what) +
+                                   ": unsupported api_version " +
+                                   std::to_string(version));
   }
   return Status::OK();
 }
+void WriteValue(JsonWriter* w, const ApiVersion&) { w->Int(kApiVersion); }
 
-Status OptIntInRange(const JsonValue& obj, const char* key, const char* what,
-                     int64_t* out, int64_t min, int64_t max) {
-  COCONUT_RETURN_NOT_OK(OptInt(obj, key, what, out));
-  if (*out < min || *out > max) {
-    return Status::InvalidArgument(
-        std::string(what) + ": field '" + key + "' must be in [" +
-        std::to_string(min) + ", " + std::to_string(max) + "]");
-  }
-  return Status::OK();
-}
-
-Status OptDouble(const JsonValue& obj, const char* key, const char* what,
-                 double* out) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return Status::OK();
-  if (!v->is_number()) return FieldError(what, key, "must be a number");
-  *out = v->AsDouble();
-  return Status::OK();
-}
-
-Result<uint64_t> ReqUint(const JsonValue& obj, const char* key,
-                         const char* what) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return FieldError(what, key, "is required");
-  if (!v->is_number()) return FieldError(what, key, "must be a number");
-  Result<uint64_t> r = v->AsUint64();
-  if (!r.ok()) {
-    return FieldError(what, key, "must be a non-negative integer");
-  }
-  return r.value();
-}
-
-Result<double> ReqDouble(const JsonValue& obj, const char* key,
-                         const char* what) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return FieldError(what, key, "is required");
-  if (!v->is_number()) return FieldError(what, key, "must be a number");
-  return v->AsDouble();
-}
-
-Result<bool> ReqBool(const JsonValue& obj, const char* key,
-                     const char* what) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return FieldError(what, key, "is required");
-  if (!v->is_bool()) return FieldError(what, key, "must be a boolean");
-  return v->bool_value();
-}
+// ---- the series matrix: two keys of the enclosing object at once.
 
 /// Shared by register_dataset and ingest_batch: reads "series" (array of
 /// equal-length arrays of numbers) plus optional "series_length" into a
@@ -375,149 +661,568 @@ void WriteSeriesMatrix(const series::SeriesCollection& collection,
   w->EndArray();
 }
 
-Result<std::vector<int64_t>> ParseTimestamps(const JsonValue& arr,
-                                             const char* what) {
-  if (!arr.is_array()) {
-    return FieldError(what, "timestamps", "must be an array of integers");
+/// The field-list entry for a series matrix (v.Inline(SeriesMatrix{...})).
+struct SeriesMatrix {
+  series::SeriesCollection& data;
+  static constexpr std::string_view kKeys[] = {"series_length", "series"};
+};
+
+// ---- the three visitors.
+
+/// The key pass: does the field list declare `key`?
+struct KeyProbe {
+  std::string_view key;
+  bool known = false;
+
+  template <class M>
+  void operator()(const Key& k, const M&) {
+    known = known || k.name == key;
   }
-  std::vector<int64_t> out;
-  const size_t n = arr.array_size();
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!arr.element_is_number(i)) {
-      return FieldError(what, "timestamps", "must contain only integers");
+  void Inline(const SeriesMatrix&) {
+    for (const std::string_view k : SeriesMatrix::kKeys) {
+      known = known || k == key;
     }
-    Result<int64_t> v = arr.ElementAsInt64(i);
-    if (!v.ok()) {
-      return FieldError(what, "timestamps", "must contain only integers");
-    }
-    out.push_back(v.value());
   }
-  return out;
+  void Presence(std::string_view, bool&) {}
+  template <class F>
+  void Check(const F&) {}
+};
+
+/// Fills a struct from one JSON object, stopping at the first error.
+class Reader {
+ public:
+  Reader(const JsonValue& object, const char* what)
+      : object_(object), what_(what) {}
+
+  template <class M>
+  void operator()(const Key& k, M&& member) {
+    if (!status_.ok() || !k.gate) return;
+    const JsonValue* v = object_.Find(k.name);
+    if (v == nullptr && k.absent_as_null) v = &kNull;
+    if (v == nullptr) {
+      if (k.required) status_ = FieldError(what_, k.name, "is required");
+      return;
+    }
+    status_ = ReadValue(*v, Ctx{what_, k.name}, member);
+  }
+  void Inline(const SeriesMatrix& matrix) {
+    if (!status_.ok()) return;
+    Result<series::SeriesCollection> data =
+        ParseSeriesMatrix(object_, what_);
+    if (!data.ok()) {
+      status_ = data.status();
+      return;
+    }
+    matrix.data = data.TakeValue();
+  }
+  /// Sets `flag` to whether `key` is present (gates of later entries read
+  /// it).
+  void Presence(std::string_view key, bool& flag) {
+    flag = object_.Find(key) != nullptr;
+  }
+  /// A rule across fields read so far.
+  template <class F>
+  void Check(const F& check) {
+    if (status_.ok()) status_ = check();
+  }
+
+  const Status& status() const { return status_; }
+
+ private:
+  static inline const JsonValue kNull;
+  const JsonValue& object_;
+  const char* what_;
+  Status status_;
+};
+
+/// Emits a struct's fields into an open JSON object.
+struct Writer {
+  JsonWriter* w;
+
+  template <class M>
+  void operator()(const Key& k, const M& member) {
+    if (!k.gate || !k.emit) return;
+    w->Key(std::string(k.name));
+    WriteValue(w, member);
+  }
+  void Inline(const SeriesMatrix& matrix) {
+    WriteSeriesMatrix(matrix.data, w);
+  }
+  void Presence(std::string_view, bool&) {}
+  template <class F>
+  void Check(const F&) {}
+};
+
+/// A field list as a value: list(visitor) walks T's Fields.
+template <class T>
+auto ListOf(T& t) {
+  return [&t](auto& visitor) { Fields(visitor, t); };
 }
 
-void WriteTimestamps(const std::vector<int64_t>& timestamps, JsonWriter* w) {
-  w->Key("timestamps");
+template <class List>
+Status ReadObject(const JsonValue& value, const char* what, const List& list) {
+  COCONUT_RETURN_NOT_OK(ExpectObject(value, what));
+  // Strict wire contract: a request naming fields the server does not
+  // know is rejected, not silently half-honored.
+  for (const JsonValue::Member& m : value.object()) {
+    KeyProbe probe{m.first};
+    list(probe);
+    if (!probe.known) {
+      return Status::InvalidArgument(std::string(what) + ": unknown field '" +
+                                     m.first + "'");
+    }
+  }
+  Reader reader(value, what);
+  list(reader);
+  return reader.status();
+}
+
+template <class List>
+void WriteObject(JsonWriter* w, const List& list) {
+  w->BeginObject();
+  Writer writer{w};
+  list(writer);
+  w->EndObject();
+}
+
+template <class T>
+Result<T> Decode(const JsonValue& value, const char* what) {
+  T t;
+  COCONUT_RETURN_NOT_OK(ReadObject(value, what, ListOf(t)));
+  return t;
+}
+
+template <class T>
+void Encode(const T& t, JsonWriter* w) {
+  // One list serves the reader and the writer, so it takes T&; the Writer
+  // only reads through it.
+  WriteObject(w, ListOf(const_cast<T&>(t)));
+}
+
+// ---- nested objects.
+
+/// A nested wire object over members of the enclosing struct.
+template <class F>
+struct Group {
+  const char* what;
+  F list;
+};
+template <class F>
+Status ReadValue(const JsonValue& v, const Ctx&, const Group<F>& g) {
+  return ReadObject(v, g.what, g.list);
+}
+template <class F>
+void WriteValue(JsonWriter* w, const Group<F>& g) {
+  WriteObject(w, g.list);
+}
+
+/// A member struct with its own field list, read under its own context.
+template <class T>
+struct Nested {
+  T& value;
+  const char* what;
+};
+template <class T>
+Status ReadValue(const JsonValue& v, const Ctx&, const Nested<T>& n) {
+  return ReadObject(v, n.what, ListOf(n.value));
+}
+template <class T>
+Status ReadValue(const JsonValue& v, const Ctx&,
+                 const Nested<std::optional<T>>& n) {
+  T value{};
+  COCONUT_RETURN_NOT_OK(ReadObject(v, n.what, ListOf(value)));
+  n.value = value;
+  return Status::OK();
+}
+template <class T>
+void WriteValue(JsonWriter* w, const Nested<T>& n) {
+  WriteObject(w, ListOf(n.value));
+}
+template <class T>
+void WriteValue(JsonWriter* w, const Nested<std::optional<T>>& n) {
+  WriteObject(w, ListOf(*n.value));
+}
+
+/// An array of structs, each read under `what`.
+template <class T>
+struct ObjectList {
+  std::vector<T>& items;
+  const char* what;
+  const char* need;  // the error when the value is not such an array
+};
+template <class T>
+Status ReadValue(const JsonValue& v, const Ctx& c, const ObjectList<T>& f) {
+  if (!v.is_array() || v.is_packed_array()) {
+    return FieldError(c.what, c.key, f.need);
+  }
+  f.items.reserve(v.array().size());
+  for (const JsonValue& entry : v.array()) {
+    COCONUT_ASSIGN_OR_RETURN(T item, Decode<T>(entry, f.what));
+    f.items.push_back(std::move(item));
+  }
+  return Status::OK();
+}
+template <class T>
+void WriteValue(JsonWriter* w, const ObjectList<T>& f) {
   w->BeginArray();
-  for (const int64_t t : timestamps) w->Int(t);
+  for (const T& item : f.items) Encode(item, w);
   w->EndArray();
 }
 
-// ----------------------------------------------- enum spellings on wire
+// ------------------------------------------------------ the field lists
 
-const char* FamilyToWire(IndexFamily family) {
-  switch (family) {
-    case IndexFamily::kAds:
-      return "ads";
-    case IndexFamily::kCTree:
-      return "ctree";
-    case IndexFamily::kClsm:
-      return "clsm";
-  }
-  return "ctree";
+template <class V>
+void Fields(V& v, series::SaxConfig& sax) {
+  v(Opt("series_length"),
+    IntIn{sax.series_length, 0, static_cast<int64_t>(kMaxSeriesLength)});
+  v(Opt("num_segments"), IntIn{sax.num_segments, 0, 1 << 12});
+  v(Opt("bits_per_segment"), IntIn{sax.bits_per_segment, 0, 32});
 }
 
-Result<IndexFamily> FamilyFromWire(const std::string& s, const char* what) {
-  if (s == "ads") return IndexFamily::kAds;
-  if (s == "ctree") return IndexFamily::kCTree;
-  if (s == "clsm") return IndexFamily::kClsm;
-  return Status::InvalidArgument(std::string(what) + ": unknown family '" +
-                                 s + "' (want ads|ctree|clsm)");
+/// Every knob of the spec except the process-local pointers and hooks.
+template <class V>
+void Fields(V& v, VariantSpec& s) {
+  v(Opt("family"), Enum{s.family, kFamilies});
+  v(Opt("materialized"), s.materialized);
+  v(Opt("mode"), Enum{s.mode, kModes});
+  v(Opt("sax"), Nested{s.sax, "spec.sax"});
+  v(Opt("fill_factor"), s.fill_factor);
+  v(Opt("growth_factor"), IntIn{s.growth_factor, 0, kMaxWireSmallInt});
+  v(Opt("buffer_entries"), UintIn{s.buffer_entries, kMaxWireBufferEntries});
+  v(Opt("memory_budget_bytes"),
+    UintIn{s.memory_budget_bytes, kMaxWireMemoryBudgetBytes});
+  v(Opt("construction_threads"),
+    UintIn{s.construction_threads, kMaxWireThreads});
+  v(Opt("ads_leaf_capacity"),
+    UintIn{s.ads_leaf_capacity, kMaxWireLeafCapacity});
+  v(Opt("btp_merge_k"), IntIn{s.btp_merge_k, 0, kMaxWireSmallInt});
+  v(Opt("num_shards"), UintIn{s.num_shards, kMaxWireShards});
+  v(Opt("shard_build_threads"),
+    UintIn{s.shard_build_threads, kMaxWireThreads});
+  v(Opt("shard_query_threads"),
+    UintIn{s.shard_query_threads, kMaxWireThreads});
+  v(Opt("timestamp_policy"), Enum{s.timestamp_policy, kTimestampPolicies});
+  v(Opt("async_ingest"), s.async_ingest);
+  v(Opt("max_inflight_seals"),
+    UintIn{s.max_inflight_seals, kMaxWireInflightSeals});
+  v(Opt("backpressure_policy"),
+    Enum{s.backpressure_policy, kBackpressurePolicies});
+  v(Opt("durability"), Enum{s.durable, kDurability});
 }
 
-const char* ModeToWire(StreamMode mode) {
-  switch (mode) {
-    case StreamMode::kStatic:
-      return "static";
-    case StreamMode::kPP:
-      return "pp";
-    case StreamMode::kTP:
-      return "tp";
-    case StreamMode::kBTP:
-      return "btp";
-  }
-  return "static";
+template <class V>
+void Fields(V& v, storage::IoStats& io) {
+  v(Req("sequential_reads"), io.sequential_reads);
+  v(Req("random_reads"), io.random_reads);
+  v(Req("sequential_writes"), io.sequential_writes);
+  v(Req("random_writes"), io.random_writes);
+  v(Req("bytes_read"), io.bytes_read);
+  v(Req("bytes_written"), io.bytes_written);
 }
 
-Result<StreamMode> ModeFromWire(const std::string& s, const char* what) {
-  if (s == "static") return StreamMode::kStatic;
-  if (s == "pp") return StreamMode::kPP;
-  if (s == "tp") return StreamMode::kTP;
-  if (s == "btp") return StreamMode::kBTP;
-  return Status::InvalidArgument(std::string(what) + ": unknown mode '" + s +
-                                 "' (want static|pp|tp|btp)");
+template <class V>
+void Fields(V& v, core::QueryCounters& c) {
+  v(Req("leaves_visited"), c.leaves_visited);
+  v(Req("leaves_pruned"), c.leaves_pruned);
+  v(Req("entries_examined"), c.entries_examined);
+  v(Req("raw_fetches"), c.raw_fetches);
+  v(Req("partitions_visited"), c.partitions_visited);
+  v(Req("partitions_skipped"), c.partitions_skipped);
 }
 
-const char* BackpressureToWire(stream::BackpressurePolicy policy) {
-  switch (policy) {
-    case stream::BackpressurePolicy::kBlock:
-      return "block";
-    case stream::BackpressurePolicy::kReject:
-      return "reject";
-  }
-  return "block";
+template <class V>
+void Fields(V& v, HeatMap& map) {
+  v(Req("time_bins"), map.time_bins);
+  v(Req("location_bins"), map.location_bins);
+  // Both bin counts size the cells reserve before any row constrains them.
+  v.Check([&map] {
+    if (map.time_bins > kMaxHeatMapBinsPerAxis ||
+        map.location_bins > kMaxHeatMapBinsPerAxis) {
+      return Status::InvalidArgument(
+          "heatmap: bin counts exceed the maximum of " +
+          std::to_string(kMaxHeatMapBinsPerAxis) + " per axis");
+    }
+    return Status::OK();
+  });
+  v(Req("total_events"), map.total_events);
+  v(Req("distinct_pages"), map.distinct_pages);
+  v(Req("distinct_files"), map.distinct_files);
+  v(Req("max_count"), Uint32{map.max_count});
+  v(Req("cells").AbsentAsNull(), Cells{map});
 }
 
-Result<stream::BackpressurePolicy> BackpressureFromWire(const std::string& s,
-                                                        const char* what) {
-  if (s == "block") return stream::BackpressurePolicy::kBlock;
-  if (s == "reject") return stream::BackpressurePolicy::kReject;
-  return Status::InvalidArgument(std::string(what) +
-                                 ": unknown backpressure_policy '" + s +
-                                 "' (want block|reject)");
+template <class V>
+void Fields(V& v, core::TimeWindow& window) {
+  v(Opt("begin"), window.begin);
+  v(Opt("end"), window.end);
 }
 
-const char* PolicyToWire(stream::TimestampPolicy policy) {
-  switch (policy) {
-    case stream::TimestampPolicy::kPermissive:
-      return "permissive";
-    case stream::TimestampPolicy::kStrict:
-      return "strict";
-    case stream::TimestampPolicy::kClamp:
-      return "clamp";
-  }
-  return "permissive";
+template <class V>
+void Fields(V& v, ApiError& e) {
+  v(Req("error"), Group{"error", [&e](auto& body) {
+                          body(Req("api_version"), ApiVersion{});
+                          body(Req("code"), e.code);
+                          body(Req("message"), e.message);
+                        }});
 }
 
-Result<stream::TimestampPolicy> PolicyFromWire(const std::string& s,
-                                               const char* what) {
-  if (s == "permissive") return stream::TimestampPolicy::kPermissive;
-  if (s == "strict") return stream::TimestampPolicy::kStrict;
-  if (s == "clamp") return stream::TimestampPolicy::kClamp;
-  return Status::InvalidArgument(std::string(what) +
-                                 ": unknown timestamp_policy '" + s +
-                                 "' (want permissive|strict|clamp)");
+template <class V>
+void Fields(V& v, RegisterDatasetRequest& r) {
+  v(Req("name"), r.name);
+  v.Inline(SeriesMatrix{r.data});
+  v(Opt("timestamps").EmitIf(r.timestamps.has_value()), r.timestamps);
 }
 
-Result<series::SaxConfig> SaxFromJson(const JsonValue& value,
-                                      const char* what) {
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, what));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      value, what, {"series_length", "num_segments", "bits_per_segment"}));
-  series::SaxConfig sax;
-  int64_t v;
-  v = sax.series_length;
-  COCONUT_RETURN_NOT_OK(
-      OptIntInRange(value, "series_length", what, &v, 0,
-                    static_cast<int64_t>(kMaxSeriesLength)));
-  sax.series_length = static_cast<int>(v);
-  v = sax.num_segments;
-  COCONUT_RETURN_NOT_OK(
-      OptIntInRange(value, "num_segments", what, &v, 0, 1 << 12));
-  sax.num_segments = static_cast<int>(v);
-  v = sax.bits_per_segment;
-  COCONUT_RETURN_NOT_OK(
-      OptIntInRange(value, "bits_per_segment", what, &v, 0, 32));
-  sax.bits_per_segment = static_cast<int>(v);
-  return sax;
+template <class V>
+void Fields(V& v, RegisterDatasetResponse& r) {
+  v(Req("dataset"), r.dataset);
+  v(Req("series"), r.series);
+  v(Req("series_length"), r.series_length);
 }
 
-void SaxToJson(const series::SaxConfig& sax, JsonWriter* w) {
-  w->BeginObject();
-  w->Field("series_length", static_cast<int64_t>(sax.series_length));
-  w->Field("num_segments", static_cast<int64_t>(sax.num_segments));
-  w->Field("bits_per_segment", static_cast<int64_t>(sax.bits_per_segment));
-  w->EndObject();
+template <class V>
+void Fields(V& v, BuildIndexRequest& r) {
+  v(Req("index"), r.index);
+  v(Req("dataset"), r.dataset);
+  v(Req("spec"), Nested{r.spec, "spec"});
+}
+
+template <class V>
+void Fields(V& v, BuildIndexReport& r) {
+  v(Req("index"), r.index);
+  v(Req("variant"), r.variant);
+  v(Req("dataset"), r.dataset);
+  v(Req("shards"), r.shards);
+  v(Req("entries"), r.entries);
+  v(Req("build_seconds"), r.build_seconds);
+  v(Req("index_bytes"), r.index_bytes);
+  v(Req("total_bytes"), r.total_bytes);
+  v(Req("io"), Nested{r.io, "io"});
+}
+
+template <class V>
+void Fields(V& v, CreateStreamRequest& r) {
+  v(Req("stream"), r.stream);
+  v(Req("spec"), Nested{r.spec, "spec"});
+}
+
+template <class V>
+void Fields(V& v, CreateStreamResponse& r) {
+  v(Req("stream"), r.stream);
+  v(Req("variant"), r.variant);
+}
+
+template <class V>
+void Fields(V& v, IngestBatchRequest& r) {
+  v(Req("stream"), r.stream);
+  v.Inline(SeriesMatrix{r.batch});
+  v(Req("timestamps"), r.timestamps);
+}
+
+/// The stream counters IngestBatchReport and DrainStreamReport share (the
+/// members have the same names in both).
+template <class V, class Report>
+void StreamStatsFields(V& v, Report& r) {
+  v(Req("total_entries"), r.total_entries);
+  v(Req("partitions"), r.partitions);
+  v(Req("buffered"), r.buffered);
+  v(Req("pending_tasks"), r.pending_tasks);
+  v(Req("seals_completed"), r.seals_completed);
+  v(Req("merges_completed"), r.merges_completed);
+  v(Req("seals_inflight"), r.seals_inflight);
+  v(Req("ingest_stalls"), r.ingest_stalls);
+  v(Req("ingest_rejects"), r.ingest_rejects);
+  v(Req("stall_ms_p50"), r.stall_ms_p50);
+  v(Req("stall_ms_p99"), r.stall_ms_p99);
+}
+
+template <class V>
+void Fields(V& v, IngestBatchReport& r) {
+  v(Req("stream"), r.stream);
+  v(Req("ingested"), r.ingested);
+  StreamStatsFields(v, r);
+  v(Req("seconds"), r.seconds);
+  v(Req("io"), Nested{r.io, "io"});
+}
+
+template <class V>
+void Fields(V& v, DrainStreamRequest& r) {
+  v(Req("stream"), r.stream);
+}
+
+template <class V>
+void Fields(V& v, DrainStreamReport& r) {
+  v(Req("stream"), r.stream);
+  v(Req("drained"), r.drained);
+  v(Req("drain_seconds"), r.drain_seconds);
+  StreamStatsFields(v, r);
+  v(Req("index_bytes"), r.index_bytes);
+  v(Req("total_bytes"), r.total_bytes);
+}
+
+template <class V>
+void Fields(V& v, QueryRequest& r) {
+  v(Req("index"), r.index);
+  v(Req("query"), r.query);
+  v(Opt("exact"), r.exact);
+  v(Opt("window").EmitIf(r.window.has_value()),
+    Nested{r.window, "query.window"});
+  // An inverted window used to sail through and silently scan nothing;
+  // reject it at the boundary (ValidateQuery re-checks for the typed
+  // in-process path).
+  v.Check([&r] {
+    if (r.window.has_value() && r.window->begin > r.window->end) {
+      return Status::InvalidArgument(
+          "query: field 'window' begin must be <= end (got begin=" +
+          std::to_string(r.window->begin) +
+          ", end=" + std::to_string(r.window->end) + ")");
+    }
+    return Status::OK();
+  });
+  v(Opt("approx_candidates"),
+    IntIn{r.approx_candidates, std::numeric_limits<int>::min(),
+          std::numeric_limits<int>::max()});
+  v(Opt("capture_heatmap"), r.capture_heatmap);
+  v(Opt("heatmap_time_bins"), r.heatmap_time_bins);
+  v(Opt("heatmap_location_bins"), r.heatmap_location_bins);
+}
+
+/// Gated entries keep legacy outputs byte-identical: the match fields
+/// only when found, the heat map only when captured, batch_size only
+/// from a shared batched scan, degraded only from a partial coordinator
+/// answer.
+template <class V>
+void Fields(V& v, QueryReport& r) {
+  v(Req("index"), r.index);
+  v(Req("exact"), r.exact);
+  v(Req("found"), r.found);
+  v(Req("series_id").If(r.found), r.series_id);
+  v(Req("distance").If(r.found), r.distance);
+  v(Opt("timestamp").If(r.found), r.timestamp);
+  v(Req("seconds"), r.seconds);
+  v(Req("io"), Nested{r.io, "io"});
+  v(Req("counters"), Nested{r.counters, "counters"});
+  v.Presence("heatmap", r.has_heatmap);
+  v(Req("access_locality").If(r.has_heatmap), r.access_locality);
+  v(Req("heatmap").If(r.has_heatmap), Nested{r.heatmap, "heatmap"});
+  v(Opt("batch_size").EmitIf(r.batch_size > 1), r.batch_size);
+  v(Opt("degraded").EmitIf(r.degraded), r.degraded);
+}
+
+template <class V>
+void Fields(V& v, QueryBatchRequest& r) {
+  v(Req("queries"),
+    ObjectList{r.queries, "query", "must be an array of query objects"});
+  v(Opt("threads"), UintIn{r.threads, kMaxWireThreads});
+}
+
+template <class V>
+void Fields(V& v, QueryBatchResponse& r) {
+  v(Req("results"), r.results);
+}
+
+template <class V>
+void Fields(V& v, RecommendRequest& r) {
+  Scenario& s = r.scenario;
+  v(Opt("streaming"), s.streaming);
+  v(Opt("dataset_size"), s.dataset_size);
+  v(Opt("sax"), Nested{s.sax, "recommend.sax"});
+  v(Opt("expected_queries"), s.expected_queries);
+  v(Opt("update_ratio"), s.update_ratio);
+  v(Opt("memory_budget_bytes"), s.memory_budget_bytes);
+  v(Opt("window_queries"), s.window_queries);
+  v(Opt("typical_window_fraction"), s.typical_window_fraction);
+  v(Opt("storage_constrained"), s.storage_constrained);
+}
+
+template <class V>
+void Fields(V& v, RecommendResponse& r) {
+  v(Req("variant"), r.variant);
+  v(Req("spec"), Group{"recommend.spec", [&r](auto& spec) {
+                         spec(Req("materialized"), r.materialized);
+                         spec(Req("fill_factor"), r.fill_factor);
+                         spec(Opt("growth_factor"), r.growth_factor);
+                         spec(Opt("buffer_entries"), r.buffer_entries);
+                       }});
+  v(Req("rationale").AbsentAsNull(), r.rationale);
+}
+
+template <class V>
+void Fields(V& v, ListIndexesResponse::IndexInfo& r) {
+  v(Req("name"), r.name);
+  v(Req("variant"), r.variant);
+  v(Req("streaming"), r.streaming);
+  v(Req("shards"), r.shards);
+  v(Req("entries"), r.entries);
+  v(Req("total_bytes"), r.total_bytes);
+}
+
+template <class V>
+void Fields(V& v, DropIndexRequest& r) {
+  v(Req("index"), r.index);
+}
+
+template <class V>
+void Fields(V& v, DropIndexResponse& r) {
+  v(Req("index"), r.index);
+  v(Req("dropped"), r.dropped);
+  v(Req("streaming"), r.streaming);
+  v(Req("entries"), r.entries);
+  v(Req("reclaimed_bytes"), r.reclaimed_bytes);
+}
+
+template <class V>
+void Fields(V& v, DropDatasetRequest& r) {
+  v(Req("dataset"), r.dataset);
+}
+
+template <class V>
+void Fields(V& v, DropDatasetResponse& r) {
+  v(Req("dataset"), r.dataset);
+  v(Req("dropped"), r.dropped);
+  v(Req("series"), r.series);
+}
+
+template <class V>
+void Fields(V& v, ServerStatsResponse::ShardHealth& r) {
+  v(Req("endpoint"), r.endpoint);
+  v(Req("healthy"), r.healthy);
+  v(Req("requests"), r.requests);
+  v(Req("failures"), r.failures);
+  v(Req("consecutive_failures"), r.consecutive_failures);
+}
+
+/// The negative_* counters ride only on servers with negative caching on,
+/// and shards only on a distributed coordinator.
+template <class V>
+void Fields(V& v, ServerStatsResponse& r) {
+  v(Req("cache"),
+    Group{"server_stats cache", [&r](auto& cache) {
+            cache(Req("enabled"), r.cache_enabled);
+            cache(Req("entries"), r.cache_entries);
+            cache(Req("bytes"), r.cache_bytes);
+            cache(Req("hits"), r.cache_hits);
+            cache(Req("misses"), r.cache_misses);
+            cache(Req("inserts"), r.cache_inserts);
+            cache(Req("evictions"), r.cache_evictions);
+            cache(Req("stale_drops"), r.cache_stale_drops);
+            cache(Req("invalidations"), r.cache_invalidations);
+            cache(Opt("negative_enabled").EmitIf(r.cache_negative_enabled),
+                  r.cache_negative_enabled);
+            cache(Opt("negative_hits").EmitIf(r.cache_negative_enabled),
+                  r.cache_negative_hits);
+            cache(Opt("negative_inserts").EmitIf(r.cache_negative_enabled),
+                  r.cache_negative_inserts);
+          }});
+  v(Req("quota"), Group{"server_stats quota", [&r](auto& quota) {
+                          quota(Req("enabled"), r.quota_enabled);
+                          quota(Req("admitted"), r.quota_admitted);
+                          quota(Req("throttled"), r.quota_throttled);
+                          quota(Req("unauthenticated"),
+                                r.quota_unauthenticated);
+                        }});
+  v(Opt("shards").EmitIf(!r.shards.empty()),
+    ObjectList{r.shards, "server_stats shard", "must be an array of objects"});
 }
 
 }  // namespace
@@ -532,1061 +1237,92 @@ ApiError ApiError::FromStatus(const Status& status) {
   return error;
 }
 
-void ApiError::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Key("error");
-  w->BeginObject();
-  w->Field("api_version", static_cast<int64_t>(kApiVersion));
-  w->Field("code", code);
-  w->Field("message", message);
-  w->EndObject();
-  w->EndObject();
-}
-
-std::string ApiError::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
 Result<ApiError> ApiError::FromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "error";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  const JsonValue* inner = value.Find("error");
-  if (inner == nullptr) {
+  // A missing wrapper has its own message, ahead of the key pass.
+  if (value.is_object() && value.Find("error") == nullptr) {
     return Status::InvalidArgument("error: missing 'error' wrapper");
   }
-  COCONUT_RETURN_NOT_OK(ExpectObject(*inner, kWhat));
-  COCONUT_RETURN_NOT_OK(
-      RejectUnknown(*inner, kWhat, {"api_version", "code", "message"}));
-  ApiError error;
-  COCONUT_ASSIGN_OR_RETURN(const uint64_t version,
-                           ReqUint(*inner, "api_version", kWhat));
-  if (version != static_cast<uint64_t>(kApiVersion)) {
-    return Status::InvalidArgument("error: unsupported api_version " +
-                                   std::to_string(version));
-  }
-  COCONUT_ASSIGN_OR_RETURN(error.code, ReqString(*inner, "code", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(error.message, ReqString(*inner, "message", kWhat));
+  COCONUT_ASSIGN_OR_RETURN(ApiError error, Decode<ApiError>(value, "error"));
   error.http_status = ApiCodeToHttpStatus(error.code);
   return error;
 }
 
+void ApiError::ToJson(JsonWriter* w) const { Encode(*this, w); }
+
 // ----------------------------------------------------- shared fragments
 
 Result<VariantSpec> VariantSpecFromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "spec";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      value, kWhat,
-      {"family", "materialized", "mode", "sax", "fill_factor",
-       "growth_factor", "buffer_entries", "memory_budget_bytes",
-       "construction_threads", "ads_leaf_capacity", "btp_merge_k",
-       "num_shards", "shard_build_threads", "shard_query_threads",
-       "timestamp_policy", "async_ingest", "max_inflight_seals",
-       "backpressure_policy", "durability"}));
-  VariantSpec spec;
-  std::string s;
-  COCONUT_RETURN_NOT_OK(OptString(value, "family", kWhat, &s));
-  if (!s.empty()) {
-    COCONUT_ASSIGN_OR_RETURN(spec.family, FamilyFromWire(s, kWhat));
-  }
-  COCONUT_RETURN_NOT_OK(
-      OptBool(value, "materialized", kWhat, &spec.materialized));
-  s.clear();
-  COCONUT_RETURN_NOT_OK(OptString(value, "mode", kWhat, &s));
-  if (!s.empty()) {
-    COCONUT_ASSIGN_OR_RETURN(spec.mode, ModeFromWire(s, kWhat));
-  }
-  if (const JsonValue* sax = value.Find("sax"); sax != nullptr) {
-    COCONUT_ASSIGN_OR_RETURN(spec.sax, SaxFromJson(*sax, "spec.sax"));
-  }
-  COCONUT_RETURN_NOT_OK(
-      OptDouble(value, "fill_factor", kWhat, &spec.fill_factor));
-  int64_t i = spec.growth_factor;
-  COCONUT_RETURN_NOT_OK(
-      OptIntInRange(value, "growth_factor", kWhat, &i, 0, kMaxWireSmallInt));
-  spec.growth_factor = static_cast<int>(i);
-  uint64_t u = spec.buffer_entries;
-  COCONUT_RETURN_NOT_OK(OptUintInRange(value, "buffer_entries", kWhat, &u,
-                                       kMaxWireBufferEntries));
-  spec.buffer_entries = static_cast<size_t>(u);
-  u = spec.memory_budget_bytes;
-  COCONUT_RETURN_NOT_OK(OptUintInRange(value, "memory_budget_bytes", kWhat,
-                                       &u, kMaxWireMemoryBudgetBytes));
-  spec.memory_budget_bytes = static_cast<size_t>(u);
-  u = spec.construction_threads;
-  COCONUT_RETURN_NOT_OK(OptUintInRange(value, "construction_threads", kWhat,
-                                       &u, kMaxWireThreads));
-  spec.construction_threads = static_cast<size_t>(u);
-  u = spec.ads_leaf_capacity;
-  COCONUT_RETURN_NOT_OK(OptUintInRange(value, "ads_leaf_capacity", kWhat, &u,
-                                       kMaxWireLeafCapacity));
-  spec.ads_leaf_capacity = static_cast<size_t>(u);
-  i = spec.btp_merge_k;
-  COCONUT_RETURN_NOT_OK(
-      OptIntInRange(value, "btp_merge_k", kWhat, &i, 0, kMaxWireSmallInt));
-  spec.btp_merge_k = static_cast<int>(i);
-  u = spec.num_shards;
-  COCONUT_RETURN_NOT_OK(
-      OptUintInRange(value, "num_shards", kWhat, &u, kMaxWireShards));
-  spec.num_shards = static_cast<size_t>(u);
-  u = spec.shard_build_threads;
-  COCONUT_RETURN_NOT_OK(OptUintInRange(value, "shard_build_threads", kWhat,
-                                       &u, kMaxWireThreads));
-  spec.shard_build_threads = static_cast<size_t>(u);
-  u = spec.shard_query_threads;
-  COCONUT_RETURN_NOT_OK(OptUintInRange(value, "shard_query_threads", kWhat,
-                                       &u, kMaxWireThreads));
-  spec.shard_query_threads = static_cast<size_t>(u);
-  s.clear();
-  COCONUT_RETURN_NOT_OK(OptString(value, "timestamp_policy", kWhat, &s));
-  if (!s.empty()) {
-    COCONUT_ASSIGN_OR_RETURN(spec.timestamp_policy, PolicyFromWire(s, kWhat));
-  }
-  COCONUT_RETURN_NOT_OK(
-      OptBool(value, "async_ingest", kWhat, &spec.async_ingest));
-  u = spec.max_inflight_seals;
-  COCONUT_RETURN_NOT_OK(OptUintInRange(value, "max_inflight_seals", kWhat,
-                                       &u, kMaxWireInflightSeals));
-  spec.max_inflight_seals = static_cast<size_t>(u);
-  s.clear();
-  COCONUT_RETURN_NOT_OK(OptString(value, "backpressure_policy", kWhat, &s));
-  if (!s.empty()) {
-    COCONUT_ASSIGN_OR_RETURN(spec.backpressure_policy,
-                             BackpressureFromWire(s, kWhat));
-  }
-  s.clear();
-  COCONUT_RETURN_NOT_OK(OptString(value, "durability", kWhat, &s));
-  if (!s.empty()) {
-    if (s == "on") {
-      spec.durable = true;
-    } else if (s == "off") {
-      spec.durable = false;
-    } else {
-      return Status::InvalidArgument(std::string(kWhat) +
-                                     ": unknown durability '" + s +
-                                     "' (want on|off)");
-    }
-  }
-  return spec;
+  return Decode<VariantSpec>(value, "spec");
 }
-
 void VariantSpecToJson(const VariantSpec& spec, JsonWriter* w) {
-  w->BeginObject();
-  w->Field("family", std::string(FamilyToWire(spec.family)));
-  w->Field("materialized", spec.materialized);
-  w->Field("mode", std::string(ModeToWire(spec.mode)));
-  w->Key("sax");
-  SaxToJson(spec.sax, w);
-  w->Field("fill_factor", spec.fill_factor);
-  w->Field("growth_factor", static_cast<int64_t>(spec.growth_factor));
-  w->Field("buffer_entries", static_cast<uint64_t>(spec.buffer_entries));
-  w->Field("memory_budget_bytes",
-           static_cast<uint64_t>(spec.memory_budget_bytes));
-  w->Field("construction_threads",
-           static_cast<uint64_t>(spec.construction_threads));
-  w->Field("ads_leaf_capacity",
-           static_cast<uint64_t>(spec.ads_leaf_capacity));
-  w->Field("btp_merge_k", static_cast<int64_t>(spec.btp_merge_k));
-  w->Field("num_shards", static_cast<uint64_t>(spec.num_shards));
-  w->Field("shard_build_threads",
-           static_cast<uint64_t>(spec.shard_build_threads));
-  w->Field("shard_query_threads",
-           static_cast<uint64_t>(spec.shard_query_threads));
-  w->Field("timestamp_policy",
-           std::string(PolicyToWire(spec.timestamp_policy)));
-  w->Field("async_ingest", spec.async_ingest);
-  w->Field("max_inflight_seals",
-           static_cast<uint64_t>(spec.max_inflight_seals));
-  w->Field("backpressure_policy",
-           std::string(BackpressureToWire(spec.backpressure_policy)));
-  w->Field("durability", std::string(spec.durable ? "on" : "off"));
-  w->EndObject();
-}
-
-void IoStatsToJson(const storage::IoStats& io, JsonWriter* w) {
-  w->BeginObject();
-  w->Field("sequential_reads", io.sequential_reads);
-  w->Field("random_reads", io.random_reads);
-  w->Field("sequential_writes", io.sequential_writes);
-  w->Field("random_writes", io.random_writes);
-  w->Field("bytes_read", io.bytes_read);
-  w->Field("bytes_written", io.bytes_written);
-  w->EndObject();
+  Encode(spec, w);
 }
 
 Result<storage::IoStats> IoStatsFromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "io";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      value, kWhat,
-      {"sequential_reads", "random_reads", "sequential_writes",
-       "random_writes", "bytes_read", "bytes_written"}));
-  storage::IoStats io;
-  COCONUT_ASSIGN_OR_RETURN(io.sequential_reads,
-                           ReqUint(value, "sequential_reads", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(io.random_reads,
-                           ReqUint(value, "random_reads", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(io.sequential_writes,
-                           ReqUint(value, "sequential_writes", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(io.random_writes,
-                           ReqUint(value, "random_writes", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(io.bytes_read, ReqUint(value, "bytes_read", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(io.bytes_written,
-                           ReqUint(value, "bytes_written", kWhat));
-  return io;
+  return Decode<storage::IoStats>(value, "io");
 }
-
-void QueryCountersToJson(const core::QueryCounters& counters, JsonWriter* w) {
-  w->BeginObject();
-  w->Field("leaves_visited", counters.leaves_visited);
-  w->Field("leaves_pruned", counters.leaves_pruned);
-  w->Field("entries_examined", counters.entries_examined);
-  w->Field("raw_fetches", counters.raw_fetches);
-  w->Field("partitions_visited", counters.partitions_visited);
-  w->Field("partitions_skipped", counters.partitions_skipped);
-  w->EndObject();
+void IoStatsToJson(const storage::IoStats& io, JsonWriter* w) {
+  Encode(io, w);
 }
 
 Result<core::QueryCounters> QueryCountersFromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "counters";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      value, kWhat,
-      {"leaves_visited", "leaves_pruned", "entries_examined", "raw_fetches",
-       "partitions_visited", "partitions_skipped"}));
-  core::QueryCounters counters;
-  COCONUT_ASSIGN_OR_RETURN(counters.leaves_visited,
-                           ReqUint(value, "leaves_visited", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(counters.leaves_pruned,
-                           ReqUint(value, "leaves_pruned", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(counters.entries_examined,
-                           ReqUint(value, "entries_examined", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(counters.raw_fetches,
-                           ReqUint(value, "raw_fetches", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(counters.partitions_visited,
-                           ReqUint(value, "partitions_visited", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(counters.partitions_skipped,
-                           ReqUint(value, "partitions_skipped", kWhat));
-  return counters;
+  return Decode<core::QueryCounters>(value, "counters");
+}
+void QueryCountersToJson(const core::QueryCounters& counters, JsonWriter* w) {
+  Encode(counters, w);
 }
 
 Result<HeatMap> HeatMapFromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "heatmap";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      value, kWhat,
-      {"time_bins", "location_bins", "total_events", "distinct_pages",
-       "distinct_files", "max_count", "cells"}));
-  HeatMap map;
-  uint64_t u;
-  COCONUT_ASSIGN_OR_RETURN(u, ReqUint(value, "time_bins", kWhat));
-  map.time_bins = static_cast<size_t>(u);
-  COCONUT_ASSIGN_OR_RETURN(u, ReqUint(value, "location_bins", kWhat));
-  map.location_bins = static_cast<size_t>(u);
-  // Both bin counts drive the counts reserve below before any cell row
-  // constrains them.
-  if (map.time_bins > kMaxHeatMapBinsPerAxis ||
-      map.location_bins > kMaxHeatMapBinsPerAxis) {
-    return Status::InvalidArgument(
-        "heatmap: bin counts exceed the maximum of " +
-        std::to_string(kMaxHeatMapBinsPerAxis) + " per axis");
+  return Decode<HeatMap>(value, "heatmap");
+}
+
+}  // namespace api
+
+void HeatMapToJson(const HeatMap& map, JsonWriter* w) { api::Encode(map, w); }
+
+namespace api {
+
+// ------------------------------------------------ requests and responses
+
+// Every wire struct but ApiError and ListIndexesResponse reads and writes
+// through its field list alone; `what` prefixes its error messages.
+#define COCONUT_WIRE_STRING(T)          \
+  std::string T::ToJsonString() const { \
+    JsonWriter w;                       \
+    ToJson(&w);                         \
+    return w.TakeString();              \
   }
-  COCONUT_ASSIGN_OR_RETURN(map.total_events,
-                           ReqUint(value, "total_events", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(map.distinct_pages,
-                           ReqUint(value, "distinct_pages", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(map.distinct_files,
-                           ReqUint(value, "distinct_files", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(u, ReqUint(value, "max_count", kWhat));
-  if (u > std::numeric_limits<uint32_t>::max()) {
-    return FieldError(kWhat, "max_count", "does not fit in 32 bits");
-  }
-  map.max_count = static_cast<uint32_t>(u);
-  const JsonValue* cells = value.Find("cells");
-  if (cells == nullptr || !cells->is_array() ||
-      cells->array_size() != map.time_bins) {
-    return Status::InvalidArgument(
-        "heatmap: 'cells' must be an array of time_bins rows");
-  }
-  if (cells->is_packed_array()) {
-    // Numbers where rows were expected.
-    return Status::InvalidArgument(
-        "heatmap: each cells row must have location_bins entries");
-  }
-  map.counts.reserve(map.time_bins * map.location_bins);
-  for (const JsonValue& row : cells->array()) {
-    if (!row.is_array() || row.array_size() != map.location_bins) {
-      return Status::InvalidArgument(
-          "heatmap: each cells row must have location_bins entries");
-    }
-    for (size_t j = 0; j < row.array_size(); ++j) {
-      Result<uint64_t> cell = row.element_is_number(j)
-                                  ? row.ElementAsUint64(j)
-                                  : Result<uint64_t>(Status::InvalidArgument(
-                                        "not a number"));
-      if (!cell.ok() ||
-          cell.value() > std::numeric_limits<uint32_t>::max()) {
-        return Status::InvalidArgument(
-            "heatmap: cells must be 32-bit counts");
-      }
-      map.counts.push_back(static_cast<uint32_t>(cell.value()));
-    }
-  }
-  return map;
-}
+#define COCONUT_WIRE_STRUCT(T, what)                          \
+  Result<T> T::FromJson(const JsonValue& value) {             \
+    return Decode<T>(value, what);                            \
+  }                                                           \
+  void T::ToJson(JsonWriter* w) const { Encode(*this, w); }   \
+  COCONUT_WIRE_STRING(T)
 
-// ------------------------------------------------------------- requests
+COCONUT_WIRE_STRING(ApiError)
+COCONUT_WIRE_STRUCT(RegisterDatasetRequest, "register_dataset")
+COCONUT_WIRE_STRUCT(RegisterDatasetResponse, "register_dataset response")
+COCONUT_WIRE_STRUCT(BuildIndexRequest, "build_index")
+COCONUT_WIRE_STRUCT(BuildIndexReport, "build report")
+COCONUT_WIRE_STRUCT(CreateStreamRequest, "create_stream")
+COCONUT_WIRE_STRUCT(CreateStreamResponse, "create_stream response")
+COCONUT_WIRE_STRUCT(IngestBatchRequest, "ingest_batch")
+COCONUT_WIRE_STRUCT(IngestBatchReport, "ingest report")
+COCONUT_WIRE_STRUCT(DrainStreamRequest, "drain_stream")
+COCONUT_WIRE_STRUCT(DrainStreamReport, "drain report")
+COCONUT_WIRE_STRUCT(QueryRequest, "query")
+COCONUT_WIRE_STRUCT(QueryReport, "query report")
+COCONUT_WIRE_STRUCT(QueryBatchRequest, "query_batch")
+COCONUT_WIRE_STRUCT(QueryBatchResponse, "query_batch response")
+COCONUT_WIRE_STRUCT(RecommendRequest, "recommend")
+COCONUT_WIRE_STRUCT(RecommendResponse, "recommend response")
+COCONUT_WIRE_STRUCT(DropIndexRequest, "drop_index")
+COCONUT_WIRE_STRUCT(DropIndexResponse, "drop_index response")
+COCONUT_WIRE_STRUCT(DropDatasetRequest, "drop_dataset")
+COCONUT_WIRE_STRUCT(DropDatasetResponse, "drop_dataset response")
+COCONUT_WIRE_STRUCT(ServerStatsResponse, "server_stats response")
 
-Result<RegisterDatasetRequest> RegisterDatasetRequest::FromJson(
-    const JsonValue& value) {
-  static constexpr const char* kWhat = "register_dataset";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      value, kWhat, {"name", "series", "series_length", "timestamps"}));
-  RegisterDatasetRequest request;
-  COCONUT_ASSIGN_OR_RETURN(request.name, ReqString(value, "name", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(request.data, ParseSeriesMatrix(value, kWhat));
-  if (const JsonValue* ts = value.Find("timestamps"); ts != nullptr) {
-    COCONUT_ASSIGN_OR_RETURN(std::vector<int64_t> parsed,
-                             ParseTimestamps(*ts, kWhat));
-    request.timestamps = std::move(parsed);
-  }
-  return request;
-}
-
-void RegisterDatasetRequest::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("name", name);
-  WriteSeriesMatrix(data, w);
-  if (timestamps.has_value()) WriteTimestamps(*timestamps, w);
-  w->EndObject();
-}
-
-std::string RegisterDatasetRequest::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<RegisterDatasetResponse> RegisterDatasetResponse::FromJson(
-    const JsonValue& value) {
-  static constexpr const char* kWhat = "register_dataset response";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(
-      RejectUnknown(value, kWhat, {"dataset", "series", "series_length"}));
-  RegisterDatasetResponse response;
-  COCONUT_ASSIGN_OR_RETURN(response.dataset,
-                           ReqString(value, "dataset", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.series, ReqUint(value, "series", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.series_length,
-                           ReqUint(value, "series_length", kWhat));
-  return response;
-}
-
-void RegisterDatasetResponse::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("dataset", dataset);
-  w->Field("series", series);
-  w->Field("series_length", series_length);
-  w->EndObject();
-}
-
-std::string RegisterDatasetResponse::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<BuildIndexRequest> BuildIndexRequest::FromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "build_index";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(
-      RejectUnknown(value, kWhat, {"index", "dataset", "spec"}));
-  BuildIndexRequest request;
-  COCONUT_ASSIGN_OR_RETURN(request.index, ReqString(value, "index", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(request.dataset,
-                           ReqString(value, "dataset", kWhat));
-  const JsonValue* spec = value.Find("spec");
-  if (spec == nullptr) return FieldError(kWhat, "spec", "is required");
-  COCONUT_ASSIGN_OR_RETURN(request.spec, VariantSpecFromJson(*spec));
-  return request;
-}
-
-void BuildIndexRequest::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("index", index);
-  w->Field("dataset", dataset);
-  w->Key("spec");
-  VariantSpecToJson(spec, w);
-  w->EndObject();
-}
-
-std::string BuildIndexRequest::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<BuildIndexReport> BuildIndexReport::FromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "build report";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      value, kWhat,
-      {"index", "variant", "dataset", "shards", "entries", "build_seconds",
-       "index_bytes", "total_bytes", "io"}));
-  BuildIndexReport report;
-  COCONUT_ASSIGN_OR_RETURN(report.index, ReqString(value, "index", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.variant, ReqString(value, "variant", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.dataset, ReqString(value, "dataset", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.shards, ReqUint(value, "shards", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.entries, ReqUint(value, "entries", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.build_seconds,
-                           ReqDouble(value, "build_seconds", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.index_bytes,
-                           ReqUint(value, "index_bytes", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.total_bytes,
-                           ReqUint(value, "total_bytes", kWhat));
-  const JsonValue* io = value.Find("io");
-  if (io == nullptr) return FieldError(kWhat, "io", "is required");
-  COCONUT_ASSIGN_OR_RETURN(report.io, IoStatsFromJson(*io));
-  return report;
-}
-
-void BuildIndexReport::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("index", index);
-  w->Field("variant", variant);
-  w->Field("dataset", dataset);
-  w->Field("shards", shards);
-  w->Field("entries", entries);
-  w->Field("build_seconds", build_seconds);
-  w->Field("index_bytes", index_bytes);
-  w->Field("total_bytes", total_bytes);
-  w->Key("io");
-  IoStatsToJson(io, w);
-  w->EndObject();
-}
-
-std::string BuildIndexReport::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<CreateStreamRequest> CreateStreamRequest::FromJson(
-    const JsonValue& value) {
-  static constexpr const char* kWhat = "create_stream";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(value, kWhat, {"stream", "spec"}));
-  CreateStreamRequest request;
-  COCONUT_ASSIGN_OR_RETURN(request.stream, ReqString(value, "stream", kWhat));
-  const JsonValue* spec = value.Find("spec");
-  if (spec == nullptr) return FieldError(kWhat, "spec", "is required");
-  COCONUT_ASSIGN_OR_RETURN(request.spec, VariantSpecFromJson(*spec));
-  return request;
-}
-
-void CreateStreamRequest::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("stream", stream);
-  w->Key("spec");
-  VariantSpecToJson(spec, w);
-  w->EndObject();
-}
-
-std::string CreateStreamRequest::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<CreateStreamResponse> CreateStreamResponse::FromJson(
-    const JsonValue& value) {
-  static constexpr const char* kWhat = "create_stream response";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(value, kWhat, {"stream", "variant"}));
-  CreateStreamResponse response;
-  COCONUT_ASSIGN_OR_RETURN(response.stream, ReqString(value, "stream", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.variant,
-                           ReqString(value, "variant", kWhat));
-  return response;
-}
-
-void CreateStreamResponse::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("stream", stream);
-  w->Field("variant", variant);
-  w->EndObject();
-}
-
-std::string CreateStreamResponse::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<IngestBatchRequest> IngestBatchRequest::FromJson(
-    const JsonValue& value) {
-  static constexpr const char* kWhat = "ingest_batch";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      value, kWhat, {"stream", "series", "series_length", "timestamps"}));
-  IngestBatchRequest request;
-  COCONUT_ASSIGN_OR_RETURN(request.stream, ReqString(value, "stream", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(request.batch, ParseSeriesMatrix(value, kWhat));
-  const JsonValue* ts = value.Find("timestamps");
-  if (ts == nullptr) return FieldError(kWhat, "timestamps", "is required");
-  COCONUT_ASSIGN_OR_RETURN(request.timestamps, ParseTimestamps(*ts, kWhat));
-  return request;
-}
-
-void IngestBatchRequest::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("stream", stream);
-  WriteSeriesMatrix(batch, w);
-  WriteTimestamps(timestamps, w);
-  w->EndObject();
-}
-
-std::string IngestBatchRequest::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<IngestBatchReport> IngestBatchReport::FromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "ingest report";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      value, kWhat,
-      {"stream", "ingested", "total_entries", "partitions", "buffered",
-       "pending_tasks", "seals_completed", "merges_completed",
-       "seals_inflight", "ingest_stalls", "ingest_rejects", "stall_ms_p50",
-       "stall_ms_p99", "seconds", "io"}));
-  IngestBatchReport report;
-  COCONUT_ASSIGN_OR_RETURN(report.stream, ReqString(value, "stream", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.ingested,
-                           ReqUint(value, "ingested", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.total_entries,
-                           ReqUint(value, "total_entries", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.partitions,
-                           ReqUint(value, "partitions", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.buffered,
-                           ReqUint(value, "buffered", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.pending_tasks,
-                           ReqUint(value, "pending_tasks", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.seals_completed,
-                           ReqUint(value, "seals_completed", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.merges_completed,
-                           ReqUint(value, "merges_completed", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.seals_inflight,
-                           ReqUint(value, "seals_inflight", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.ingest_stalls,
-                           ReqUint(value, "ingest_stalls", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.ingest_rejects,
-                           ReqUint(value, "ingest_rejects", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.stall_ms_p50,
-                           ReqDouble(value, "stall_ms_p50", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.stall_ms_p99,
-                           ReqDouble(value, "stall_ms_p99", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.seconds,
-                           ReqDouble(value, "seconds", kWhat));
-  const JsonValue* io = value.Find("io");
-  if (io == nullptr) return FieldError(kWhat, "io", "is required");
-  COCONUT_ASSIGN_OR_RETURN(report.io, IoStatsFromJson(*io));
-  return report;
-}
-
-void IngestBatchReport::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("stream", stream);
-  w->Field("ingested", ingested);
-  w->Field("total_entries", total_entries);
-  w->Field("partitions", partitions);
-  w->Field("buffered", buffered);
-  w->Field("pending_tasks", pending_tasks);
-  w->Field("seals_completed", seals_completed);
-  w->Field("merges_completed", merges_completed);
-  w->Field("seals_inflight", seals_inflight);
-  w->Field("ingest_stalls", ingest_stalls);
-  w->Field("ingest_rejects", ingest_rejects);
-  w->Field("stall_ms_p50", stall_ms_p50);
-  w->Field("stall_ms_p99", stall_ms_p99);
-  w->Field("seconds", seconds);
-  w->Key("io");
-  IoStatsToJson(io, w);
-  w->EndObject();
-}
-
-std::string IngestBatchReport::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<DrainStreamRequest> DrainStreamRequest::FromJson(
-    const JsonValue& value) {
-  static constexpr const char* kWhat = "drain_stream";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(value, kWhat, {"stream"}));
-  DrainStreamRequest request;
-  COCONUT_ASSIGN_OR_RETURN(request.stream, ReqString(value, "stream", kWhat));
-  return request;
-}
-
-void DrainStreamRequest::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("stream", stream);
-  w->EndObject();
-}
-
-std::string DrainStreamRequest::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<DrainStreamReport> DrainStreamReport::FromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "drain report";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      value, kWhat,
-      {"stream", "drained", "drain_seconds", "total_entries", "partitions",
-       "buffered", "pending_tasks", "seals_completed", "merges_completed",
-       "seals_inflight", "ingest_stalls", "ingest_rejects", "stall_ms_p50",
-       "stall_ms_p99", "index_bytes", "total_bytes"}));
-  DrainStreamReport report;
-  COCONUT_ASSIGN_OR_RETURN(report.stream, ReqString(value, "stream", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.drained, ReqBool(value, "drained", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.drain_seconds,
-                           ReqDouble(value, "drain_seconds", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.total_entries,
-                           ReqUint(value, "total_entries", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.partitions,
-                           ReqUint(value, "partitions", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.buffered,
-                           ReqUint(value, "buffered", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.pending_tasks,
-                           ReqUint(value, "pending_tasks", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.seals_completed,
-                           ReqUint(value, "seals_completed", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.merges_completed,
-                           ReqUint(value, "merges_completed", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.seals_inflight,
-                           ReqUint(value, "seals_inflight", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.ingest_stalls,
-                           ReqUint(value, "ingest_stalls", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.ingest_rejects,
-                           ReqUint(value, "ingest_rejects", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.stall_ms_p50,
-                           ReqDouble(value, "stall_ms_p50", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.stall_ms_p99,
-                           ReqDouble(value, "stall_ms_p99", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.index_bytes,
-                           ReqUint(value, "index_bytes", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.total_bytes,
-                           ReqUint(value, "total_bytes", kWhat));
-  return report;
-}
-
-void DrainStreamReport::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("stream", stream);
-  w->Field("drained", drained);
-  w->Field("drain_seconds", drain_seconds);
-  w->Field("total_entries", total_entries);
-  w->Field("partitions", partitions);
-  w->Field("buffered", buffered);
-  w->Field("pending_tasks", pending_tasks);
-  w->Field("seals_completed", seals_completed);
-  w->Field("merges_completed", merges_completed);
-  w->Field("seals_inflight", seals_inflight);
-  w->Field("ingest_stalls", ingest_stalls);
-  w->Field("ingest_rejects", ingest_rejects);
-  w->Field("stall_ms_p50", stall_ms_p50);
-  w->Field("stall_ms_p99", stall_ms_p99);
-  w->Field("index_bytes", index_bytes);
-  w->Field("total_bytes", total_bytes);
-  w->EndObject();
-}
-
-std::string DrainStreamReport::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<QueryRequest> QueryRequest::FromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "query";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      value, kWhat,
-      {"index", "query", "exact", "window", "approx_candidates",
-       "capture_heatmap", "heatmap_time_bins", "heatmap_location_bins"}));
-  QueryRequest request;
-  COCONUT_ASSIGN_OR_RETURN(request.index, ReqString(value, "index", kWhat));
-  const JsonValue* q = value.Find("query");
-  if (q == nullptr) return FieldError(kWhat, "query", "is required");
-  if (!q->is_array()) {
-    return FieldError(kWhat, "query", "must be an array of numbers");
-  }
-  request.query.reserve(q->array_size());
-  if (q->is_packed_array()) {
-    for (const double v : q->packed_numbers()) {
-      request.query.push_back(static_cast<float>(v));
-    }
-  } else {
-    for (const JsonValue& v : q->array()) {
-      if (!v.is_number()) {
-        return FieldError(kWhat, "query", "must contain only numbers");
-      }
-      request.query.push_back(static_cast<float>(v.AsDouble()));
-    }
-  }
-  COCONUT_RETURN_NOT_OK(OptBool(value, "exact", kWhat, &request.exact));
-  if (const JsonValue* win = value.Find("window"); win != nullptr) {
-    COCONUT_RETURN_NOT_OK(ExpectObject(*win, "query.window"));
-    COCONUT_RETURN_NOT_OK(
-        RejectUnknown(*win, "query.window", {"begin", "end"}));
-    core::TimeWindow window;
-    COCONUT_RETURN_NOT_OK(
-        OptInt(*win, "begin", "query.window", &window.begin));
-    COCONUT_RETURN_NOT_OK(OptInt(*win, "end", "query.window", &window.end));
-    // An inverted window used to sail through and silently scan nothing;
-    // reject it at the boundary (Service::Query re-checks for the typed
-    // in-process path).
-    if (window.begin > window.end) {
-      return Status::InvalidArgument(
-          "query: field 'window' begin must be <= end (got begin=" +
-          std::to_string(window.begin) +
-          ", end=" + std::to_string(window.end) + ")");
-    }
-    request.window = window;
-  }
-  int64_t candidates = request.approx_candidates;
-  // Bounded to the storage type so oversized wire values are rejected
-  // instead of silently truncated (2^32+1 used to behave as 1).
-  COCONUT_RETURN_NOT_OK(OptIntInRange(
-      value, "approx_candidates", kWhat, &candidates,
-      std::numeric_limits<int>::min(), std::numeric_limits<int>::max()));
-  request.approx_candidates = static_cast<int>(candidates);
-  COCONUT_RETURN_NOT_OK(
-      OptBool(value, "capture_heatmap", kWhat, &request.capture_heatmap));
-  uint64_t bins = request.heatmap_time_bins;
-  COCONUT_RETURN_NOT_OK(OptUint(value, "heatmap_time_bins", kWhat, &bins));
-  request.heatmap_time_bins = static_cast<size_t>(bins);
-  bins = request.heatmap_location_bins;
-  COCONUT_RETURN_NOT_OK(
-      OptUint(value, "heatmap_location_bins", kWhat, &bins));
-  request.heatmap_location_bins = static_cast<size_t>(bins);
-  return request;
-}
-
-void QueryRequest::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("index", index);
-  w->Key("query");
-  w->BeginArray();
-  for (const float v : query) w->Double(v);
-  w->EndArray();
-  w->Field("exact", exact);
-  if (window.has_value()) {
-    w->Key("window");
-    w->BeginObject();
-    w->Field("begin", window->begin);
-    w->Field("end", window->end);
-    w->EndObject();
-  }
-  w->Field("approx_candidates", static_cast<int64_t>(approx_candidates));
-  w->Field("capture_heatmap", capture_heatmap);
-  w->Field("heatmap_time_bins", static_cast<uint64_t>(heatmap_time_bins));
-  w->Field("heatmap_location_bins",
-           static_cast<uint64_t>(heatmap_location_bins));
-  w->EndObject();
-}
-
-std::string QueryRequest::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<QueryReport> QueryReport::FromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "query report";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      value, kWhat,
-      {"index", "exact", "found", "series_id", "distance", "timestamp",
-       "seconds", "io", "counters", "access_locality", "heatmap",
-       "batch_size", "degraded"}));
-  QueryReport report;
-  COCONUT_ASSIGN_OR_RETURN(report.index, ReqString(value, "index", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.exact, ReqBool(value, "exact", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(report.found, ReqBool(value, "found", kWhat));
-  if (report.found) {
-    COCONUT_ASSIGN_OR_RETURN(report.series_id,
-                             ReqUint(value, "series_id", kWhat));
-    COCONUT_ASSIGN_OR_RETURN(report.distance,
-                             ReqDouble(value, "distance", kWhat));
-    int64_t ts = 0;
-    COCONUT_RETURN_NOT_OK(OptInt(value, "timestamp", kWhat, &ts));
-    report.timestamp = ts;
-  }
-  COCONUT_ASSIGN_OR_RETURN(report.seconds, ReqDouble(value, "seconds", kWhat));
-  const JsonValue* io = value.Find("io");
-  if (io == nullptr) return FieldError(kWhat, "io", "is required");
-  COCONUT_ASSIGN_OR_RETURN(report.io, IoStatsFromJson(*io));
-  const JsonValue* counters = value.Find("counters");
-  if (counters == nullptr) return FieldError(kWhat, "counters", "is required");
-  COCONUT_ASSIGN_OR_RETURN(report.counters, QueryCountersFromJson(*counters));
-  if (const JsonValue* map = value.Find("heatmap"); map != nullptr) {
-    report.has_heatmap = true;
-    COCONUT_ASSIGN_OR_RETURN(report.access_locality,
-                             ReqDouble(value, "access_locality", kWhat));
-    COCONUT_ASSIGN_OR_RETURN(report.heatmap, HeatMapFromJson(*map));
-  }
-  COCONUT_RETURN_NOT_OK(OptUint(value, "batch_size", kWhat,
-                                &report.batch_size));
-  COCONUT_RETURN_NOT_OK(OptBool(value, "degraded", kWhat, &report.degraded));
-  return report;
-}
-
-void QueryReport::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("index", index);
-  w->Field("exact", exact);
-  w->Field("found", found);
-  if (found) {
-    w->Field("series_id", series_id);
-    w->Field("distance", distance);
-    w->Field("timestamp", timestamp);
-  }
-  w->Field("seconds", seconds);
-  w->Key("io");
-  IoStatsToJson(io, w);
-  w->Key("counters");
-  QueryCountersToJson(counters, w);
-  if (has_heatmap) {
-    w->Field("access_locality", access_locality);
-    w->Key("heatmap");
-    HeatMapToJson(heatmap, w);
-  }
-  // Only batched-scan reports carry the marker; single-query JSON stays
-  // byte-identical to the pre-batching shape.
-  if (batch_size > 1) w->Field("batch_size", batch_size);
-  // Only degraded coordinator answers carry the marker (same wire-additive
-  // discipline as batch_size).
-  if (degraded) w->Field("degraded", degraded);
-  w->EndObject();
-}
-
-std::string QueryReport::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<QueryBatchRequest> QueryBatchRequest::FromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "query_batch";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(value, kWhat, {"queries", "threads"}));
-  QueryBatchRequest request;
-  const JsonValue* queries = value.Find("queries");
-  if (queries == nullptr) return FieldError(kWhat, "queries", "is required");
-  if (!queries->is_array() || queries->is_packed_array()) {
-    return FieldError(kWhat, "queries", "must be an array of query objects");
-  }
-  request.queries.reserve(queries->array().size());
-  for (const JsonValue& q : queries->array()) {
-    COCONUT_ASSIGN_OR_RETURN(QueryRequest parsed, QueryRequest::FromJson(q));
-    request.queries.push_back(std::move(parsed));
-  }
-  COCONUT_RETURN_NOT_OK(OptUintInRange(value, "threads", kWhat,
-                                       &request.threads, kMaxWireThreads));
-  return request;
-}
-
-void QueryBatchRequest::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Key("queries");
-  w->BeginArray();
-  for (const QueryRequest& q : queries) q.ToJson(w);
-  w->EndArray();
-  w->Field("threads", threads);
-  w->EndObject();
-}
-
-std::string QueryBatchRequest::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<QueryBatchResponse> QueryBatchResponse::FromJson(
-    const JsonValue& value) {
-  static constexpr const char* kWhat = "query_batch response";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(value, kWhat, {"results"}));
-  const JsonValue* results = value.Find("results");
-  if (results == nullptr) return FieldError(kWhat, "results", "is required");
-  if (!results->is_array() || results->is_packed_array()) {
-    return FieldError(kWhat, "results", "must be an array of result objects");
-  }
-  QueryBatchResponse response;
-  response.results.reserve(results->array().size());
-  for (const JsonValue& entry : results->array()) {
-    Entry parsed;
-    if (entry.is_object() && entry.Find("error") != nullptr) {
-      parsed.ok = false;
-      COCONUT_ASSIGN_OR_RETURN(parsed.error, ApiError::FromJson(entry));
-    } else {
-      parsed.ok = true;
-      COCONUT_ASSIGN_OR_RETURN(parsed.report, QueryReport::FromJson(entry));
-    }
-    response.results.push_back(std::move(parsed));
-  }
-  return response;
-}
-
-void QueryBatchResponse::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Key("results");
-  w->BeginArray();
-  for (const Entry& entry : results) {
-    if (entry.ok) {
-      entry.report.ToJson(w);
-    } else {
-      entry.error.ToJson(w);
-    }
-  }
-  w->EndArray();
-  w->EndObject();
-}
-
-std::string QueryBatchResponse::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<RecommendRequest> RecommendRequest::FromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "recommend";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      value, kWhat,
-      {"streaming", "dataset_size", "sax", "expected_queries", "update_ratio",
-       "memory_budget_bytes", "window_queries", "typical_window_fraction",
-       "storage_constrained"}));
-  RecommendRequest request;
-  Scenario& s = request.scenario;
-  COCONUT_RETURN_NOT_OK(OptBool(value, "streaming", kWhat, &s.streaming));
-  COCONUT_RETURN_NOT_OK(
-      OptUint(value, "dataset_size", kWhat, &s.dataset_size));
-  if (const JsonValue* sax = value.Find("sax"); sax != nullptr) {
-    COCONUT_ASSIGN_OR_RETURN(s.sax, SaxFromJson(*sax, "recommend.sax"));
-  }
-  COCONUT_RETURN_NOT_OK(
-      OptUint(value, "expected_queries", kWhat, &s.expected_queries));
-  COCONUT_RETURN_NOT_OK(
-      OptDouble(value, "update_ratio", kWhat, &s.update_ratio));
-  COCONUT_RETURN_NOT_OK(
-      OptUint(value, "memory_budget_bytes", kWhat, &s.memory_budget_bytes));
-  COCONUT_RETURN_NOT_OK(
-      OptBool(value, "window_queries", kWhat, &s.window_queries));
-  COCONUT_RETURN_NOT_OK(OptDouble(value, "typical_window_fraction", kWhat,
-                                  &s.typical_window_fraction));
-  COCONUT_RETURN_NOT_OK(
-      OptBool(value, "storage_constrained", kWhat, &s.storage_constrained));
-  return request;
-}
-
-void RecommendRequest::ToJson(JsonWriter* w) const {
-  const Scenario& s = scenario;
-  w->BeginObject();
-  w->Field("streaming", s.streaming);
-  w->Field("dataset_size", s.dataset_size);
-  w->Key("sax");
-  SaxToJson(s.sax, w);
-  w->Field("expected_queries", s.expected_queries);
-  w->Field("update_ratio", s.update_ratio);
-  w->Field("memory_budget_bytes", s.memory_budget_bytes);
-  w->Field("window_queries", s.window_queries);
-  w->Field("typical_window_fraction", s.typical_window_fraction);
-  w->Field("storage_constrained", s.storage_constrained);
-  w->EndObject();
-}
-
-std::string RecommendRequest::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<RecommendResponse> RecommendResponse::FromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "recommend response";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(
-      RejectUnknown(value, kWhat, {"variant", "spec", "rationale"}));
-  RecommendResponse response;
-  COCONUT_ASSIGN_OR_RETURN(response.variant,
-                           ReqString(value, "variant", kWhat));
-  const JsonValue* spec = value.Find("spec");
-  if (spec == nullptr) return FieldError(kWhat, "spec", "is required");
-  COCONUT_RETURN_NOT_OK(ExpectObject(*spec, "recommend.spec"));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      *spec, "recommend.spec",
-      {"materialized", "fill_factor", "growth_factor", "buffer_entries"}));
-  COCONUT_ASSIGN_OR_RETURN(
-      response.materialized,
-      ReqBool(*spec, "materialized", "recommend.spec"));
-  COCONUT_ASSIGN_OR_RETURN(
-      response.fill_factor,
-      ReqDouble(*spec, "fill_factor", "recommend.spec"));
-  COCONUT_RETURN_NOT_OK(
-      OptInt(*spec, "growth_factor", "recommend.spec",
-             &response.growth_factor));
-  COCONUT_RETURN_NOT_OK(
-      OptUint(*spec, "buffer_entries", "recommend.spec",
-              &response.buffer_entries));
-  const JsonValue* rationale = value.Find("rationale");
-  if (rationale == nullptr || !rationale->is_array() ||
-      rationale->is_packed_array()) {
-    return FieldError(kWhat, "rationale", "must be an array of strings");
-  }
-  for (const JsonValue& reason : rationale->array()) {
-    if (!reason.is_string()) {
-      return FieldError(kWhat, "rationale", "must contain only strings");
-    }
-    response.rationale.push_back(reason.string_value());
-  }
-  return response;
-}
-
-void RecommendResponse::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("variant", variant);
-  w->Key("spec");
-  w->BeginObject();
-  w->Field("materialized", materialized);
-  w->Field("fill_factor", fill_factor);
-  w->Field("growth_factor", growth_factor);
-  w->Field("buffer_entries", buffer_entries);
-  w->EndObject();
-  w->Key("rationale");
-  w->BeginArray();
-  for (const std::string& reason : rationale) w->String(reason);
-  w->EndArray();
-  w->EndObject();
-}
-
-std::string RecommendResponse::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
+/// A top-level JSON array, the legacy ListIndexes shape.
 Result<ListIndexesResponse> ListIndexesResponse::FromJson(
     const JsonValue& value) {
   static constexpr const char* kWhat = "list_indexes response";
@@ -1597,291 +1333,20 @@ Result<ListIndexesResponse> ListIndexesResponse::FromJson(
   ListIndexesResponse response;
   response.indexes.reserve(value.array().size());
   for (const JsonValue& entry : value.array()) {
-    COCONUT_RETURN_NOT_OK(ExpectObject(entry, kWhat));
-    COCONUT_RETURN_NOT_OK(RejectUnknown(
-        entry, kWhat,
-        {"name", "variant", "streaming", "shards", "entries",
-         "total_bytes"}));
-    IndexInfo info;
-    COCONUT_ASSIGN_OR_RETURN(info.name, ReqString(entry, "name", kWhat));
-    COCONUT_ASSIGN_OR_RETURN(info.variant,
-                             ReqString(entry, "variant", kWhat));
-    COCONUT_ASSIGN_OR_RETURN(info.streaming,
-                             ReqBool(entry, "streaming", kWhat));
-    COCONUT_ASSIGN_OR_RETURN(info.shards, ReqUint(entry, "shards", kWhat));
-    COCONUT_ASSIGN_OR_RETURN(info.entries, ReqUint(entry, "entries", kWhat));
-    COCONUT_ASSIGN_OR_RETURN(info.total_bytes,
-                             ReqUint(entry, "total_bytes", kWhat));
+    COCONUT_ASSIGN_OR_RETURN(IndexInfo info, Decode<IndexInfo>(entry, kWhat));
     response.indexes.push_back(std::move(info));
   }
   return response;
 }
-
 void ListIndexesResponse::ToJson(JsonWriter* w) const {
   w->BeginArray();
-  for (const IndexInfo& info : indexes) {
-    w->BeginObject();
-    w->Field("name", info.name);
-    w->Field("variant", info.variant);
-    w->Field("streaming", info.streaming);
-    w->Field("shards", info.shards);
-    w->Field("entries", info.entries);
-    w->Field("total_bytes", info.total_bytes);
-    w->EndObject();
-  }
+  for (const IndexInfo& info : indexes) Encode(info, w);
   w->EndArray();
 }
+COCONUT_WIRE_STRING(ListIndexesResponse)
 
-std::string ListIndexesResponse::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<DropIndexRequest> DropIndexRequest::FromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "drop_index";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(value, kWhat, {"index"}));
-  DropIndexRequest request;
-  COCONUT_ASSIGN_OR_RETURN(request.index, ReqString(value, "index", kWhat));
-  return request;
-}
-
-void DropIndexRequest::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("index", index);
-  w->EndObject();
-}
-
-std::string DropIndexRequest::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<DropIndexResponse> DropIndexResponse::FromJson(const JsonValue& value) {
-  static constexpr const char* kWhat = "drop_index response";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      value, kWhat,
-      {"index", "dropped", "streaming", "entries", "reclaimed_bytes"}));
-  DropIndexResponse response;
-  COCONUT_ASSIGN_OR_RETURN(response.index, ReqString(value, "index", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.dropped,
-                           ReqBool(value, "dropped", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.streaming,
-                           ReqBool(value, "streaming", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.entries, ReqUint(value, "entries", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.reclaimed_bytes,
-                           ReqUint(value, "reclaimed_bytes", kWhat));
-  return response;
-}
-
-void DropIndexResponse::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("index", index);
-  w->Field("dropped", dropped);
-  w->Field("streaming", streaming);
-  w->Field("entries", entries);
-  w->Field("reclaimed_bytes", reclaimed_bytes);
-  w->EndObject();
-}
-
-std::string DropIndexResponse::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<DropDatasetRequest> DropDatasetRequest::FromJson(
-    const JsonValue& value) {
-  static constexpr const char* kWhat = "drop_dataset";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(value, kWhat, {"dataset"}));
-  DropDatasetRequest request;
-  COCONUT_ASSIGN_OR_RETURN(request.dataset,
-                           ReqString(value, "dataset", kWhat));
-  return request;
-}
-
-void DropDatasetRequest::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("dataset", dataset);
-  w->EndObject();
-}
-
-std::string DropDatasetRequest::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<DropDatasetResponse> DropDatasetResponse::FromJson(
-    const JsonValue& value) {
-  static constexpr const char* kWhat = "drop_dataset response";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(
-      RejectUnknown(value, kWhat, {"dataset", "dropped", "series"}));
-  DropDatasetResponse response;
-  COCONUT_ASSIGN_OR_RETURN(response.dataset,
-                           ReqString(value, "dataset", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.dropped,
-                           ReqBool(value, "dropped", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.series, ReqUint(value, "series", kWhat));
-  return response;
-}
-
-void DropDatasetResponse::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Field("dataset", dataset);
-  w->Field("dropped", dropped);
-  w->Field("series", series);
-  w->EndObject();
-}
-
-std::string DropDatasetResponse::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
-
-Result<ServerStatsResponse> ServerStatsResponse::FromJson(
-    const JsonValue& value) {
-  static constexpr const char* kWhat = "server_stats response";
-  COCONUT_RETURN_NOT_OK(ExpectObject(value, kWhat));
-  COCONUT_RETURN_NOT_OK(
-      RejectUnknown(value, kWhat, {"cache", "quota", "shards"}));
-  ServerStatsResponse response;
-  const JsonValue* cache = value.Find("cache");
-  if (cache == nullptr) {
-    return FieldError(kWhat, "cache", "is required");
-  }
-  COCONUT_RETURN_NOT_OK(ExpectObject(*cache, "server_stats cache"));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      *cache, "server_stats cache",
-      {"enabled", "entries", "bytes", "hits", "misses", "inserts",
-       "evictions", "stale_drops", "invalidations", "negative_enabled",
-       "negative_hits", "negative_inserts"}));
-  COCONUT_ASSIGN_OR_RETURN(response.cache_enabled,
-                           ReqBool(*cache, "enabled", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.cache_entries,
-                           ReqUint(*cache, "entries", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.cache_bytes,
-                           ReqUint(*cache, "bytes", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.cache_hits,
-                           ReqUint(*cache, "hits", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.cache_misses,
-                           ReqUint(*cache, "misses", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.cache_inserts,
-                           ReqUint(*cache, "inserts", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.cache_evictions,
-                           ReqUint(*cache, "evictions", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.cache_stale_drops,
-                           ReqUint(*cache, "stale_drops", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.cache_invalidations,
-                           ReqUint(*cache, "invalidations", kWhat));
-  COCONUT_RETURN_NOT_OK(OptBool(*cache, "negative_enabled", kWhat,
-                                &response.cache_negative_enabled));
-  COCONUT_RETURN_NOT_OK(OptUint(*cache, "negative_hits", kWhat,
-                                &response.cache_negative_hits));
-  COCONUT_RETURN_NOT_OK(OptUint(*cache, "negative_inserts", kWhat,
-                                &response.cache_negative_inserts));
-  const JsonValue* quota = value.Find("quota");
-  if (quota == nullptr) {
-    return FieldError(kWhat, "quota", "is required");
-  }
-  COCONUT_RETURN_NOT_OK(ExpectObject(*quota, "server_stats quota"));
-  COCONUT_RETURN_NOT_OK(RejectUnknown(
-      *quota, "server_stats quota",
-      {"enabled", "admitted", "throttled", "unauthenticated"}));
-  COCONUT_ASSIGN_OR_RETURN(response.quota_enabled,
-                           ReqBool(*quota, "enabled", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.quota_admitted,
-                           ReqUint(*quota, "admitted", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.quota_throttled,
-                           ReqUint(*quota, "throttled", kWhat));
-  COCONUT_ASSIGN_OR_RETURN(response.quota_unauthenticated,
-                           ReqUint(*quota, "unauthenticated", kWhat));
-  if (const JsonValue* shards = value.Find("shards"); shards != nullptr) {
-    if (!shards->is_array() || shards->is_packed_array()) {
-      return FieldError(kWhat, "shards", "must be an array of objects");
-    }
-    for (const JsonValue& entry : shards->array()) {
-      static constexpr const char* kShardWhat = "server_stats shard";
-      COCONUT_RETURN_NOT_OK(ExpectObject(entry, kShardWhat));
-      COCONUT_RETURN_NOT_OK(RejectUnknown(
-          entry, kShardWhat,
-          {"endpoint", "healthy", "requests", "failures",
-           "consecutive_failures"}));
-      ShardHealth health;
-      COCONUT_ASSIGN_OR_RETURN(health.endpoint,
-                               ReqString(entry, "endpoint", kShardWhat));
-      COCONUT_ASSIGN_OR_RETURN(health.healthy,
-                               ReqBool(entry, "healthy", kShardWhat));
-      COCONUT_ASSIGN_OR_RETURN(health.requests,
-                               ReqUint(entry, "requests", kShardWhat));
-      COCONUT_ASSIGN_OR_RETURN(health.failures,
-                               ReqUint(entry, "failures", kShardWhat));
-      COCONUT_ASSIGN_OR_RETURN(
-          health.consecutive_failures,
-          ReqUint(entry, "consecutive_failures", kShardWhat));
-      response.shards.push_back(std::move(health));
-    }
-  }
-  return response;
-}
-
-void ServerStatsResponse::ToJson(JsonWriter* w) const {
-  w->BeginObject();
-  w->Key("cache");
-  w->BeginObject();
-  w->Field("enabled", cache_enabled);
-  w->Field("entries", cache_entries);
-  w->Field("bytes", cache_bytes);
-  w->Field("hits", cache_hits);
-  w->Field("misses", cache_misses);
-  w->Field("inserts", cache_inserts);
-  w->Field("evictions", cache_evictions);
-  w->Field("stale_drops", cache_stale_drops);
-  w->Field("invalidations", cache_invalidations);
-  // Wire-additive: only servers with negative caching on emit the
-  // negative_* fields, so legacy responses stay byte-identical.
-  if (cache_negative_enabled) {
-    w->Field("negative_enabled", cache_negative_enabled);
-    w->Field("negative_hits", cache_negative_hits);
-    w->Field("negative_inserts", cache_negative_inserts);
-  }
-  w->EndObject();
-  w->Key("quota");
-  w->BeginObject();
-  w->Field("enabled", quota_enabled);
-  w->Field("admitted", quota_admitted);
-  w->Field("throttled", quota_throttled);
-  w->Field("unauthenticated", quota_unauthenticated);
-  w->EndObject();
-  // Wire-additive: only a distributed coordinator has shards to report.
-  if (!shards.empty()) {
-    w->Key("shards");
-    w->BeginArray();
-    for (const ShardHealth& shard : shards) {
-      w->BeginObject();
-      w->Field("endpoint", shard.endpoint);
-      w->Field("healthy", shard.healthy);
-      w->Field("requests", shard.requests);
-      w->Field("failures", shard.failures);
-      w->Field("consecutive_failures", shard.consecutive_failures);
-      w->EndObject();
-    }
-    w->EndArray();
-  }
-  w->EndObject();
-}
-
-std::string ServerStatsResponse::ToJsonString() const {
-  JsonWriter w;
-  ToJson(&w);
-  return w.TakeString();
-}
+#undef COCONUT_WIRE_STRUCT
+#undef COCONUT_WIRE_STRING
 
 // -------------------------------------------------------------- service
 

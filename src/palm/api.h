@@ -87,6 +87,22 @@ struct ApiError {
 /// violation.
 Status ValidateName(const std::string& name, const char* what);
 
+// ---------------------------------------------------------- wire codec
+//
+// Every struct below crosses the wire as JSON through FromJson/ToJson. A
+// wire field is declared once, in its struct's field list in api.cc
+// (`template <class V> void Fields(V& v, T& t)`). The unknown-field check,
+// the reader and the writer all walk that one list, so they cannot drift
+// apart. Unknown fields are rejected at every depth.
+//
+// Adding a field is one entry in the list: `v(Req("key"), t.member)` for
+// a field every message carries, `v(Opt("key"), t.member)` for one a
+// sender may omit. A wire-additive field, one older outputs must not
+// carry, is gated: `v(Opt("key").EmitIf(predicate), t.member)` is written
+// only while the predicate holds, and is read (and known to the
+// unknown-field check) whether or not a peer sends it, so older outputs
+// stay byte-identical.
+
 // ------------------------------------------------- shared wire fragments
 
 /// VariantSpec <-> {"family":"ctree","mode":"tp","sax":{...},...}. Every

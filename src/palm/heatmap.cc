@@ -99,26 +99,5 @@ std::string RenderHeatMapText(const HeatMap& map) {
   return out;
 }
 
-void HeatMapToJson(const HeatMap& map, JsonWriter* writer) {
-  writer->BeginObject();
-  writer->Field("time_bins", static_cast<uint64_t>(map.time_bins));
-  writer->Field("location_bins", static_cast<uint64_t>(map.location_bins));
-  writer->Field("total_events", map.total_events);
-  writer->Field("distinct_pages", map.distinct_pages);
-  writer->Field("distinct_files", map.distinct_files);
-  writer->Field("max_count", static_cast<uint64_t>(map.max_count));
-  writer->Key("cells");
-  writer->BeginArray();
-  for (size_t t = 0; t < map.time_bins; ++t) {
-    writer->BeginArray();
-    for (size_t l = 0; l < map.location_bins; ++l) {
-      writer->Uint(map.at(t, l));
-    }
-    writer->EndArray();
-  }
-  writer->EndArray();
-  writer->EndObject();
-}
-
 }  // namespace palm
 }  // namespace coconut

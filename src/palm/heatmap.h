@@ -46,7 +46,8 @@ double AccessLocality(std::span<const storage::AccessEvent> events);
 /// Renders the map as text (one row per time bin, density glyphs " .:-=+*#%@").
 std::string RenderHeatMapText(const HeatMap& map);
 
-/// Serializes the map for the GUI client.
+/// Serializes the map for the GUI client. Defined in api.cc beside
+/// api::HeatMapFromJson: one field list is the heat map's wire shape.
 void HeatMapToJson(const HeatMap& map, JsonWriter* writer);
 
 }  // namespace palm

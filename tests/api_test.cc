@@ -364,6 +364,33 @@ TEST(ApiParse, WrongTypesAreRejected) {
                    .ok());
 }
 
+TEST(ApiParse, NestedObjectsReportUnderTheirOwnContext) {
+  // Inside server_stats' cache and quota objects, a field error names the
+  // nested object, as the unknown-field check on the same object does.
+  const std::string cache =
+      "{\"enabled\":true,\"entries\":0,\"bytes\":0,\"hits\":0,\"misses\":0,"
+      "\"inserts\":0,\"evictions\":0,\"stale_drops\":0,\"invalidations\":0}";
+  const std::string quota =
+      "{\"enabled\":false,\"admitted\":0,\"throttled\":0,"
+      "\"unauthenticated\":0}";
+  ASSERT_TRUE(ParseError<ServerStatsResponse>("{\"cache\":" + cache +
+                                              ",\"quota\":" + quota + "}")
+                  .ok());
+  EXPECT_EQ(ParseError<ServerStatsResponse>(
+                "{\"cache\":{\"hits\":0,\"x\":1},\"quota\":" + quota + "}")
+                .message(),
+            "server_stats cache: unknown field 'x'");
+  EXPECT_EQ(ParseError<ServerStatsResponse>("{\"cache\":{\"enabled\":true},"
+                                            "\"quota\":" + quota + "}")
+                .message(),
+            "server_stats cache: field 'entries' is required");
+  EXPECT_EQ(ParseError<ServerStatsResponse>(
+                "{\"cache\":" + cache +
+                ",\"quota\":{\"enabled\":false,\"admitted\":\"7\"}}")
+                .message(),
+            "server_stats quota: field 'admitted' must be a number");
+}
+
 TEST(ApiParse, RaggedSeriesRejected) {
   Status s = ParseError<RegisterDatasetRequest>(
       "{\"name\":\"d\",\"series\":[[1,2,3],[1,2]]}");
