@@ -33,6 +33,26 @@ Result<T> ParseShardBody(const ShardEndpoint& endpoint,
   return typed;
 }
 
+/// Folds one shard's stream counters into the coordinator's report; the
+/// members IngestBatchReport and DrainStreamReport share (see
+/// StreamStatsFields in api.cc). Counters sum. The stall percentiles take
+/// the worst shard's instead: a shard reports percentiles, not its stall
+/// samples, so the true cross-shard percentile cannot be computed here.
+template <class Report>
+void FoldStreamStats(const Report& shard, Report* total) {
+  total->total_entries += shard.total_entries;
+  total->partitions += shard.partitions;
+  total->buffered += shard.buffered;
+  total->pending_tasks += shard.pending_tasks;
+  total->seals_completed += shard.seals_completed;
+  total->merges_completed += shard.merges_completed;
+  total->seals_inflight += shard.seals_inflight;
+  total->ingest_stalls += shard.ingest_stalls;
+  total->ingest_rejects += shard.ingest_rejects;
+  total->stall_ms_p50 = std::max(total->stall_ms_p50, shard.stall_ms_p50);
+  total->stall_ms_p99 = std::max(total->stall_ms_p99, shard.stall_ms_p99);
+}
+
 }  // namespace
 
 Coordinator::Coordinator(CoordinatorOptions options)
@@ -512,19 +532,7 @@ Result<api::IngestBatchReport> Coordinator::IngestBatch(
           " routed series (backpressure); other shards are fully "
           "applied — drain the stream and re-send the unadmitted series");
     }
-    report.total_entries += shard_report.total_entries;
-    report.partitions += shard_report.partitions;
-    report.buffered += shard_report.buffered;
-    report.pending_tasks += shard_report.pending_tasks;
-    report.seals_completed += shard_report.seals_completed;
-    report.merges_completed += shard_report.merges_completed;
-    report.seals_inflight += shard_report.seals_inflight;
-    report.ingest_stalls += shard_report.ingest_stalls;
-    report.ingest_rejects += shard_report.ingest_rejects;
-    report.stall_ms_p50 =
-        std::max(report.stall_ms_p50, shard_report.stall_ms_p50);
-    report.stall_ms_p99 =
-        std::max(report.stall_ms_p99, shard_report.stall_ms_p99);
+    FoldStreamStats(shard_report, &report);
     report.io.Add(shard_report.io);
   }
   handle->next_series_id = next_id;
@@ -577,19 +585,7 @@ Result<api::DrainStreamReport> Coordinator::DrainStream(
     }
     const api::DrainStreamReport& shard_report = parsed.value();
     report.drained = report.drained && shard_report.drained;
-    report.total_entries += shard_report.total_entries;
-    report.partitions += shard_report.partitions;
-    report.buffered += shard_report.buffered;
-    report.pending_tasks += shard_report.pending_tasks;
-    report.seals_completed += shard_report.seals_completed;
-    report.merges_completed += shard_report.merges_completed;
-    report.seals_inflight += shard_report.seals_inflight;
-    report.ingest_stalls += shard_report.ingest_stalls;
-    report.ingest_rejects += shard_report.ingest_rejects;
-    report.stall_ms_p50 =
-        std::max(report.stall_ms_p50, shard_report.stall_ms_p50);
-    report.stall_ms_p99 =
-        std::max(report.stall_ms_p99, shard_report.stall_ms_p99);
+    FoldStreamStats(shard_report, &report);
     report.index_bytes += shard_report.index_bytes;
     report.total_bytes += shard_report.total_bytes;
   }
@@ -611,10 +607,7 @@ Result<api::QueryReport> Coordinator::FoldShardReports(
   report.index = request.index;
   report.exact = request.exact;
   report.degraded = degraded;
-  bool found = false;
-  double best_distance = 0.0;
-  uint64_t best_id = 0;
-  int64_t best_timestamp = 0;
+  api::QueryReport best;
   for (const auto& [s, shard_report] : answers) {
     report.counters.Add(shard_report.counters);
     report.io.Add(shard_report.io);
@@ -632,23 +625,18 @@ Result<api::QueryReport> Coordinator::FoldShardReports(
           " entries) — was the stream ingested through another "
           "coordinator?");
     }
-    const uint64_t global_id =
-        handle->local_to_global[s][shard_report.series_id];
-    // Same tie-break as the single-process scatter-gather: nearest
-    // distance, then the smaller global id.
-    if (!found || shard_report.distance < best_distance ||
-        (shard_report.distance == best_distance && global_id < best_id)) {
-      found = true;
-      best_distance = shard_report.distance;
-      best_id = global_id;
-      best_timestamp = shard_report.timestamp;
+    api::QueryReport answer = shard_report;
+    answer.series_id = handle->local_to_global[s][shard_report.series_id];
+    // The in-process wrappers' gather rule (shard_route.h).
+    if (GatherPrefers<&api::QueryReport::distance>(answer, best)) {
+      best = std::move(answer);
     }
   }
-  report.found = found;
-  if (found) {
-    report.series_id = best_id;
-    report.distance = best_distance;
-    report.timestamp = best_timestamp;
+  report.found = best.found;
+  if (best.found) {
+    report.series_id = best.series_id;
+    report.distance = best.distance;
+    report.timestamp = best.timestamp;
   }
   return report;
 }

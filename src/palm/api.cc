@@ -897,10 +897,6 @@ void Fields(V& v, VariantSpec& s) {
     UintIn{s.ads_leaf_capacity, kMaxWireLeafCapacity});
   v(Opt("btp_merge_k"), IntIn{s.btp_merge_k, 0, kMaxWireSmallInt});
   v(Opt("num_shards"), UintIn{s.num_shards, kMaxWireShards});
-  v(Opt("shard_build_threads"),
-    UintIn{s.shard_build_threads, kMaxWireThreads});
-  v(Opt("shard_query_threads"),
-    UintIn{s.shard_query_threads, kMaxWireThreads});
   v(Opt("timestamp_policy"), Enum{s.timestamp_policy, kTimestampPolicies});
   v(Opt("async_ingest"), s.async_ingest);
   v(Opt("max_inflight_seals"),
@@ -1350,6 +1346,46 @@ COCONUT_WIRE_STRING(ListIndexesResponse)
 
 // -------------------------------------------------------------- service
 
+namespace {
+
+/// The I/O counters a report brackets: the handle's own plus, for a
+/// sharded index, every shard's — the wrappers read and write through
+/// per-shard storage managers, where the handle's counters never see it.
+/// `Handle` is Service::IndexHandle. Snapshot reads: an async stream's
+/// background seals and merges may be doing I/O meanwhile.
+template <class Handle>
+storage::IoStats IoSnapshot(const Handle& handle) {
+  storage::IoStats io = handle.storage->SnapshotIoStats();
+  if (const auto* sharded =
+          dynamic_cast<const ShardedIndex*>(handle.static_index.get())) {
+    io.Add(sharded->AggregateIoStats());
+  } else if (const auto* sharded_stream =
+                 dynamic_cast<const ShardedStreamingIndex*>(
+                     handle.stream_index.get())) {
+    io.Add(sharded_stream->AggregateIoStats());
+  }
+  return io;
+}
+
+/// Copies the stream counters IngestBatchReport and DrainStreamReport share
+/// (the members have the same names in both; see StreamStatsFields).
+template <class Report>
+void CopyStreamStats(const stream::StreamingStats& stats, Report* report) {
+  report->total_entries = stats.entries;
+  report->partitions = stats.sealed_partitions;
+  report->buffered = stats.buffered;
+  report->pending_tasks = stats.pending_tasks;
+  report->seals_completed = stats.seals_completed;
+  report->merges_completed = stats.merges_completed;
+  report->seals_inflight = stats.seals_inflight;
+  report->ingest_stalls = stats.ingest_stalls;
+  report->ingest_rejects = stats.ingest_rejects;
+  report->stall_ms_p50 = stats.stall_ms_p50;
+  report->stall_ms_p99 = stats.stall_ms_p99;
+}
+
+}  // namespace
+
 Result<std::unique_ptr<Service>> Service::Create(const std::string& root_dir,
                                                  size_t pool_bytes_per_index) {
   // Validate the root by creating it.
@@ -1545,7 +1581,7 @@ Result<BuildIndexReport> Service::BuildIndexOnHandle(
     const std::string& dataset_name, const Dataset& dataset,
     IndexHandle* handle) {
   WallTimer timer;
-  const storage::IoStats before = *handle->storage->io_stats();
+  const storage::IoStats before = IoSnapshot(*handle);
 
   COCONUT_ASSIGN_OR_RETURN(
       handle->static_index,
@@ -1566,14 +1602,9 @@ Result<BuildIndexReport> Service::BuildIndexOnHandle(
   COCONUT_RETURN_NOT_OK(handle->static_index->Finalize());
   handle->next_series_id = dataset.data.size();
   handle->build_seconds = timer.ElapsedSeconds();
-  handle->build_io = handle->storage->io_stats()->Since(before);
-  // Sharded builds do their I/O through per-shard storage managers (fresh
-  // at this point, so totals == this build); fold them into the report.
-  if (auto* sharded =
-          dynamic_cast<ShardedIndex*>(handle->static_index.get());
-      sharded != nullptr) {
-    handle->build_io.Add(sharded->AggregateIoStats());
-  }
+  // Sharded shards did not exist at `before`, so their totals are this
+  // build's.
+  handle->build_io = IoSnapshot(*handle).Since(before);
 
   BuildIndexReport report;
   report.index = index_name;
@@ -1729,16 +1760,11 @@ Result<IngestBatchReport> Service::IngestBatch(
   }
 
   WallTimer timer;
-  // A sharded stream routes every series into a shard-local raw store and
-  // does its I/O through per-shard storage managers; the handle-level
-  // store would be a dead second copy and the handle-level counters would
-  // read zero (same treatment as the static sharded build path).
-  auto* sharded =
-      dynamic_cast<ShardedStreamingIndex*>(handle->stream_index.get());
-  // Snapshot reads: background seals/merges of an async stream may be
-  // doing I/O while this batch is admitted.
-  storage::IoStats before = handle->storage->SnapshotIoStats();
-  if (sharded != nullptr) before.Add(sharded->AggregateIoStats());
+  // A sharded stream routes every series into a shard-local raw store;
+  // the handle-level store would be a dead second copy (same treatment as
+  // the static sharded build path).
+  const bool sharded = handle->spec.num_shards > 1;
+  const storage::IoStats before = IoSnapshot(*handle);
   std::vector<float> buf;
   uint64_t admitted = 0;
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -1752,7 +1778,7 @@ Result<IngestBatchReport> Service::IngestBatch(
     // slot — ids of previously and subsequently admitted series keep
     // lining up either way.
     uint64_t id;
-    if (sharded != nullptr) {
+    if (sharded) {
       id = handle->next_series_id;
     } else {
       COCONUT_ASSIGN_OR_RETURN(id, handle->raw->Append(buf));
@@ -1778,7 +1804,7 @@ Result<IngestBatchReport> Service::IngestBatch(
     COCONUT_RETURN_NOT_OK(st);
     ++admitted;
   }
-  if (sharded == nullptr) {
+  if (!sharded) {
     COCONUT_RETURN_NOT_OK(handle->raw->Flush());
   }
   // The durability ack gate: the report below tells the client the
@@ -1787,26 +1813,12 @@ Result<IngestBatchReport> Service::IngestBatch(
   // No-op for non-durable streams.
   COCONUT_RETURN_NOT_OK(handle->stream_index->CommitDurable());
 
-  const stream::StreamingStats stats =
-      handle->stream_index->SnapshotStats();
   IngestBatchReport report;
   report.stream = stream_name;
   report.ingested = admitted;
-  report.total_entries = stats.entries;
-  report.partitions = stats.sealed_partitions;
-  report.buffered = stats.buffered;
-  report.pending_tasks = stats.pending_tasks;
-  report.seals_completed = stats.seals_completed;
-  report.merges_completed = stats.merges_completed;
-  report.seals_inflight = stats.seals_inflight;
-  report.ingest_stalls = stats.ingest_stalls;
-  report.ingest_rejects = stats.ingest_rejects;
-  report.stall_ms_p50 = stats.stall_ms_p50;
-  report.stall_ms_p99 = stats.stall_ms_p99;
+  CopyStreamStats(handle->stream_index->SnapshotStats(), &report);
   report.seconds = timer.ElapsedSeconds();
-  storage::IoStats after = handle->storage->SnapshotIoStats();
-  if (sharded != nullptr) after.Add(sharded->AggregateIoStats());
-  report.io = after.Since(before);
+  report.io = IoSnapshot(*handle).Since(before);
   return report;
 }
 
@@ -1844,17 +1856,7 @@ Result<DrainStreamReport> Service::DrainStream(const std::string& stream_name) {
   report.stream = stream_name;
   report.drained = true;
   report.drain_seconds = timer.ElapsedSeconds();
-  report.total_entries = stats.entries;
-  report.partitions = stats.sealed_partitions;
-  report.buffered = stats.buffered;
-  report.pending_tasks = stats.pending_tasks;
-  report.seals_completed = stats.seals_completed;
-  report.merges_completed = stats.merges_completed;
-  report.seals_inflight = stats.seals_inflight;
-  report.ingest_stalls = stats.ingest_stalls;
-  report.ingest_rejects = stats.ingest_rejects;
-  report.stall_ms_p50 = stats.stall_ms_p50;
-  report.stall_ms_p99 = stats.stall_ms_p99;
+  CopyStreamStats(stats, &report);
   report.index_bytes = handle->stream_index->index_bytes();
   report.total_bytes = handle->storage->TotalBytesOnDisk();
   return report;
@@ -1938,16 +1940,10 @@ Result<QueryReport> Service::QueryLocked(const QueryRequest& request,
   if (request.window.has_value()) options.window = *request.window;
   options.approx_candidates = request.approx_candidates;
 
-  // A sharded index reads through per-shard storage managers; snapshot
-  // those too so the reported query I/O is real, not the handle's zeros.
-  auto* sharded = dynamic_cast<ShardedIndex*>(handle->static_index.get());
-  auto* sharded_stream =
-      dynamic_cast<ShardedStreamingIndex*>(handle->stream_index.get());
-
   core::QueryCounters counters;
   storage::AccessTracker* tracker = handle->storage->tracker();
   if (request.capture_heatmap) {
-    if (sharded != nullptr || sharded_stream != nullptr) {
+    if (handle->spec.num_shards > 1) {
       // Shard I/O never touches the handle-level tracker; a silent empty
       // heat map would read as an all-cold result, so refuse instead.
       return Status::NotSupported(
@@ -1958,12 +1954,7 @@ Result<QueryReport> Service::QueryLocked(const QueryRequest& request,
   }
 
   WallTimer timer;
-  // Snapshot: async streams may be sealing/merging in the background.
-  storage::IoStats before = handle->storage->SnapshotIoStats();
-  if (sharded != nullptr) before.Add(sharded->AggregateIoStats());
-  if (sharded_stream != nullptr) {
-    before.Add(sharded_stream->AggregateIoStats());
-  }
+  const storage::IoStats before = IoSnapshot(*handle);
   Result<core::SearchResult> result =
       handle->static_index != nullptr
           ? (request.exact
@@ -1989,12 +1980,7 @@ Result<QueryReport> Service::QueryLocked(const QueryRequest& request,
     report.timestamp = match.timestamp;
   }
   report.seconds = seconds;
-  storage::IoStats after = handle->storage->SnapshotIoStats();
-  if (sharded != nullptr) after.Add(sharded->AggregateIoStats());
-  if (sharded_stream != nullptr) {
-    after.Add(sharded_stream->AggregateIoStats());
-  }
-  report.io = after.Since(before);
+  report.io = IoSnapshot(*handle).Since(before);
   report.counters = counters;
   if (request.capture_heatmap) {
     // Snapshot: an async stream's background seals may still be recording.
@@ -2115,13 +2101,10 @@ void Service::QueryBatched(const std::vector<QueryRequest>& requests,
     return;
   }
 
-  auto* sharded = dynamic_cast<ShardedIndex*>(handle->static_index.get());
-
   std::vector<core::SearchResult> matches(nq);
   std::vector<core::QueryCounters> counters(nq);
   WallTimer timer;
-  storage::IoStats before = handle->storage->SnapshotIoStats();
-  if (sharded != nullptr) before.Add(sharded->AggregateIoStats());
+  const storage::IoStats before = IoSnapshot(*handle);
   Status st =
       handle->static_index->ExactSearchBatch(spans, options, matches, counters);
   const double seconds = timer.ElapsedSeconds();
@@ -2129,9 +2112,7 @@ void Service::QueryBatched(const std::vector<QueryRequest>& requests,
     for (size_t ordinal : ordinals) (*results)[ordinal] = st;
     return;
   }
-  storage::IoStats after = handle->storage->SnapshotIoStats();
-  if (sharded != nullptr) after.Add(sharded->AggregateIoStats());
-  const storage::IoStats delta = after.Since(before);
+  const storage::IoStats delta = IoSnapshot(*handle).Since(before);
 
   for (size_t i = 0; i < nq; ++i) {
     const size_t ordinal = ordinals[i];

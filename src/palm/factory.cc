@@ -210,8 +210,6 @@ Result<std::unique_ptr<core::DataSeriesIndex>> CreateStaticIndex(
     ShardedIndex::Options opts;
     opts.spec = spec;
     opts.num_shards = spec.num_shards;
-    opts.build_threads = spec.shard_build_threads;
-    opts.query_threads = spec.shard_query_threads;
     if (pool != nullptr) {
       // Split the caller's cache budget across shards so the aggregate
       // page cache matches the unsharded configuration — otherwise a
@@ -240,7 +238,6 @@ Result<std::unique_ptr<stream::StreamingIndex>> CreateStreamingIndex(
     ShardedStreamingIndex::Options opts;
     opts.spec = spec;
     opts.num_shards = spec.num_shards;
-    opts.query_threads = spec.shard_query_threads;
     if (pool != nullptr) {
       opts.pool_bytes_per_shard = std::max<size_t>(
           storage::kPageSize,

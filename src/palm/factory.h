@@ -52,17 +52,12 @@ struct VariantSpec {
 
   /// Shards: > 1 partitions the dataset by invSAX key range across that
   /// many independent per-shard storage managers / buffer pools, queried
-  /// scatter-gather (exact results are unchanged). Static indexes build
-  /// shards concurrently (ShardedIndex); streaming variants require
-  /// async_ingest and route each live series to its key-range shard,
-  /// whose seal/merge cascades run on per-shard strands
-  /// (ShardedStreamingIndex). 1 = unsharded.
+  /// scatter-gather on min(K, 8) threads (exact results are unchanged).
+  /// Static indexes build shards concurrently, one thread per shard
+  /// (ShardedIndex); streaming variants require async_ingest and route
+  /// each live series to its key-range shard, whose seal/merge cascades
+  /// run on per-shard strands (ShardedStreamingIndex). 1 = unsharded.
   size_t num_shards = 1;
-  /// Worker threads finalizing shards concurrently (0 = one per shard).
-  size_t shard_build_threads = 0;
-  /// Worker threads fanning a query out across shards (0 = one per shard,
-  /// capped at 8).
-  size_t shard_query_threads = 0;
 
   /// Streaming: what Ingest does with a timestamp below the largest one
   /// accepted so far (see stream::TimestampPolicy).

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 
-#include "palm/shard_route.h"
-
 namespace coconut {
 namespace palm {
+
+using Shard = ShardSet<stream::StreamingIndex>::Shard;
 
 ShardedStreamingIndex::~ShardedStreamingIndex() = default;
 
@@ -29,12 +29,6 @@ Result<std::unique_ptr<ShardedStreamingIndex>> ShardedStreamingIndex::Recover(
 Result<std::unique_ptr<ShardedStreamingIndex>> ShardedStreamingIndex::Build(
     storage::StorageManager* root, const std::string& name,
     const Options& options, bool recover) {
-  if (root == nullptr) {
-    return Status::InvalidArgument("root storage manager is required");
-  }
-  if (options.num_shards == 0) {
-    return Status::InvalidArgument("num_shards must be >= 1");
-  }
   if (options.spec.mode == StreamMode::kStatic) {
     return Status::InvalidArgument(
         "ShardedStreamingIndex wraps streaming variants; use ShardedIndex "
@@ -51,93 +45,67 @@ Result<std::unique_ptr<ShardedStreamingIndex>> ShardedStreamingIndex::Build(
   // Each shard is a complete async streaming stack of the wrapped variant;
   // all shards share one background pool (explicit or the process-wide
   // default) but serialize their own cascades on per-shard strands.
-  VariantSpec shard_spec = options.spec;
-  shard_spec.num_shards = 1;
-
-  for (size_t i = 0; i < options.num_shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    COCONUT_ASSIGN_OR_RETURN(
-        shard->storage,
-        storage::StorageManager::Create(root->directory() + "/" + name +
-                                        "_shard" + std::to_string(i)));
-    if (!recover) {
-      COCONUT_RETURN_NOT_OK(shard->storage->Clear());
-    }
-    shard->pool =
-        std::make_unique<storage::BufferPool>(options.pool_bytes_per_shard);
+  auto open = [&options, recover, self = sharded.get()](
+                  size_t i, Shard& shard) -> Status {
+    VariantSpec shard_spec = options.spec;
+    shard_spec.num_shards = 1;
     if (options.spec.durable) {
       // The shard's own log: scanned here (recovery) or created fresh.
       stream::Wal::Options wal_options;
       wal_options.test_hook = options.spec.wal_test_hook;
       COCONUT_ASSIGN_OR_RETURN(
-          shard->wal,
+          shard.wal,
           stream::Wal::Open(
-              shard->storage.get(), "wal",
+              shard.storage.get(), "wal",
               static_cast<uint32_t>(options.spec.sax.series_length),
               std::move(wal_options)));
-      shard_spec.wal = shard->wal.get();
+      shard_spec.wal = shard.wal.get();
     }
     if (recover) {
       // The log proved `base_ordinals` series durable before its retained
       // suffix; cut the raw file back to them — replay re-appends the rest.
       COCONUT_ASSIGN_OR_RETURN(
-          shard->raw, core::RawSeriesStore::OpenTruncated(
-                          shard->storage.get(), "raw",
-                          options.spec.sax.series_length,
-                          shard->wal->base_ordinals()));
+          shard.raw, core::RawSeriesStore::OpenTruncated(
+                         shard.storage.get(), "raw",
+                         options.spec.sax.series_length,
+                         shard.wal->base_ordinals()));
     } else {
       COCONUT_ASSIGN_OR_RETURN(
-          shard->raw,
-          core::RawSeriesStore::Create(shard->storage.get(), "raw",
+          shard.raw,
+          core::RawSeriesStore::Create(shard.storage.get(), "raw",
                                        options.spec.sax.series_length));
     }
     COCONUT_ASSIGN_OR_RETURN(
-        shard->index,
-        CreateStreamingIndex(shard_spec, shard->storage.get(), "stream",
-                             shard->pool.get(), shard->raw.get()));
-    if (recover) {
-      stream::WalRecoverOutcome outcome;
-      COCONUT_RETURN_NOT_OK(shard->wal->Recover(shard->index.get(),
-                                                shard->raw.get(), &outcome));
-      if (outcome.local_to_global.size() < outcome.ordinals) {
-        return Status::DataLoss(
-            "shard " + std::to_string(i) + " recovered " +
-            std::to_string(outcome.ordinals) + " ordinals but only " +
-            std::to_string(outcome.local_to_global.size()) + " id mappings");
-      }
-      // A trailing map whose admit never committed maps an ordinal the
-      // crash un-consumed; the next admission reuses both.
-      outcome.local_to_global.resize(outcome.ordinals);
-      for (uint64_t local = 0; local < outcome.local_to_global.size();
-           ++local) {
-        const uint64_t global_id = outcome.local_to_global[local];
-        shard->local_to_global.Set(local, global_id);
-        sharded->recovered_next_id_ =
-            std::max(sharded->recovered_next_id_, global_id + 1);
-      }
-      sharded->last_timestamp_ =
-          std::max(sharded->last_timestamp_, outcome.watermark);
+        shard.index,
+        CreateStreamingIndex(shard_spec, shard.storage.get(), "stream",
+                             shard.pool.get(), shard.raw.get()));
+    if (!recover) return Status::OK();
+    stream::WalRecoverOutcome outcome;
+    COCONUT_RETURN_NOT_OK(
+        shard.wal->Recover(shard.index.get(), shard.raw.get(), &outcome));
+    if (outcome.local_to_global.size() < outcome.ordinals) {
+      return Status::DataLoss(
+          "shard " + std::to_string(i) + " recovered " +
+          std::to_string(outcome.ordinals) + " ordinals but only " +
+          std::to_string(outcome.local_to_global.size()) + " id mappings");
     }
-    sharded->shards_.push_back(std::move(shard));
-  }
-
-  if (options.num_shards > 1) {
-    const size_t threads =
-        options.query_threads != 0
-            ? options.query_threads
-            : std::min<size_t>(options.num_shards, 8);
-    if (threads > 1) {
-      sharded->query_pool_ = std::make_unique<ThreadPool>(threads);
+    // A trailing map whose admit never committed maps an ordinal the
+    // crash un-consumed; the next admission reuses both.
+    outcome.local_to_global.resize(outcome.ordinals);
+    for (uint64_t local = 0; local < outcome.local_to_global.size();
+         ++local) {
+      const uint64_t global_id = outcome.local_to_global[local];
+      shard.local_to_global.Set(local, global_id);
+      self->recovered_next_id_ =
+          std::max(self->recovered_next_id_, global_id + 1);
     }
-  }
+    self->last_timestamp_ = std::max(self->last_timestamp_, outcome.watermark);
+    return Status::OK();
+  };
+  COCONUT_RETURN_NOT_OK(sharded->shards_.Open(
+      root, name, options.num_shards, options.pool_bytes_per_shard,
+      options.spec.sax, /*keep_files=*/recover, open));
   return sharded;
-}
-
-size_t ShardedStreamingIndex::ShardOf(
-    std::span<const float> znorm_values) const {
-  // Shared with the static ShardedIndex (shard_route.h): a series lands
-  // in the same key range whether bulk-built or streamed.
-  return ShardOfSeries(znorm_values, options_.spec.sax, shards_.size());
 }
 
 Status ShardedStreamingIndex::Ingest(uint64_t series_id,
@@ -183,12 +151,12 @@ Status ShardedStreamingIndex::AdmitToShard(uint64_t series_id,
   // accepted duplication, same trade as the static ShardedIndex (changing
   // StreamingIndex::Ingest to take a precomputed key would ripple through
   // every variant).
-  Shard& shard = *shards_[ShardOf(znorm_values)];
+  Shard& shard = shards_[ShardOf(znorm_values)];
   // The admission path is serialized per shard so the raw ordinal, the
   // id-map slot and the inner ingest agree; a backpressure block inside
   // the inner Ingest holds only this shard's lock, so other shards keep
   // admitting.
-  std::lock_guard<std::mutex> ingest_lock(shard.ingest_mu);
+  std::lock_guard<std::mutex> ingest_lock(shard.mu);
   COCONUT_ASSIGN_OR_RETURN(const uint64_t local_id,
                            shard.raw->Append(znorm_values));
   // The map covers the ordinal even if the inner index then refuses the
@@ -202,7 +170,8 @@ Status ShardedStreamingIndex::AdmitToShard(uint64_t series_id,
   // that consumes the ordinal: the inner Ingest logs the admit inside its
   // own critical section, and a refusal burns the ordinal with a hole, so
   // replay keeps ids lined up with the raw file either way. Everything
-  // here is under ingest_mu, so map and admit/hole always share a commit.
+  // here is under the shard mutex, so map and admit/hole always share a
+  // commit.
   if (shard.wal != nullptr) {
     shard.wal->AppendMap(series_id);
   }
@@ -216,25 +185,18 @@ Status ShardedStreamingIndex::AdmitToShard(uint64_t series_id,
 
 Status ShardedStreamingIndex::CommitDurable() {
   // Fan the ack gate out: every shard's pending records become durable
-  // before the batch is acknowledged. Drain all shards even on error so
-  // one failed log does not leave another's batch uncommitted forever.
-  Status first;
-  for (auto& shard : shards_) {
-    if (shard->wal == nullptr) continue;
-    const Status committed = shard->wal->Commit();
-    if (first.ok() && !committed.ok()) first = committed;
-  }
-  return first;
+  // before the batch is acknowledged. Every shard commits even after one
+  // fails, so a failed log does not leave another's batch uncommitted.
+  return shards_.ForEach([](Shard& shard) {
+    return shard.wal == nullptr ? Status::OK() : shard.wal->Commit();
+  });
 }
 
 Status ShardedStreamingIndex::TruncateDurableLogs() {
-  Status first;
-  for (auto& shard : shards_) {
-    if (shard->wal == nullptr) continue;
-    const Status truncated = shard->wal->TruncateBefore(shard->raw.get());
-    if (first.ok() && !truncated.ok()) first = truncated;
-  }
-  return first;
+  return shards_.ForEach([](Shard& shard) {
+    return shard.wal == nullptr ? Status::OK()
+                                : shard.wal->TruncateBefore(shard.raw.get());
+  });
 }
 
 Status ShardedStreamingIndex::FlushAll() {
@@ -242,103 +204,19 @@ Status ShardedStreamingIndex::FlushAll() {
   // empties. Shards drain independently, so an error in one does not
   // leave another's cascade half-deferred — drain them all, surface the
   // first failure.
-  Status first;
-  for (auto& shard : shards_) {
-    const Status flushed = shard->raw->Flush();
-    if (first.ok() && !flushed.ok()) first = flushed;
-    const Status drained = shard->index->FlushAll();
-    if (first.ok() && !drained.ok()) first = drained;
-  }
-  return first;
-}
-
-Result<core::SearchResult> ShardedStreamingIndex::ScatterSearch(
-    std::span<const float> query, const core::SearchOptions& options,
-    core::QueryCounters* counters, bool exact) {
-  const size_t k = shards_.size();
-  std::vector<Result<core::SearchResult>> results(
-      k, Result<core::SearchResult>(Status::Internal("not executed")));
-  std::vector<core::QueryCounters> shard_counters(k);
-
-  // Inner async streaming indexes are snapshot-isolated — each shard's
-  // search evaluates one atomic snapshot of that shard's state and never
-  // blocks on (or is corrupted by) its concurrent seals, so no per-shard
-  // serialization is needed here, unlike the static sharded path.
-  auto search_shard = [&](size_t i) {
-    results[i] = exact ? shards_[i]->index->ExactSearch(query, options,
-                                                        &shard_counters[i])
-                       : shards_[i]->index->ApproxSearch(query, options,
-                                                         &shard_counters[i]);
-  };
-
-  if (query_pool_ == nullptr || k == 1) {
-    for (size_t i = 0; i < k; ++i) search_shard(i);
-  } else {
-    WaitGroup wg;
-    wg.Add(k);
-    for (size_t i = 0; i < k; ++i) {
-      query_pool_->Submit([i, &wg, &search_shard] {
-        search_shard(i);
-        wg.Done();
-      });
-    }
-    wg.Wait();
-  }
-
-  // Gather: smallest distance wins; exact ties break toward the smaller
-  // global id so the answer is deterministic whatever the shard layout.
-  core::SearchResult best;
-  for (size_t i = 0; i < k; ++i) {
-    COCONUT_RETURN_NOT_OK(results[i].status());
-    core::SearchResult r = results[i].value();
-    if (r.found) {
-      r.series_id = shards_[i]->local_to_global.Get(r.series_id);
-      if (!best.found || r.distance_sq < best.distance_sq ||
-          (r.distance_sq == best.distance_sq &&
-           r.series_id < best.series_id)) {
-        best = r;
-      }
-    }
-    if (counters != nullptr) {
-      counters->Add(shard_counters[i]);
-    }
-  }
-  return best;
-}
-
-Result<core::SearchResult> ShardedStreamingIndex::ExactSearch(
-    std::span<const float> query, const core::SearchOptions& options,
-    core::QueryCounters* counters) {
-  return ScatterSearch(query, options, counters, /*exact=*/true);
-}
-
-Result<core::SearchResult> ShardedStreamingIndex::ApproxSearch(
-    std::span<const float> query, const core::SearchOptions& options,
-    core::QueryCounters* counters) {
-  return ScatterSearch(query, options, counters, /*exact=*/false);
-}
-
-uint64_t ShardedStreamingIndex::num_entries() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->index->num_entries();
-  return total;
+  return shards_.ForEach([](Shard& shard) {
+    const Status flushed = shard.raw->Flush();
+    const Status drained = shard.index->FlushAll();
+    return flushed.ok() ? drained : flushed;
+  });
 }
 
 size_t ShardedStreamingIndex::num_partitions() const {
   size_t total = 0;
-  for (const auto& shard : shards_) total += shard->index->num_partitions();
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    total += shards_[i].index->num_partitions();
+  }
   return total;
-}
-
-uint64_t ShardedStreamingIndex::index_bytes() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->index->index_bytes();
-  return total;
-}
-
-std::string ShardedStreamingIndex::describe() const {
-  return "ShardedStream[" + std::to_string(shards_.size()) + "x" +
-         shards_[0]->index->describe() + "]";
 }
 
 stream::StreamingStats ShardedStreamingIndex::SnapshotStats() const {
@@ -348,17 +226,7 @@ stream::StreamingStats ShardedStreamingIndex::SnapshotStats() const {
   // never see entries shrink — each shard's later read dominates its
   // earlier one).
   stream::StreamingStats total;
-  for (const auto& shard : shards_) {
-    total.Add(shard->index->SnapshotStats());
-  }
-  return total;
-}
-
-storage::IoStats ShardedStreamingIndex::AggregateIoStats() const {
-  storage::IoStats total;
-  for (const auto& shard : shards_) {
-    total.Add(shard->storage->SnapshotIoStats());
-  }
+  for (size_t i = 0; i < shards_.size(); ++i) total.Add(ShardStats(i));
   return total;
 }
 

@@ -1,29 +1,24 @@
 #ifndef COCONUT_PALM_SHARDED_STREAMING_INDEX_H_
 #define COCONUT_PALM_SHARDED_STREAMING_INDEX_H_
 
-#include <array>
-#include <atomic>
-#include <bit>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
-#include "common/thread_pool.h"
-#include "core/raw_store.h"
 #include "palm/factory.h"
-#include "storage/buffer_pool.h"
+#include "palm/shard_set.h"
 #include "storage/storage_manager.h"
 #include "stream/streaming_index.h"
-#include "stream/wal.h"
 
 namespace coconut {
 namespace palm {
 
 /// One logical *live stream* split by invSAX key range across K shards —
-/// the fusion of the two scale axes: each shard is a full, independent
-/// async streaming stack (its own StorageManager subdirectory, BufferPool,
-/// RawSeriesStore and inner CTree-TP / CLSM-BTP / CLSM-PP index), and each
+/// the fusion of the two scale axes. A ShardSet (shard_set.h) owns the
+/// shard stacks, routing, fan-out, id maps and gather, exactly as under the
+/// static ShardedIndex; this wrapper adds the global timestamp watermark
+/// and the per-shard write-ahead logs. Each shard is a full, independent
+/// async streaming stack (inner CTree-TP / CLSM-BTP / CLSM-PP), and each
 /// shard's seal/flush/merge cascades run FIFO on that shard's own
 /// SerialExecutor strand over the shared background pool. Temporal
 /// partitioning happens *inside* every shard as before, so the layout is
@@ -60,8 +55,6 @@ class ShardedStreamingIndex : public stream::StreamingIndex {
     /// wrapper owns sharding); must be an async-capable streaming cell.
     VariantSpec spec;
     size_t num_shards = 2;
-    /// Threads fanning queries across shards (0 = one per shard, cap 8).
-    size_t query_threads = 0;
     /// Per-shard buffer pool budget.
     size_t pool_bytes_per_shard = 4ull << 20;
   };
@@ -96,14 +89,20 @@ class ShardedStreamingIndex : public stream::StreamingIndex {
   Status FlushAll() override;
   Result<core::SearchResult> ApproxSearch(
       std::span<const float> query, const core::SearchOptions& options,
-      core::QueryCounters* counters) override;
+      core::QueryCounters* counters) override {
+    return shards_.Search(query, options, counters, /*exact=*/false);
+  }
   Result<core::SearchResult> ExactSearch(
       std::span<const float> query, const core::SearchOptions& options,
-      core::QueryCounters* counters) override;
-  uint64_t num_entries() const override;
+      core::QueryCounters* counters) override {
+    return shards_.Search(query, options, counters, /*exact=*/true);
+  }
+  uint64_t num_entries() const override { return shards_.num_entries(); }
   size_t num_partitions() const override;
-  uint64_t index_bytes() const override;
-  std::string describe() const override;
+  uint64_t index_bytes() const override { return shards_.index_bytes(); }
+  std::string describe() const override {
+    return shards_.describe("ShardedStream");
+  }
   stream::StreamingStats SnapshotStats() const override;
 
   /// Group-commits every shard's write-ahead log — the sharded ack gate.
@@ -124,113 +123,40 @@ class ShardedStreamingIndex : public stream::StreamingIndex {
   /// indexes (AdmitToShard → inner Ingest; cascades bump inside), so the
   /// wrapper needs no counter of its own.
   uint64_t snapshot_version() const override {
-    uint64_t total = 0;
-    for (const auto& shard : shards_) {
-      total += shard->index->snapshot_version();
-    }
-    return total;
+    return shards_.snapshot_version();
   }
 
   size_t num_shards() const { return shards_.size(); }
 
   /// The shard a series with these (z-normalized) values routes to —
   /// exposed so tests can replay the routing and build per-range oracles.
-  size_t ShardOf(std::span<const float> znorm_values) const;
+  size_t ShardOf(std::span<const float> znorm_values) const {
+    return shards_.ShardOf(znorm_values);
+  }
 
   /// Shard i's inner streaming index (tests compare per-shard partition
   /// sets bit-for-bit against unsharded references).
-  stream::StreamingIndex* shard(size_t i) { return shards_[i]->index.get(); }
+  stream::StreamingIndex* shard(size_t i) { return shards_[i].index.get(); }
 
   /// Per-shard progress snapshot (shard-local counters, shard-local
   /// percentiles).
   stream::StreamingStats ShardStats(size_t i) const {
-    return shards_[i]->index->SnapshotStats();
+    return shards_[i].index->SnapshotStats();
   }
 
-  /// Sum of every shard's I/O counters (per-shard counters are internally
-  /// thread-safe snapshot reads).
-  storage::IoStats AggregateIoStats() const;
+  /// Sum of every shard's I/O counters.
+  storage::IoStats AggregateIoStats() const {
+    return shards_.AggregateIoStats();
+  }
 
   /// All shards wrap the same spec, so one delegate answers for the group:
   /// the gather path reads each shard's epoch-published snapshot and the
   /// lock-free id map, never an admission lock.
   bool ConcurrentReadsSafe() const override {
-    return !shards_.empty() && shards_[0]->index->ConcurrentReadsSafe();
+    return shards_.size() > 0 && shards_[0].index->ConcurrentReadsSafe();
   }
 
  private:
-  /// Lock-free, grow-only map from shard-local raw-store ordinal to global
-  /// series id. A chunked spine (chunk k holds kBase << k slots, bases
-  /// contiguous) so growth never relocates published slots. The single
-  /// writer — serialized by the shard's ingest_mu — fills slot `local_id`
-  /// before the inner index publishes the entry that cites it, and a
-  /// reader only looks up ordinals it obtained from a published entry, so
-  /// the release/acquire pair on the inner index's admission count orders
-  /// every Set before the Get that needs it. Slot and spine stores are
-  /// atomic, so even an out-of-thin-air probe reads cleanly.
-  class IdMap {
-   public:
-    IdMap() = default;
-    IdMap(const IdMap&) = delete;
-    IdMap& operator=(const IdMap&) = delete;
-    ~IdMap() {
-      for (auto& slot : chunks_) {
-        delete[] slot.load(std::memory_order_relaxed);
-      }
-    }
-
-    /// Writer side; callers are serialized by the shard's admission lock.
-    void Set(uint64_t local_id, uint64_t global_id) {
-      const size_t c = ChunkIndex(local_id);
-      std::atomic<uint64_t>* chunk = chunks_[c].load(std::memory_order_acquire);
-      if (chunk == nullptr) {
-        chunk = new std::atomic<uint64_t>[ChunkCapacity(c)]();
-        chunks_[c].store(chunk, std::memory_order_release);
-      }
-      chunk[local_id - ChunkBase(c)].store(global_id,
-                                           std::memory_order_relaxed);
-    }
-
-    uint64_t Get(uint64_t local_id) const {
-      const size_t c = ChunkIndex(local_id);
-      std::atomic<uint64_t>* chunk = chunks_[c].load(std::memory_order_acquire);
-      return chunk[local_id - ChunkBase(c)].load(std::memory_order_relaxed);
-    }
-
-   private:
-    /// First chunk holds 1024 ids; 48 doubling chunks cover ~2.8e17.
-    static constexpr size_t kBaseBits = 10;
-    static constexpr size_t kMaxChunks = 48;
-
-    /// Chunk k covers [kBase*(2^k - 1), kBase*(2^(k+1) - 1)).
-    static size_t ChunkIndex(uint64_t id) {
-      return static_cast<size_t>(std::bit_width((id >> kBaseBits) + 1)) - 1;
-    }
-    static uint64_t ChunkBase(size_t c) {
-      return ((uint64_t{1} << c) - 1) << kBaseBits;
-    }
-    static size_t ChunkCapacity(size_t c) { return size_t{1} << (kBaseBits + c); }
-
-    std::array<std::atomic<std::atomic<uint64_t>*>, kMaxChunks> chunks_{};
-  };
-
-  struct Shard {
-    std::unique_ptr<storage::StorageManager> storage;
-    std::unique_ptr<storage::BufferPool> pool;
-    std::unique_ptr<core::RawSeriesStore> raw;
-    /// Per-shard write-ahead log (durable streams only). Declared before
-    /// the index, which holds a raw pointer to it, so it outlives the
-    /// index's destructor.
-    std::unique_ptr<stream::Wal> wal;
-    std::unique_ptr<stream::StreamingIndex> index;
-    /// Shard-local raw-store ordinal -> global series id; lock-free so the
-    /// gather never waits on a backpressure-blocked admission.
-    IdMap local_to_global;
-    /// Serializes this shard's admission path (raw append + inner Ingest +
-    /// id-map append must agree on the local ordinal).
-    std::mutex ingest_mu;
-  };
-
   explicit ShardedStreamingIndex(Options options)
       : options_(std::move(options)) {}
 
@@ -246,14 +172,8 @@ class ShardedStreamingIndex : public stream::StreamingIndex {
   Status AdmitToShard(uint64_t series_id,
                       std::span<const float> znorm_values, int64_t timestamp);
 
-  Result<core::SearchResult> ScatterSearch(std::span<const float> query,
-                                           const core::SearchOptions& options,
-                                           core::QueryCounters* counters,
-                                           bool exact);
-
   Options options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<ThreadPool> query_pool_;  // Null when fan-out is serial.
+  ShardSet<stream::StreamingIndex> shards_;
 
   /// Global stream-order state: the timestamp policy must see one
   /// watermark across shards, or a regression straddling two shards would

@@ -69,8 +69,6 @@ const std::set<std::string> kSpecKnobs =
                                       "ads_leaf_capacity",
                                       "btp_merge_k",
                                       "num_shards",
-                                      "shard_build_threads",
-                                      "shard_query_threads",
                                       "timestamp_policy",
                                       "async_ingest",
                                       "max_inflight_seals",

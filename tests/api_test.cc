@@ -118,8 +118,6 @@ TEST(ApiRoundTrip, BuildIndexRequestEveryKnob) {
   request.spec.ads_leaf_capacity = 512;
   request.spec.btp_merge_k = 4;
   request.spec.num_shards = 4;
-  request.spec.shard_build_threads = 2;
-  request.spec.shard_query_threads = 3;
   request.spec.timestamp_policy = stream::TimestampPolicy::kClamp;
   request.spec.async_ingest = true;
   request.spec.max_inflight_seals = 6;
@@ -349,6 +347,22 @@ TEST(ApiParse, UnknownFieldsAreRejected) {
   s = ParseError<BuildIndexRequest>(
       "{\"index\":\"i\",\"dataset\":\"d\",\"spec\":{\"familly\":\"ads\"}}");
   EXPECT_NE(s.message().find("unknown field 'familly'"), std::string::npos);
+}
+
+// The shard thread counts are fixed (one build thread per shard, query
+// fan-out min(K, 8)); a spec that still names either retired key is
+// refused like any other unknown field, not silently ignored.
+TEST(ApiParse, RetiredShardThreadKeysAreRejected) {
+  for (const std::string key :
+       {"shard_build_threads", "shard_query_threads"}) {
+    const Status s = ParseError<BuildIndexRequest>(
+        "{\"index\":\"i\",\"dataset\":\"d\",\"spec\":{\"" + key +
+        "\":2}}");
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << key;
+    EXPECT_NE(s.message().find("unknown field '" + key + "'"),
+              std::string::npos)
+        << s.message();
+  }
 }
 
 TEST(ApiParse, WrongTypesAreRejected) {
