@@ -84,6 +84,8 @@ void RunQuery(benchmark::State& state, palm::IndexFamily family,
       static_cast<double>(io.total_reads()) * per_query;
   state.counters["raw_fetches_per_query"] =
       static_cast<double>(counters.raw_fetches) * per_query;
+  state.counters["entries_examined_per_query"] =
+      static_cast<double>(counters.entries_examined) * per_query;
   state.counters["leaves_pruned_per_query"] =
       static_cast<double>(counters.leaves_pruned) * per_query;
   state.counters["access_locality"] =

@@ -283,25 +283,20 @@ series::SaxRegion AdsIndex::NodeRegion(const AdsNode& node) const {
 Status AdsIndex::EvaluateLeaf(const AdsNode& leaf,
                               const seqtable::SearchContext& ctx,
                               const SearchOptions& options,
-                              int max_verifications, SearchResult* best) {
+                              int max_verifications,
+                              seqtable::KnnCollector* collector) {
   std::vector<IndexEntry> entries;
   std::vector<float> payloads;
   COCONUT_RETURN_NOT_OK(LoadLeafEntries(leaf, &entries, &payloads));
   if (ctx.counters != nullptr) ++ctx.counters->leaves_visited;
   return seqtable::EvaluateCandidates(ctx, options, entries, payloads,
-                                      options_.materialized,
-                                      max_verifications, best);
+                                      max_verifications, collector);
 }
 
-Result<SearchResult> AdsIndex::ApproxSearch(std::span<const float> query,
-                                            const SearchOptions& options,
-                                            core::QueryCounters* counters) {
-  SearchResult best;
-  if (root_children_.empty()) return best;
-
-  std::vector<float> paa_storage;
-  seqtable::SearchContext ctx = seqtable::MakeSearchContext(
-      options_.sax, query, &paa_storage, raw_, counters);
+Status AdsIndex::ApproxPass(const seqtable::SearchContext& ctx,
+                            const SearchOptions& options,
+                            seqtable::KnnCollector* best) {
+  if (root_children_.empty()) return Status::OK();
   const SaxWord word = series::ComputeSaxFromPaa(ctx.query_paa, options_.sax);
 
   AdsNode* leaf = DescendToLeaf(word, /*create_root=*/false);
@@ -329,115 +324,68 @@ Result<SearchResult> AdsIndex::ApproxSearch(std::span<const float> query,
     }
     leaf = fallback;
   }
-  if (leaf == nullptr) return best;
-  COCONUT_RETURN_NOT_OK(EvaluateLeaf(*leaf, ctx, options,
-                                     options.approx_candidates, &best));
-  return best;
+  if (leaf == nullptr) return Status::OK();
+  return EvaluateLeaf(*leaf, ctx, options, options.approx_candidates, best);
+}
+
+Status AdsIndex::BestFirstWalk(const seqtable::SearchContext& ctx,
+                               const SearchOptions& options,
+                               seqtable::KnnCollector* collector) {
+  using Item = std::pair<double, AdsNode*>;
+  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
+  auto push = [&](AdsNode* node) {
+    heap.emplace(
+        series::MinDistSquared(ctx.query_paa, NodeRegion(*node), options_.sax),
+        node);
+  };
+  for (auto& [mask, child] : root_children_) push(child.get());
+  while (!heap.empty()) {
+    auto [lb, node] = heap.top();
+    heap.pop();
+    if (lb >= collector->bound()) break;  // Everything else is farther.
+    if (node->is_leaf) {
+      COCONUT_RETURN_NOT_OK(EvaluateLeaf(*node, ctx, options,
+                                         /*max_verifications=*/-1, collector));
+    } else {
+      push(node->child0.get());
+      push(node->child1.get());
+    }
+  }
+  return Status::OK();
+}
+
+Result<SearchResult> AdsIndex::ApproxSearch(std::span<const float> query,
+                                            const SearchOptions& options,
+                                            core::QueryCounters* counters) {
+  std::vector<float> paa_storage;
+  const seqtable::SearchContext ctx = seqtable::MakeSearchContext(
+      options_.sax, query, &paa_storage, raw_, counters);
+  seqtable::KnnCollector best(1);
+  COCONUT_RETURN_NOT_OK(ApproxPass(ctx, options, &best));
+  return best.Nearest();
 }
 
 Result<SearchResult> AdsIndex::ExactSearch(std::span<const float> query,
                                            const SearchOptions& options,
                                            core::QueryCounters* counters) {
-  COCONUT_ASSIGN_OR_RETURN(SearchResult best,
-                           ApproxSearch(query, options, counters));
-  if (root_children_.empty()) return best;
-
   std::vector<float> paa_storage;
-  seqtable::SearchContext ctx = seqtable::MakeSearchContext(
+  const seqtable::SearchContext ctx = seqtable::MakeSearchContext(
       options_.sax, query, &paa_storage, raw_, counters);
-
-  using Item = std::pair<double, AdsNode*>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  for (auto& [mask, child] : root_children_) {
-    heap.emplace(series::MinDistSquared(ctx.query_paa, NodeRegion(*child),
-                                        options_.sax),
-                 child.get());
-  }
-  while (!heap.empty()) {
-    auto [lb, node] = heap.top();
-    heap.pop();
-    if (lb >= best.distance_sq) break;  // Everything else is farther.
-    if (node->is_leaf) {
-      COCONUT_RETURN_NOT_OK(
-          EvaluateLeaf(*node, ctx, options, /*max_verifications=*/-1, &best));
-    } else {
-      heap.emplace(series::MinDistSquared(ctx.query_paa,
-                                          NodeRegion(*node->child0),
-                                          options_.sax),
-                   node->child0.get());
-      heap.emplace(series::MinDistSquared(ctx.query_paa,
-                                          NodeRegion(*node->child1),
-                                          options_.sax),
-                   node->child1.get());
-    }
-  }
-  return best;
+  seqtable::KnnCollector best(1);
+  COCONUT_RETURN_NOT_OK(ApproxPass(ctx, options, &best));
+  COCONUT_RETURN_NOT_OK(BestFirstWalk(ctx, options, &best));
+  return best.Nearest();
 }
 
 Result<std::vector<SearchResult>> AdsIndex::KnnSearch(
     std::span<const float> query, size_t k, const SearchOptions& options,
     core::QueryCounters* counters) {
   if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  seqtable::KnnCollector collector(k);
-  if (root_children_.empty()) return collector.Take();
-
   std::vector<float> paa_storage;
-  seqtable::SearchContext ctx = seqtable::MakeSearchContext(
+  const seqtable::SearchContext ctx = seqtable::MakeSearchContext(
       options_.sax, query, &paa_storage, raw_, counters);
-
-  using Item = std::pair<double, AdsNode*>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  for (auto& [mask, child] : root_children_) {
-    heap.emplace(series::MinDistSquared(ctx.query_paa, NodeRegion(*child),
-                                        options_.sax),
-                 child.get());
-  }
-  const size_t len = options_.sax.series_length;
-  while (!heap.empty()) {
-    auto [lb, node] = heap.top();
-    heap.pop();
-    if (lb >= collector.bound()) break;
-    if (!node->is_leaf) {
-      heap.emplace(series::MinDistSquared(ctx.query_paa,
-                                          NodeRegion(*node->child0),
-                                          options_.sax),
-                   node->child0.get());
-      heap.emplace(series::MinDistSquared(ctx.query_paa,
-                                          NodeRegion(*node->child1),
-                                          options_.sax),
-                   node->child1.get());
-      continue;
-    }
-    std::vector<IndexEntry> entries;
-    std::vector<float> payloads;
-    COCONUT_RETURN_NOT_OK(LoadLeafEntries(*node, &entries, &payloads));
-    if (counters != nullptr) ++counters->leaves_visited;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (!options.window.Contains(entries[i].timestamp)) continue;
-      const SaxWord word =
-          series::DeinterleaveKey(entries[i].key, options_.sax);
-      if (series::MinDistSquaredToSax(ctx.query_paa, word, options_.sax) >=
-          collector.bound()) {
-        continue;
-      }
-      SearchResult candidate;
-      candidate.found = true;
-      candidate.series_id = entries[i].series_id;
-      candidate.timestamp = entries[i].timestamp;
-      if (options_.materialized) {
-        candidate.distance_sq = series::EuclideanSquaredEarlyAbandon(
-            query, std::span<const float>(payloads.data() + i * len, len),
-            collector.bound());
-      } else {
-        std::vector<float> fetched(len);
-        COCONUT_RETURN_NOT_OK(raw_->Get(entries[i].series_id, fetched));
-        if (counters != nullptr) ++counters->raw_fetches;
-        candidate.distance_sq = series::EuclideanSquaredEarlyAbandon(
-            query, fetched, collector.bound());
-      }
-      collector.Offer(candidate);
-    }
-  }
+  seqtable::KnnCollector collector(k);
+  COCONUT_RETURN_NOT_OK(BestFirstWalk(ctx, options, &collector));
   return collector.Take();
 }
 

@@ -119,7 +119,17 @@ class AdsIndex {
                          std::vector<float>* payloads) const;
   Status EvaluateLeaf(const AdsNode& leaf, const seqtable::SearchContext& ctx,
                       const core::SearchOptions& options,
-                      int max_verifications, core::SearchResult* best);
+                      int max_verifications, seqtable::KnnCollector* collector);
+  /// Descends to the query's leaf (or the closest subtree's) and
+  /// evaluates its best candidates: ApproxSearch's body, ExactSearch's seed.
+  Status ApproxPass(const seqtable::SearchContext& ctx,
+                    const core::SearchOptions& options,
+                    seqtable::KnnCollector* best);
+  /// Best-first node walk with MINDIST pruning against the collector's
+  /// bound, shared by ExactSearch (k=1) and KnnSearch.
+  Status BestFirstWalk(const seqtable::SearchContext& ctx,
+                       const core::SearchOptions& options,
+                       seqtable::KnnCollector* collector);
   series::SaxRegion NodeRegion(const AdsNode& node) const;
 
   storage::StorageManager* storage_;

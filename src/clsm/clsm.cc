@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "common/timer.h"
-#include "seqtable/table_search.h"
-#include "series/distance.h"
 #include "series/paa.h"
 #include "stream/wal.h"
 
@@ -582,63 +580,6 @@ Status Clsm::RetireFile(const std::string& name) {
   return storage_->RemoveFile(name);
 }
 
-Result<std::vector<SearchResult>> Clsm::KnnSearch(
-    std::span<const float> query, size_t k, const SearchOptions& options,
-    core::QueryCounters* counters) {
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-  stream::epoch::EpochGuard guard;
-  const QueryView view = CaptureView();
-  std::vector<float> paa_storage;
-  seqtable::SearchContext ctx = seqtable::MakeSearchContext(
-      options_.sax, query, &paa_storage, raw_, counters);
-  seqtable::KnnCollector collector(k);
-
-  // In-memory entries first (cheap, tightens the bound): the memtable and
-  // any flushes still in flight.
-  const size_t len = options_.sax.series_length;
-  auto offer_batch = [&](std::span<const IndexEntry> entries,
-                         std::span<const float> payloads) -> Status {
-    for (size_t i = 0; i < entries.size(); ++i) {
-      const IndexEntry& entry = entries[i];
-      if (!options.window.Contains(entry.timestamp)) continue;
-      const series::SaxWord word =
-          series::DeinterleaveKey(entry.key, options_.sax);
-      if (series::MinDistSquaredToSax(ctx.query_paa, word, options_.sax) >=
-          collector.bound()) {
-        continue;
-      }
-      SearchResult candidate;
-      candidate.found = true;
-      candidate.series_id = entry.series_id;
-      candidate.timestamp = entry.timestamp;
-      if (options_.materialized) {
-        candidate.distance_sq = series::EuclideanSquaredEarlyAbandon(
-            query, std::span<const float>(payloads.data() + i * len, len),
-            collector.bound());
-      } else {
-        std::vector<float> fetched(len);
-        COCONUT_RETURN_NOT_OK(raw_->Get(entry.series_id, fetched));
-        if (counters != nullptr) ++counters->raw_fetches;
-        candidate.distance_sq = series::EuclideanSquaredEarlyAbandon(
-            query, fetched, collector.bound());
-      }
-      collector.Offer(candidate);
-    }
-    return Status::OK();
-  };
-  COCONUT_RETURN_NOT_OK(offer_batch(view.memtable, view.memtable_payloads));
-  for (const auto& pending : view.snap->pending) {
-    COCONUT_RETURN_NOT_OK(offer_batch(pending->entries(), pending->payloads()));
-  }
-
-  for (const auto& level : *view.snap->runs) {
-    if (level == nullptr) continue;
-    COCONUT_RETURN_NOT_OK(
-        seqtable::ExactKnnScanTable(*level, ctx, options, &collector));
-  }
-  return collector.Take();
-}
-
 uint64_t Clsm::num_entries() const {
   stream::epoch::EpochGuard guard;
   const QuerySnapshot* snap = snapshot_.load(std::memory_order_acquire);
@@ -703,42 +644,45 @@ stream::StreamingStats Clsm::SnapshotStats() const {
   return stats;
 }
 
-Status Clsm::SearchMemtableEntries(std::span<const IndexEntry> entries,
-                                   std::span<const float> payloads,
-                                   const std::span<const float>& query,
-                                   const SearchOptions& options,
-                                   core::QueryCounters* counters,
-                                   int max_verifications, SearchResult* best) {
-  if (entries.empty()) return Status::OK();
-  std::vector<float> paa_storage;
-  seqtable::SearchContext ctx = seqtable::MakeSearchContext(
-      options_.sax, query, &paa_storage, raw_, counters);
-  return seqtable::EvaluateCandidates(ctx, options, entries, payloads,
-                                      options_.materialized,
-                                      max_verifications, best);
-}
-
 Status Clsm::ApproxPassOverSnapshot(const QueryView& view,
-                                    std::span<const float> query,
+                                    const seqtable::SearchContext& ctx,
                                     const SearchOptions& options,
-                                    core::QueryCounters* counters,
-                                    SearchResult* best) {
-  COCONUT_RETURN_NOT_OK(SearchMemtableEntries(
-      view.memtable, view.memtable_payloads, query, options, counters,
+                                    seqtable::KnnCollector* best) {
+  COCONUT_RETURN_NOT_OK(seqtable::EvaluateCandidates(
+      ctx, options, view.memtable, view.memtable_payloads,
       options.approx_candidates, best));
   for (const auto& pending : view.snap->pending) {
-    COCONUT_RETURN_NOT_OK(SearchMemtableEntries(
-        pending->entries(), pending->payloads(), query, options, counters,
+    COCONUT_RETURN_NOT_OK(seqtable::EvaluateCandidates(
+        ctx, options, pending->entries(), pending->payloads(),
         options.approx_candidates, best));
   }
-  std::vector<float> paa_storage;
-  seqtable::SearchContext ctx = seqtable::MakeSearchContext(
-      options_.sax, query, &paa_storage, raw_, counters);
   for (const auto& level : *view.snap->runs) {
     if (level == nullptr) continue;
     COCONUT_ASSIGN_OR_RETURN(SearchResult r,
                              seqtable::ApproxSearchTable(*level, ctx, options));
-    best->Improve(r);
+    best->Offer(r);
+  }
+  return Status::OK();
+}
+
+Status Clsm::ExactPassOverSnapshot(const QueryView& view,
+                                   const seqtable::SearchContext& ctx,
+                                   const SearchOptions& options,
+                                   seqtable::KnnCollector* collector) {
+  // In-memory entries first (cheap, tightens the bound): the memtable and
+  // any flushes still in flight.
+  COCONUT_RETURN_NOT_OK(seqtable::EvaluateCandidates(
+      ctx, options, view.memtable, view.memtable_payloads,
+      /*max_verifications=*/-1, collector));
+  for (const auto& pending : view.snap->pending) {
+    COCONUT_RETURN_NOT_OK(seqtable::EvaluateCandidates(
+        ctx, options, pending->entries(), pending->payloads(),
+        /*max_verifications=*/-1, collector));
+  }
+  for (const auto& level : *view.snap->runs) {
+    if (level == nullptr) continue;
+    COCONUT_RETURN_NOT_OK(
+        seqtable::ExactScanTable(*level, ctx, options, collector));
   }
   return Status::OK();
 }
@@ -748,40 +692,42 @@ Result<SearchResult> Clsm::ApproxSearch(std::span<const float> query,
                                         core::QueryCounters* counters) {
   stream::epoch::EpochGuard guard;
   const QueryView view = CaptureView();
-  SearchResult best;
-  COCONUT_RETURN_NOT_OK(
-      ApproxPassOverSnapshot(view, query, options, counters, &best));
-  return best;
+  std::vector<float> paa_storage;
+  const seqtable::SearchContext ctx = seqtable::MakeSearchContext(
+      options_.sax, query, &paa_storage, raw_, counters);
+  seqtable::KnnCollector best(1);
+  COCONUT_RETURN_NOT_OK(ApproxPassOverSnapshot(view, ctx, options, &best));
+  return best.Nearest();
 }
 
 Result<SearchResult> Clsm::ExactSearch(std::span<const float> query,
                                        const SearchOptions& options,
                                        core::QueryCounters* counters) {
   // One captured view serves the approximate seed and the exact scans, so
-  // both passes see the same entries even while ingestion races ahead. The
-  // best distance is shared across runs, so later runs prune harder.
+  // both passes see the same entries even while ingestion races ahead.
   stream::epoch::EpochGuard guard;
   const QueryView view = CaptureView();
-  SearchResult best;
-  COCONUT_RETURN_NOT_OK(
-      ApproxPassOverSnapshot(view, query, options, counters, &best));
   std::vector<float> paa_storage;
-  seqtable::SearchContext ctx = seqtable::MakeSearchContext(
+  const seqtable::SearchContext ctx = seqtable::MakeSearchContext(
       options_.sax, query, &paa_storage, raw_, counters);
-  COCONUT_RETURN_NOT_OK(SearchMemtableEntries(
-      view.memtable, view.memtable_payloads, query, options, counters,
-      /*max_verifications=*/-1, &best));
-  for (const auto& pending : view.snap->pending) {
-    COCONUT_RETURN_NOT_OK(SearchMemtableEntries(
-        pending->entries(), pending->payloads(), query, options, counters,
-        /*max_verifications=*/-1, &best));
-  }
-  for (const auto& level : *view.snap->runs) {
-    if (level == nullptr) continue;
-    COCONUT_RETURN_NOT_OK(
-        seqtable::ExactScanTable(*level, ctx, options, &best));
-  }
-  return best;
+  seqtable::KnnCollector best(1);
+  COCONUT_RETURN_NOT_OK(ApproxPassOverSnapshot(view, ctx, options, &best));
+  COCONUT_RETURN_NOT_OK(ExactPassOverSnapshot(view, ctx, options, &best));
+  return best.Nearest();
+}
+
+Result<std::vector<SearchResult>> Clsm::KnnSearch(
+    std::span<const float> query, size_t k, const SearchOptions& options,
+    core::QueryCounters* counters) {
+  if (k == 0) return Status::InvalidArgument("k must be >= 1");
+  stream::epoch::EpochGuard guard;
+  const QueryView view = CaptureView();
+  std::vector<float> paa_storage;
+  const seqtable::SearchContext ctx = seqtable::MakeSearchContext(
+      options_.sax, query, &paa_storage, raw_, counters);
+  seqtable::KnnCollector collector(k);
+  COCONUT_RETURN_NOT_OK(ExactPassOverSnapshot(view, ctx, options, &collector));
+  return collector.Take();
 }
 
 }  // namespace clsm

@@ -16,6 +16,7 @@
 #include "core/raw_store.h"
 #include "core/types.h"
 #include "seqtable/seq_table.h"
+#include "seqtable/table_search.h"
 #include "stream/buffer_gen.h"
 #include "stream/epoch.h"
 #include "stream/streaming_index.h"
@@ -299,19 +300,17 @@ class Clsm {
   /// one query view — ApproxSearch's whole body and ExactSearch's
   /// bound-tightening seed, so the two cannot drift.
   Status ApproxPassOverSnapshot(const QueryView& view,
-                                std::span<const float> query,
+                                const seqtable::SearchContext& ctx,
                                 const core::SearchOptions& options,
-                                core::QueryCounters* counters,
-                                core::SearchResult* best);
+                                seqtable::KnnCollector* best);
 
-  /// Evaluates a batch of in-memory entries against a query.
-  Status SearchMemtableEntries(std::span<const core::IndexEntry> entries,
-                               std::span<const float> payloads,
-                               const std::span<const float>& query,
+  /// The exact pass (memtable, in-flight flushes, then every run with the
+  /// shared bound, so later runs prune harder) — ExactSearch after its
+  /// seed, and KnnSearch's whole body.
+  Status ExactPassOverSnapshot(const QueryView& view,
+                               const seqtable::SearchContext& ctx,
                                const core::SearchOptions& options,
-                               core::QueryCounters* counters,
-                               int max_verifications,
-                               core::SearchResult* best);
+                               seqtable::KnnCollector* collector);
 
   storage::StorageManager* storage_;
   std::string prefix_;

@@ -180,7 +180,7 @@ Result<std::vector<SearchResult>> CTree::KnnSearch(
       options_.sax, query, &paa, raw_, counters);
   seqtable::KnnCollector collector(k);
   COCONUT_RETURN_NOT_OK(
-      seqtable::ExactKnnScanTable(*table_, ctx, options, &collector));
+      seqtable::ExactScanTable(*table_, ctx, options, &collector));
   return collector.Take();
 }
 

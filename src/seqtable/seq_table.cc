@@ -33,6 +33,20 @@ constexpr size_t kOffDirOffset = 48;
 constexpr size_t kOffMinTimestamp = 56;
 constexpr size_t kOffMaxTimestamp = 64;
 
+// Per-segment SAX bounding box of a leaf's entries (min_sym / max_sym).
+void SetBoundingBox(std::span<const IndexEntry> entries,
+                    const series::SaxConfig& sax, LeafMeta* meta) {
+  meta->min_sym.fill(0xFF);
+  meta->max_sym.fill(0);
+  for (const auto& entry : entries) {
+    const SaxWord word = series::DeinterleaveKey(entry.key, sax);
+    for (int s = 0; s < sax.num_segments; ++s) {
+      meta->min_sym[s] = std::min(meta->min_sym[s], word[s]);
+      meta->max_sym[s] = std::max(meta->max_sym[s], word[s]);
+    }
+  }
+}
+
 void EncodeDirEntry(const LeafMeta& meta, uint8_t* out) {
   std::memcpy(out, &meta.min_key.words[0], 8);
   std::memcpy(out + 8, &meta.min_key.words[1], 8);
@@ -158,15 +172,7 @@ Status SeqTableBuilder::FlushLeaf() {
   meta.min_key = leaf_entries_.front().key;
   meta.count = count;
   meta.page_no = directory_.size();
-  meta.min_sym.fill(0xFF);
-  meta.max_sym.fill(0);
-  for (const auto& entry : leaf_entries_) {
-    SaxWord word = series::DeinterleaveKey(entry.key, options_.sax);
-    for (int s = 0; s < options_.sax.num_segments; ++s) {
-      meta.min_sym[s] = std::min(meta.min_sym[s], word[s]);
-      meta.max_sym[s] = std::max(meta.max_sym[s], word[s]);
-    }
-  }
+  SetBoundingBox(leaf_entries_, options_.sax, &meta);
   directory_.push_back(meta);
 
   leaf_entries_.clear();
@@ -338,16 +344,8 @@ LeafMeta SeqTable::MetaFromView(const LeafView& view, uint64_t page_no) const {
   LeafMeta meta;
   meta.count = static_cast<uint32_t>(view.entries.size());
   meta.page_no = page_no;
-  meta.min_sym.fill(0xFF);
-  meta.max_sym.fill(0);
   if (!view.entries.empty()) meta.min_key = view.entries.front().key;
-  for (const auto& entry : view.entries) {
-    SaxWord word = series::DeinterleaveKey(entry.key, options_.sax);
-    for (int s = 0; s < options_.sax.num_segments; ++s) {
-      meta.min_sym[s] = std::min(meta.min_sym[s], word[s]);
-      meta.max_sym[s] = std::max(meta.max_sym[s], word[s]);
-    }
-  }
+  SetBoundingBox(view.entries, options_.sax, &meta);
   return meta;
 }
 

@@ -34,45 +34,15 @@ SearchContext MakeSearchContext(const series::SaxConfig& sax,
                                 core::RawSeriesStore* raw,
                                 core::QueryCounters* counters);
 
-/// Approximate search: probes the leaf whose key range contains the query
-/// key (the iSAX intuition: co-located summarizations are likely near
-/// neighbors), ranks its entries by MINDIST, and verifies the best
-/// `options.approx_candidates` candidates against the actual series.
-/// Widens to neighboring leaves when a time window filters everything out.
-Result<core::SearchResult> ApproxSearchTable(const SeqTable& table,
-                                             const SearchContext& ctx,
-                                             const core::SearchOptions& options);
-
-/// Exact-search continuation: skip-sequential scan of the whole leaf level.
-/// Leaves whose SAX bounding region lower-bounds above best-so-far are
-/// skipped without I/O; surviving entries are verified with early-abandon
-/// Euclidean distance. Improves `best` in place (callers seed it with an
-/// approximate answer; CLSM calls this once per level with a shared best).
-Status ExactScanTable(const SeqTable& table, const SearchContext& ctx,
-                      const core::SearchOptions& options,
-                      core::SearchResult* best);
-
-/// Verifies one candidate entry: fetches the series (payload or raw store),
-/// computes the true distance with early abandon against best->distance_sq,
-/// and improves *best. `payload` may be empty for non-materialized tables.
-Status VerifyCandidate(const SearchContext& ctx, const core::IndexEntry& entry,
-                       std::span<const float> payload,
-                       core::SearchResult* best);
-
-/// Evaluates a flat batch of entries (an in-memory buffer, an ADS+ leaf, a
-/// decoded page): filters by options.window, ranks by MINDIST, verifies the
-/// `max_verifications` most promising (all when < 0) with shared-bsf
-/// pruning. `payloads` holds entries.size()*series_length floats when
-/// `materialized`, else is ignored.
-Status EvaluateCandidates(const SearchContext& ctx,
-                          const core::SearchOptions& options,
-                          std::span<const core::IndexEntry> entries,
-                          std::span<const float> payloads, bool materialized,
-                          int max_verifications, core::SearchResult* best);
-
 /// Accumulates the k nearest neighbors during a search. The pruning bound
 /// is the distance of the current k-th best (infinite until k results are
 /// collected), so single-NN search is the k=1 special case.
+///
+/// The contract every scan relies on: bound() never rises, and Offer
+/// keeps a result exactly when it is strictly nearer than bound() (a
+/// repeated series id keeps only its nearer copy). For k=1 that is
+/// SearchResult::Improve, so a KnnCollector(1) seeded with an approximate
+/// answer is the 1-NN best-so-far.
 class KnnCollector {
  public:
   explicit KnnCollector(size_t k) : k_(k) {}
@@ -83,6 +53,10 @@ class KnnCollector {
   /// Offers one verified result; keeps it if it beats the k-th best.
   /// Duplicate series ids are collapsed (the closer one wins).
   void Offer(const core::SearchResult& result);
+
+  /// The nearest result held (not found while empty): the answer of a
+  /// k=1 search.
+  core::SearchResult Nearest() const;
 
   /// Results sorted by ascending distance.
   std::vector<core::SearchResult> Take();
@@ -96,13 +70,47 @@ class KnnCollector {
   std::vector<core::SearchResult> heap_;
 };
 
-/// Exact k-nearest-neighbors over a table: the same skip-sequential scan
-/// as ExactScanTable, pruning with the collector's k-th-best bound.
-/// Callers seed the collector across tables/partitions and Take() at the
-/// end; timestamps are filtered by options.window as usual.
-Status ExactKnnScanTable(const SeqTable& table, const SearchContext& ctx,
-                         const core::SearchOptions& options,
-                         KnnCollector* collector);
+/// The ranked entry scan: the one place a span of entries (a table leaf,
+/// an in-memory buffer, an ADS+ leaf) becomes verified answers. Entries
+/// outside options.window are skipped; every other entry counts in
+/// entries_examined and is ranked by its MINDIST lower bound. Candidates
+/// are then verified nearest-bound first, at most `max_verifications` of
+/// them (all when < 0), stopping at the first whose bound is not below
+/// collector->bound(): the bound never rises, so no later candidate can
+/// be kept. Each verification reads the series from `payloads` or, when
+/// `payloads` is empty (a non-materialized source), from ctx.raw (one
+/// raw_fetches each), then offers its early-abandoned distance.
+/// `payloads` holds entries.size() * series_length floats or none.
+Status EvaluateCandidates(const SearchContext& ctx,
+                          const core::SearchOptions& options,
+                          std::span<const core::IndexEntry> entries,
+                          std::span<const float> payloads,
+                          int max_verifications, KnnCollector* collector);
+
+/// Approximate search: probes the leaf whose key range contains the query
+/// key (the iSAX intuition: co-located summarizations are likely near
+/// neighbors), ranks its entries by MINDIST, and verifies the best
+/// `options.approx_candidates` candidates against the actual series.
+/// Widens to neighboring leaves when a time window filters everything out.
+Result<core::SearchResult> ApproxSearchTable(const SeqTable& table,
+                                             const SearchContext& ctx,
+                                             const core::SearchOptions& options);
+
+/// Exact-search continuation: skip-sequential scan of the whole leaf level.
+/// Leaves whose SAX bounding region lower-bounds at or above the
+/// collector's bound are skipped without I/O; every other leaf goes
+/// through EvaluateCandidates. Serves 1-NN and kNN alike: callers seed the
+/// collector (with an approximate answer, or with earlier runs and
+/// partitions) and share it across tables, so later tables prune harder.
+Status ExactScanTable(const SeqTable& table, const SearchContext& ctx,
+                      const core::SearchOptions& options,
+                      KnnCollector* collector);
+
+/// 1-NN form of the scan above: a KnnCollector(1) seeded with *best,
+/// whose answer is written back to *best.
+Status ExactScanTable(const SeqTable& table, const SearchContext& ctx,
+                      const core::SearchOptions& options,
+                      core::SearchResult* best);
 
 /// Multi-query exact-search continuation: ONE skip-sequential scan of the
 /// leaf level scores every query, so each leaf read, key deinterleave and
@@ -111,8 +119,10 @@ Status ExactKnnScanTable(const SeqTable& table, const SearchContext& ctx,
 /// share the table's SaxConfig (their counters may differ; a raw fetch
 /// shared by several queries is attributed to the first verifying one).
 /// Improves bests[q] in place, exactly like per-query ExactScanTable calls
-/// would — entries are verified in entry order rather than mindist-sorted
-/// order, which can only differ on exact distance ties.
+/// would. It stays in entry order rather than the ranked order of
+/// EvaluateCandidates: each query would rank the leaf differently, and
+/// walking it once is what lets one fetch serve every query that still
+/// needs the entry. The two orders can only differ on exact distance ties.
 Status ExactScanTableMulti(const SeqTable& table,
                            std::span<const SearchContext> ctxs,
                            const core::SearchOptions& options,

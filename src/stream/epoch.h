@@ -41,8 +41,10 @@ namespace epoch {
 /// Synchronize() is the full barrier: it advances the epoch, waits until
 /// every slot is idle or has re-entered at the new epoch, and drains all
 /// garbage retired before the call. DropIndex and index destructors use
-/// it so teardown never races a straggling reader, and so shutdown leaves
-/// nothing for ASan to flag.
+/// it so teardown never races a straggling reader.
+///
+/// The manager is never destroyed, so an index may be torn down at any
+/// point of static destruction.
 class EpochManager {
  public:
   /// The process-wide instance every index shares.
@@ -69,8 +71,6 @@ class EpochManager {
     return epoch_.load(std::memory_order_acquire);
   }
   size_t pending_retired() const;
-
-  ~EpochManager();
 
  private:
   friend class EpochGuard;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/timer.h"
-#include "seqtable/table_search.h"
 #include "series/paa.h"
 #include "stream/wal.h"
 
@@ -467,65 +466,45 @@ TemporalPartitioningIndex::CaptureView() const {
   return view;
 }
 
-Status TemporalPartitioningIndex::SearchUnsealedEntries(
-    std::span<const IndexEntry> entries, std::span<const float> payloads,
-    std::span<const float> query, const SearchOptions& options,
-    core::QueryCounters* counters, bool exact, SearchResult* best) const {
-  if (entries.empty()) return Status::OK();
-  std::vector<float> paa_storage;
-  seqtable::SearchContext ctx = seqtable::MakeSearchContext(
-      options_.sax, query, &paa_storage, raw_, counters);
-  return seqtable::EvaluateCandidates(
-      ctx, options, entries, payloads, options_.materialized,
-      exact ? -1 : options.approx_candidates, best);
-}
-
 Status TemporalPartitioningIndex::ApproxPassOverSnapshot(
-    const QueryView& view, std::span<const float> query,
-    const SearchOptions& options, core::QueryCounters* counters,
-    SearchResult* best) {
+    const QueryView& view, const seqtable::SearchContext& ctx,
+    const SearchOptions& options, seqtable::KnnCollector* best) {
   const QuerySnapshot& snap = *view.snap;
   // Newest data first: the unsealed tail, in-flight seals, then partitions
   // newest to oldest.
   if (snap.current_ads != nullptr && snap.ads_buffered > 0) {
     COCONUT_ASSIGN_OR_RETURN(
-        SearchResult r, snap.current_ads->ApproxSearch(query, options,
-                                                       counters));
-    best->Improve(r);
+        SearchResult r,
+        snap.current_ads->ApproxSearch(ctx.query, options, ctx.counters));
+    best->Offer(r);
   }
-  COCONUT_RETURN_NOT_OK(SearchUnsealedEntries(
-      view.buffer, view.buffer_payloads, query, options, counters,
-      /*exact=*/false, best));
+  COCONUT_RETURN_NOT_OK(seqtable::EvaluateCandidates(
+      ctx, options, view.buffer, view.buffer_payloads,
+      options.approx_candidates, best));
   for (auto it = snap.pending.rbegin(); it != snap.pending.rend(); ++it) {
-    COCONUT_RETURN_NOT_OK(SearchUnsealedEntries(
-        (*it)->entries(), (*it)->payloads(), query, options, counters,
-        /*exact=*/false, best));
+    COCONUT_RETURN_NOT_OK(seqtable::EvaluateCandidates(
+        ctx, options, (*it)->entries(), (*it)->payloads(),
+        options.approx_candidates, best));
   }
-  std::vector<float> paa_storage;
-  seqtable::SearchContext ctx = seqtable::MakeSearchContext(
-      options_.sax, query, &paa_storage, raw_, counters);
   for (auto it = snap.partitions->rbegin(); it != snap.partitions->rend();
        ++it) {
     const SealedPartition& p = **it;
     if (!options.window.Intersects(p.t_min, p.t_max)) {
-      if (counters != nullptr) ++counters->partitions_skipped;
+      if (ctx.counters != nullptr) ++ctx.counters->partitions_skipped;
       continue;
     }
-    if (counters != nullptr) ++counters->partitions_visited;
+    if (ctx.counters != nullptr) ++ctx.counters->partitions_visited;
     // Fully covered partitions skip per-entry timestamp checks.
     SearchOptions inner = options;
     if (options.window.Covers(p.t_min, p.t_max)) {
       inner.window = TimeWindow::All();
     }
-    if (p.table != nullptr) {
-      COCONUT_ASSIGN_OR_RETURN(
-          SearchResult r, seqtable::ApproxSearchTable(*p.table, ctx, inner));
-      best->Improve(r);
-    } else {
-      COCONUT_ASSIGN_OR_RETURN(SearchResult r,
-                               p.ads->ApproxSearch(query, inner, counters));
-      best->Improve(r);
-    }
+    COCONUT_ASSIGN_OR_RETURN(
+        SearchResult r,
+        p.table != nullptr
+            ? seqtable::ApproxSearchTable(*p.table, ctx, inner)
+            : p.ads->ApproxSearch(ctx.query, inner, ctx.counters));
+    best->Offer(r);
   }
   return Status::OK();
 }
@@ -538,10 +517,12 @@ Result<SearchResult> TemporalPartitioningIndex::ApproxSearch(
   // reference-count traffic.
   epoch::EpochGuard guard;
   const QueryView view = CaptureView();
-  SearchResult best;
-  COCONUT_RETURN_NOT_OK(
-      ApproxPassOverSnapshot(view, query, options, counters, &best));
-  return best;
+  std::vector<float> paa_storage;
+  const seqtable::SearchContext ctx = seqtable::MakeSearchContext(
+      options_.sax, query, &paa_storage, raw_, counters);
+  seqtable::KnnCollector best(1);
+  COCONUT_RETURN_NOT_OK(ApproxPassOverSnapshot(view, ctx, options, &best));
+  return best.Nearest();
 }
 
 Result<SearchResult> TemporalPartitioningIndex::ExactSearch(
@@ -552,28 +533,27 @@ Result<SearchResult> TemporalPartitioningIndex::ExactSearch(
   epoch::EpochGuard guard;
   const QueryView view = CaptureView();
   const QuerySnapshot& snap = *view.snap;
-  SearchResult best;
-  // Approximate pass (cheap, tightens the bound) over the snapshot.
-  COCONUT_RETURN_NOT_OK(
-      ApproxPassOverSnapshot(view, query, options, counters, &best));
   std::vector<float> paa_storage;
-  seqtable::SearchContext ctx = seqtable::MakeSearchContext(
+  const seqtable::SearchContext ctx = seqtable::MakeSearchContext(
       options_.sax, query, &paa_storage, raw_, counters);
+  seqtable::KnnCollector best(1);
+  // Approximate pass (cheap, tightens the bound) over the snapshot.
+  COCONUT_RETURN_NOT_OK(ApproxPassOverSnapshot(view, ctx, options, &best));
 
   // Exact pass: every intersecting source with the shared best-so-far.
   if (snap.current_ads != nullptr && snap.ads_buffered > 0) {
     COCONUT_ASSIGN_OR_RETURN(
         SearchResult r, snap.current_ads->ExactSearch(query, options,
                                                       counters));
-    best.Improve(r);
+    best.Offer(r);
   }
-  COCONUT_RETURN_NOT_OK(SearchUnsealedEntries(
-      view.buffer, view.buffer_payloads, query, options, counters,
-      /*exact=*/true, &best));
+  COCONUT_RETURN_NOT_OK(seqtable::EvaluateCandidates(
+      ctx, options, view.buffer, view.buffer_payloads,
+      /*max_verifications=*/-1, &best));
   for (auto it = snap.pending.rbegin(); it != snap.pending.rend(); ++it) {
-    COCONUT_RETURN_NOT_OK(SearchUnsealedEntries(
-        (*it)->entries(), (*it)->payloads(), query, options, counters,
-        /*exact=*/true, &best));
+    COCONUT_RETURN_NOT_OK(seqtable::EvaluateCandidates(
+        ctx, options, (*it)->entries(), (*it)->payloads(),
+        /*max_verifications=*/-1, &best));
   }
   for (auto it = snap.partitions->rbegin(); it != snap.partitions->rend();
        ++it) {
@@ -589,10 +569,10 @@ Result<SearchResult> TemporalPartitioningIndex::ExactSearch(
     } else {
       COCONUT_ASSIGN_OR_RETURN(SearchResult r,
                                p.ads->ExactSearch(query, inner, counters));
-      best.Improve(r);
+      best.Offer(r);
     }
   }
-  return best;
+  return best.Nearest();
 }
 
 uint64_t TemporalPartitioningIndex::num_entries() const {

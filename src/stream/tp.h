@@ -15,6 +15,7 @@
 #include "core/entry.h"
 #include "core/raw_store.h"
 #include "seqtable/seq_table.h"
+#include "seqtable/table_search.h"
 #include "stream/buffer_gen.h"
 #include "stream/epoch.h"
 #include "stream/streaming_index.h"
@@ -307,22 +308,13 @@ class TemporalPartitioningIndex : public StreamingIndex {
   /// kBlock waits on it until a seal retires or a background error lands.
   Status ApplyBackpressureLocked(std::unique_lock<std::mutex>* lock);
 
-  /// Evaluates in-memory entries (buffer generation or a pending seal).
-  Status SearchUnsealedEntries(std::span<const core::IndexEntry> entries,
-                               std::span<const float> payloads,
-                               std::span<const float> query,
-                               const core::SearchOptions& options,
-                               core::QueryCounters* counters, bool exact,
-                               core::SearchResult* best) const;
-
   /// The approximate pass (unsealed tail, in-flight seals, partitions
   /// newest to oldest) over one query view — ApproxSearch's whole body
   /// and ExactSearch's bound-tightening seed, so the two cannot drift.
   Status ApproxPassOverSnapshot(const QueryView& view,
-                                std::span<const float> query,
+                                const seqtable::SearchContext& ctx,
                                 const core::SearchOptions& options,
-                                core::QueryCounters* counters,
-                                core::SearchResult* best);
+                                seqtable::KnnCollector* best);
 
   storage::StorageManager* storage_;
   std::string prefix_;

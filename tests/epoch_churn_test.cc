@@ -1,4 +1,4 @@
-// The epoch-reclamation suite for the lock-free read path. Four layers:
+// The epoch-reclamation suite for the lock-free read path. Five layers:
 // (1) Unit: EpochManager mechanics — retire/synchronize ordering, a
 // parked reader pins its garbage, nested guards reclaim only after the
 // outermost exit, and a many-thread pointer-churn loop gives TSan and
@@ -12,11 +12,13 @@
 // background flusher parked on seal_test_hook and the producer blocked
 // at the max_inflight_seals cap, every stats surface and search must
 // still serve promptly from the published snapshot — none of them may
-// touch the admission lock. Runs under TSan and ASan (detect_leaks=1)
-// in CI.
+// touch the admission lock. (5) Exit: an index held in a static that
+// outlives the epoch manager's first use still retires cleanly at process
+// exit. Runs under TSan and ASan (detect_leaks=1) in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <condition_variable>
 #include <filesystem>
 #include <memory>
@@ -24,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "clsm/clsm.h"
 #include "common/thread_pool.h"
 #include "palm/api.h"
 #include "palm/factory.h"
@@ -515,6 +518,49 @@ TEST_F(EpochChurnTest, StatsAndSearchServeWhileFlusherParkedAtCap) {
   EXPECT_GT(final_stats.seals_completed, 0u);
   // The producer really did hit the cap: the block left a stall sample.
   EXPECT_FALSE(final_stats.stall_samples.empty());
+}
+
+// ------------------------------------------------------------ exit layer
+
+// The shutdown-order regression: an index held in a function-local static
+// that was built before the epoch manager's first use is destroyed after
+// the manager would be at exit, and its destructor still retires its
+// snapshot and synchronizes. The manager must outlive every static, so
+// the child exits cleanly instead of touching freed memory (a heap abort
+// in Release, heap-use-after-free under ASan).
+TEST(EpochShutdownDeathTest, IndexInStaticDestroyedAfterExitStillRetires) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        struct Holder {
+          std::unique_ptr<storage::StorageManager> storage;
+          std::unique_ptr<clsm::Clsm> lsm;
+          ~Holder() {
+            lsm.reset();
+            if (storage != nullptr) (void)storage->Clear();
+          }
+        };
+        static Holder holder;  // Constructed before the manager's first use.
+        holder.storage = storage::MakeTempStorage("epoch_exit").TakeValue();
+        holder.lsm = clsm::Clsm::Create(holder.storage.get(), "lsm",
+                                        {.sax = TestSax(),
+                                         .materialized = true,
+                                         .buffer_entries = 16},
+                                        nullptr, nullptr)
+                         .TakeValue();
+        {
+          // Enough series to flush twice: retires leave the manager's
+          // garbage list allocated.
+          const series::SeriesCollection data =
+              testutil::RandomWalkCollection(40, 64, 5);
+          for (size_t i = 0; i < data.size(); ++i) {
+            (void)holder.lsm->Insert(i, data[i], static_cast<int64_t>(i));
+          }
+          (void)holder.lsm->ApproxSearch(data[0], {}, nullptr);
+        }
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 }  // namespace

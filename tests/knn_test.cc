@@ -139,9 +139,29 @@ TEST_F(KnnTest, ClsmMatchesBruteForceTopK) {
   for (size_t k : {1u, 10u}) {
     auto query = testutil::NoisyCopy(collection_, 50, 0.5, 31);
     auto truth = BruteForceTopK(collection_, query, k);
-    auto got = lsm->KnnSearch(query, k, {}, nullptr).TakeValue();
+    core::QueryCounters counters;
+    auto got = lsm->KnnSearch(query, k, {}, &counters).TakeValue();
     ExpectMatchesTruth(got, truth, "CLSM k=" + std::to_string(k));
+    EXPECT_GT(counters.entries_examined, 0u);
+    EXPECT_GE(counters.entries_examined, counters.raw_fetches);
   }
+  // Fresh arrivals stay in the memtable; a window over them alone must
+  // still count every series it verifies as examined.
+  auto recent = testutil::RandomWalkCollection(40, 64, 77);
+  for (size_t j = 0; j < recent.size(); ++j) {
+    const uint64_t id = raw_->Append(recent[j]).TakeValue();
+    ASSERT_TRUE(lsm->Insert(id, recent[j], static_cast<int64_t>(id)).ok());
+  }
+  ASSERT_TRUE(raw_->Flush().ok());
+  ASSERT_EQ(lsm->buffered_entries(), recent.size());
+  core::SearchOptions opts;
+  opts.window = core::TimeWindow{600, 639};
+  auto query = testutil::NoisyCopy(recent, 7, 0.5, 32);
+  core::QueryCounters counters;
+  auto got = lsm->KnnSearch(query, 5, opts, &counters).TakeValue();
+  ExpectMatchesTruth(got, BruteForceTopK(recent, query, 5), "CLSM memtable");
+  EXPECT_GT(counters.entries_examined, 0u);
+  EXPECT_GE(counters.entries_examined, counters.raw_fetches);
 }
 
 TEST_F(KnnTest, AdsMatchesBruteForceTopK) {
@@ -156,8 +176,11 @@ TEST_F(KnnTest, AdsMatchesBruteForceTopK) {
   for (size_t k : {1u, 10u}) {
     auto query = testutil::NoisyCopy(collection_, 400, 0.5, 13);
     auto truth = BruteForceTopK(collection_, query, k);
-    auto got = ads->KnnSearch(query, k, {}, nullptr).TakeValue();
+    core::QueryCounters counters;
+    auto got = ads->KnnSearch(query, k, {}, &counters).TakeValue();
     ExpectMatchesTruth(got, truth, "ADS+ k=" + std::to_string(k));
+    EXPECT_GT(counters.entries_examined, 0u);
+    EXPECT_GE(counters.entries_examined, counters.raw_fetches);
   }
 }
 
