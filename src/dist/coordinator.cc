@@ -466,15 +466,10 @@ Result<api::IngestBatchReport> Coordinator::IngestBatch(
   std::vector<float> buf;
   for (size_t i = 0; i < request.batch.size(); ++i) {
     int64_t timestamp = request.timestamps[i];
-    if (policy == stream::TimestampPolicy::kStrict &&
-        timestamp < watermark) {
+    strict_reject = stream::ApplyTimestampPolicy(policy, watermark, &timestamp);
+    if (!strict_reject.ok()) {
       ++next_id;  // the rejected series burns its id, like the wrapper
-      strict_reject = Status::InvalidArgument(
-          "timestamp regression rejected by kStrict policy");
       break;
-    }
-    if (policy == stream::TimestampPolicy::kClamp) {
-      timestamp = std::max(timestamp, watermark);
     }
     buf.assign(request.batch[i].begin(), request.batch[i].end());
     series::ZNormalize(buf);

@@ -128,14 +128,8 @@ Status ShardedStreamingIndex::Ingest(uint64_t series_id,
     return AdmitToShard(series_id, znorm_values, timestamp);
   }
   std::lock_guard<std::mutex> lock(watermark_mu_);
-  if (options_.spec.timestamp_policy == stream::TimestampPolicy::kStrict &&
-      timestamp < last_timestamp_) {
-    return Status::InvalidArgument(
-        "timestamp regression rejected by kStrict policy");
-  }
-  if (options_.spec.timestamp_policy == stream::TimestampPolicy::kClamp) {
-    timestamp = std::max(timestamp, last_timestamp_);
-  }
+  COCONUT_RETURN_NOT_OK(stream::ApplyTimestampPolicy(
+      options_.spec.timestamp_policy, last_timestamp_, &timestamp));
   // The watermark commits only on successful admission: a refused entry
   // (surfaced background error, backpressure reject) must not tighten
   // what kStrict accepts next.

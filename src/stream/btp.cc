@@ -14,18 +14,10 @@ BoundedTemporalPartitioningIndex::Create(storage::StorageManager* storage,
                                          const BtpOptions& options,
                                          storage::BufferPool* pool,
                                          core::RawSeriesStore* raw) {
-  if (!options.sax.Valid()) {
-    return Status::InvalidArgument("invalid SaxConfig");
-  }
+  COCONUT_RETURN_NOT_OK(ValidateStreamOptions(
+      options.sax, options.buffer_entries, options.materialized, raw, "BTP"));
   if (options.merge_k < 2) {
     return Status::InvalidArgument("merge_k must be >= 2");
-  }
-  if (options.buffer_entries == 0) {
-    return Status::InvalidArgument("buffer_entries must be > 0");
-  }
-  if (!options.materialized && raw == nullptr) {
-    return Status::InvalidArgument(
-        "non-materialized BTP needs a raw store for verification");
   }
   Options topts;
   topts.sax = options.sax;
@@ -44,9 +36,10 @@ BoundedTemporalPartitioningIndex::Create(storage::StorageManager* storage,
 }
 
 int BoundedTemporalPartitioningIndex::max_size_class() const {
-  std::shared_ptr<const PartitionSet> parts = CurrentPartitions();
   int max_class = 0;
-  for (const auto& p : *parts) max_class = std::max(max_class, p->size_class);
+  for (const auto& p : CurrentPartitions()->partitions) {
+    max_class = std::max(max_class, p->size_class);
+  }
   return max_class;
 }
 
@@ -55,14 +48,15 @@ Status BoundedTemporalPartitioningIndex::AfterSeal() {
   // Partitions of one class are temporally adjacent (they were created in
   // stream order and merges preserve that order), so the merged partition's
   // time range is contiguous. This loop is the only partition-set mutator
-  // besides SealTask and is serialized with it, so the read-copy-publish
-  // below never loses a concurrent update.
+  // besides the seal step and is serialized with it, so the
+  // read-copy-publish below never loses a concurrent update.
   while (true) {
-    std::shared_ptr<const PartitionSet> parts = CurrentPartitions();
+    const std::shared_ptr<const PartitionSet> set = CurrentPartitions();
+    const Partitions& parts = set->partitions;
     // Count partitions per class.
     std::map<int, std::vector<size_t>> by_class;
-    for (size_t i = 0; i < parts->size(); ++i) {
-      by_class[(*parts)[i]->size_class].push_back(i);
+    for (size_t i = 0; i < parts.size(); ++i) {
+      by_class[parts[i]->size_class].push_back(i);
     }
     int merge_class = -1;
     for (const auto& [cls, indices] : by_class) {
@@ -80,9 +74,9 @@ Status BoundedTemporalPartitioningIndex::AfterSeal() {
     int64_t t_min = INT64_MAX;
     int64_t t_max = INT64_MIN;
     for (size_t idx : chosen) {
-      inputs.push_back((*parts)[idx]->table.get());
-      t_min = std::min(t_min, (*parts)[idx]->t_min);
-      t_max = std::max(t_max, (*parts)[idx]->t_max);
+      inputs.push_back(parts[idx]->table.get());
+      t_min = std::min(t_min, parts[idx]->t_min);
+      t_max = std::max(t_max, parts[idx]->t_max);
     }
 
     seqtable::SeqTableOptions topts;
@@ -107,19 +101,19 @@ Status BoundedTemporalPartitioningIndex::AfterSeal() {
     // and only then unlink the input files — queries holding the previous
     // snapshot keep reading through their open descriptors.
     std::vector<std::string> retired_names;
-    auto next = std::make_shared<PartitionSet>(*parts);
+    Partitions next = parts;
     const size_t insert_at = chosen.front();
     for (auto it = chosen.rbegin(); it != chosen.rend(); ++it) {
-      retired_names.push_back((*next)[*it]->name);
-      next->erase(next->begin() + *it);
+      retired_names.push_back(next[*it]->name);
+      next.erase(next.begin() + *it);
     }
-    next->insert(next->begin() + insert_at, std::move(merged_partition));
-    PublishPartitions(std::move(next), /*retired_pending=*/nullptr,
-                      /*count_seal=*/false, /*merges_delta=*/1);
+    next.insert(next.begin() + insert_at, std::move(merged_partition));
+    PublishPartitions(std::move(next), /*retired=*/nullptr,
+                      /*merges_delta=*/1);
     for (const std::string& name : retired_names) {
       // Deferred to the next durable checkpoint when a WAL is attached:
       // the last checkpoint on disk may still reference these inputs.
-      COCONUT_RETURN_NOT_OK(RetireFile(name));
+      COCONUT_RETURN_NOT_OK(core_.RetireFile(name));
     }
   }
 }

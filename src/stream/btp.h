@@ -55,7 +55,7 @@ class BoundedTemporalPartitioningIndex : public TemporalPartitioningIndex {
   /// Drain here, not just in the base: a background seal calls the
   /// virtual AfterSeal(), which must not race the vptr rewrite during
   /// destruction (Drain is reusable; the base draining again is a no-op).
-  ~BoundedTemporalPartitioningIndex() override { DrainBackground(); }
+  ~BoundedTemporalPartitioningIndex() override { core_.Drain(); }
 
   std::string describe() const override {
     return options_.materialized ? "CLSMFull-BTP" : "CLSM-BTP";

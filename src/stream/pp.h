@@ -30,14 +30,8 @@ class PostProcessingIndex : public StreamingIndex {
                 int64_t timestamp) override {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (policy_ == TimestampPolicy::kStrict &&
-          timestamp < last_timestamp_) {
-        return Status::InvalidArgument(
-            "timestamp regression rejected by kStrict policy");
-      }
-      if (policy_ == TimestampPolicy::kClamp) {
-        timestamp = std::max(timestamp, last_timestamp_);
-      }
+      COCONUT_RETURN_NOT_OK(
+          ApplyTimestampPolicy(policy_, last_timestamp_, &timestamp));
     }
     // Commit the watermark only after the entry is actually admitted — a
     // rejected insert (length mismatch, surfaced background error) must

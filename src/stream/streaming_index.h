@@ -34,6 +34,24 @@ enum class TimestampPolicy {
   kClamp,
 };
 
+/// The one timestamp-policy check: applies `policy` to `*timestamp`
+/// against `watermark`, the largest timestamp accepted so far. kStrict
+/// refuses a regression with a wire-stable message, kClamp raises it to
+/// the watermark, kPermissive leaves it. The caller commits the watermark
+/// only once the entry is admitted.
+inline Status ApplyTimestampPolicy(TimestampPolicy policy, int64_t watermark,
+                                   int64_t* timestamp) {
+  if (*timestamp >= watermark || policy == TimestampPolicy::kPermissive) {
+    return Status::OK();
+  }
+  if (policy == TimestampPolicy::kStrict) {
+    return Status::InvalidArgument(
+        "timestamp regression rejected by kStrict policy");
+  }
+  *timestamp = watermark;
+  return Status::OK();
+}
+
 /// What Ingest does when the index has hit its bounded-backpressure cap
 /// (VariantSpec::max_inflight_seals): every detached-but-unflushed buffer
 /// holds up to buffer_entries series in memory, so without a bound a
@@ -48,17 +66,16 @@ enum class BackpressurePolicy {
   kReject,
 };
 
-/// The stall/reject bookkeeping and blocking wait shared by every
-/// backpressured index — TP/BTP gate on their pending-seal list, CLSM on
-/// its pending-flush list, with identical semantics. The gate owns no
-/// lock: Block waits on the owner's state mutex, and the owner calls
-/// Notify() — still under that mutex — whenever a pending item retires or
-/// the background flusher records an error, so a blocked producer always
-/// wakes. Writers (Block/Reject) are serialized by the owner's mutex, but
-/// all *reads* (stalls/rejects/samples/percentiles) are lock-free: the
-/// counters are atomic and the sample window is a fixed array of atomic
-/// doubles, so stats snapshots never queue behind a backpressure-blocked
-/// ingest holding the admission path.
+/// The stall/reject bookkeeping and blocking wait of the streaming write
+/// core (stream::BufferedStream), which gates TP/BTP and CLSM admissions
+/// on its one pending-buffer list. The gate owns no lock: Block waits on
+/// the core's admission mutex, and the core calls Notify() — still under
+/// that mutex — whenever a pending buffer retires or a seal records an
+/// error, so a blocked producer always wakes. Writers (Block/Reject) are
+/// serialized by that mutex, but all *reads* (stalls/rejects/samples/
+/// percentiles) are lock-free: the counters are atomic and the sample
+/// window is a fixed array of atomic doubles, so stats snapshots never
+/// queue behind a backpressure-blocked ingest holding the admission path.
 class BackpressureGate {
  public:
   /// Counts and returns the structured refusal (one wire-stable message
@@ -139,8 +156,9 @@ class BackpressureGate {
 };
 
 /// Consistent view of a streaming index's progress, safe to read while
-/// other threads ingest and background tasks seal/merge (taken under the
-/// index's state lock, like StorageManager::SnapshotIoStats).
+/// other threads ingest and background tasks seal/merge. Lock-free: served
+/// from the index's epoch-published snapshot plus atomic gate counters, so
+/// it never waits behind a backpressure-blocked producer.
 struct StreamingStats {
   /// Entries acknowledged by Ingest (buffered + in-flight + sealed).
   uint64_t entries = 0;
@@ -303,21 +321,11 @@ class StreamingIndex {
   /// admission and every background publication (seal, flush, merge
   /// cascade) that changes the queryable partition set. Equal reads
   /// bracketing a query prove it ran against one stable snapshot; the
-  /// service-layer answer cache keys validity on this. Wrappers that
-  /// delegate all mutation to an inner structure override this to forward
-  /// (or sum, for sharded fan-outs — sound because components only grow).
-  virtual uint64_t snapshot_version() const {
-    return snapshot_version_.load(std::memory_order_acquire);
-  }
-
- protected:
-  /// Marks a mutation; thread-safe, called at admission/publication sites.
-  void BumpSnapshotVersion() {
-    snapshot_version_.fetch_add(1, std::memory_order_acq_rel);
-  }
-
- private:
-  std::atomic<uint64_t> snapshot_version_{0};
+  /// service-layer answer cache keys validity on this. TP/BTP forward the
+  /// write core's stamp, PP its inner index's, and the sharded wrapper
+  /// sums its shards' (sound because components only grow). The default
+  /// serves indexes with no queryable state to version.
+  virtual uint64_t snapshot_version() const { return 0; }
 };
 
 }  // namespace stream

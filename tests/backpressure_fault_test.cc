@@ -131,17 +131,38 @@ class BackpressureFaultTest : public ::testing::Test {
   series::SeriesCollection collection_{kLength};
 };
 
+/// One buffering stream mode. TP/BTP and CLSM share one write core, so
+/// the cap, the policies and every ordinal below must hold for each.
+struct StreamCase {
+  const char* name;
+  IndexFamily family;
+  StreamMode mode;
+};
+
+class BackpressureParityTest
+    : public BackpressureFaultTest,
+      public ::testing::WithParamInterface<StreamCase> {
+ protected:
+  VariantSpec Spec(size_t cap, BackpressurePolicy policy,
+                   ThreadPool* background) {
+    VariantSpec spec = TpSpec(cap, policy, background);
+    spec.family = GetParam().family;
+    spec.mode = GetParam().mode;
+    return spec;
+  }
+};
+
 // kBlock under a parked flusher: seals_inflight never exceeds the cap
 // (that is the memory bound — each in-flight seal pins buffer_entries
 // series), the producer stalls on the exact admission that would bust it,
 // and resumes to completion once the flusher runs again.
-TEST_F(BackpressureFaultTest, BlockPolicyBoundsInflightSealsAndResumes) {
+TEST_P(BackpressureParityTest, BlockPolicyBoundsInflightSealsAndResumes) {
   ThreadPool pool(2);
   PoolThrottle throttle(&pool);
   throttle.Park();
 
-  auto stream = CreateStreamingIndex(TpSpec(2, BackpressurePolicy::kBlock,
-                                            &pool),
+  auto stream = CreateStreamingIndex(Spec(2, BackpressurePolicy::kBlock,
+                                          &pool),
                                      mgr_.get(), "block", nullptr,
                                      raw_.get())
                     .TakeValue();
@@ -203,14 +224,14 @@ TEST_F(BackpressureFaultTest, BlockPolicyBoundsInflightSealsAndResumes) {
 // returns ResourceExhausted (no hang, nothing admitted), repeated ingests
 // keep rejecting, and once the flusher drains the stream accepts again —
 // with everything admitted before/after the rejects answering exactly.
-TEST_F(BackpressureFaultTest,
+TEST_P(BackpressureParityTest,
        RejectPolicySurfacesResourceExhaustedWithoutCorruption) {
   ThreadPool pool(2);
   PoolThrottle throttle(&pool);
   throttle.Park();
 
-  auto stream = CreateStreamingIndex(TpSpec(1, BackpressurePolicy::kReject,
-                                            &pool),
+  auto stream = CreateStreamingIndex(Spec(1, BackpressurePolicy::kReject,
+                                          &pool),
                                      mgr_.get(), "reject", nullptr,
                                      raw_.get())
                     .TakeValue();
@@ -245,6 +266,9 @@ TEST_F(BackpressureFaultTest,
 
   throttle.Release();
   ASSERT_TRUE(stream->FlushAll().ok());
+  // Exactly the admitted prefix survives the drain; no rejected entry
+  // slipped in.
+  EXPECT_EQ(stream->num_entries(), admitted);
 
   // Recovered: the previously rejected entries are admissible now. A live
   // flusher can still lag a tight producer loop for a moment, so the
@@ -273,12 +297,12 @@ TEST_F(BackpressureFaultTest,
 // A *failing* background flush must not strand a blocked producer: the
 // error wakes the kBlock wait, surfaces through Ingest and FlushAll, and
 // the index refuses further work instead of corrupting.
-TEST_F(BackpressureFaultTest, FailingFlushUnblocksStalledIngest) {
+TEST_P(BackpressureParityTest, FailingFlushUnblocksStalledIngest) {
   ThreadPool pool(1);
   PoolThrottle throttle(&pool);
   throttle.Park();
 
-  VariantSpec spec = TpSpec(1, BackpressurePolicy::kBlock, &pool);
+  VariantSpec spec = Spec(1, BackpressurePolicy::kBlock, &pool);
   spec.seal_test_hook = [] {
     return Status::IoError("injected flush failure");
   };
@@ -315,47 +339,15 @@ TEST_F(BackpressureFaultTest, FailingFlushUnblocksStalledIngest) {
   EXPECT_EQ(after.code(), StatusCode::kIoError);
 }
 
-// The CLSM path (CLSM-PP routes Ingest into Clsm::Insert) enforces the
-// same cap/policy pair through its own pending-flush list.
-TEST_F(BackpressureFaultTest, ClsmRejectThroughPpWrapper) {
-  ThreadPool pool(1);
-  PoolThrottle throttle(&pool);
-  throttle.Park();
-
-  VariantSpec spec;
-  spec.sax = TestSax();
-  spec.family = IndexFamily::kClsm;
-  spec.mode = StreamMode::kPP;
-  spec.buffer_entries = 8;
-  spec.async_ingest = true;
-  spec.background_pool = &pool;
-  spec.max_inflight_seals = 1;
-  spec.backpressure_policy = BackpressurePolicy::kReject;
-  auto stream = CreateStreamingIndex(spec, mgr_.get(), "clsm", nullptr,
-                                     raw_.get())
-                    .TakeValue();
-  ASSERT_TRUE(testutil::FillRawStore(raw_.get(), collection_).ok());
-
-  size_t admitted = 0;
-  Status first_reject;
-  for (size_t i = 0; i < collection_.size(); ++i) {
-    const Status st =
-        stream->Ingest(i, collection_[i], static_cast<int64_t>(i));
-    if (!st.ok()) {
-      first_reject = st;
-      break;
-    }
-    ++admitted;
-  }
-  EXPECT_EQ(admitted, 15u);  // same arithmetic as the TP case
-  ASSERT_FALSE(first_reject.ok());
-  EXPECT_EQ(first_reject.code(), StatusCode::kResourceExhausted);
-  EXPECT_GE(stream->SnapshotStats().ingest_rejects, 1u);
-
-  throttle.Release();
-  ASSERT_TRUE(stream->FlushAll().ok());
-  EXPECT_EQ(stream->num_entries(), admitted);
-}
+INSTANTIATE_TEST_SUITE_P(
+    Modes, BackpressureParityTest,
+    ::testing::Values(
+        StreamCase{"CTreeTp", IndexFamily::kCTree, StreamMode::kTP},
+        StreamCase{"ClsmBtp", IndexFamily::kClsm, StreamMode::kBTP},
+        StreamCase{"ClsmPp", IndexFamily::kClsm, StreamMode::kPP}),
+    [](const ::testing::TestParamInfo<StreamCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // Sharded: the cap is per shard — each shard's flusher is an independent
 // strand — so K shards bound K × cap seals total, every shard

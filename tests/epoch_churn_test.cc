@@ -389,15 +389,15 @@ TEST_F(EpochChurnTest, ReaderHoldingGuardOutlivesIndexDestruction) {
   std::thread reader([&] {
     epoch::EpochGuard guard;
     const auto* snap = tp->snapshot_for_testing();
-    const uint64_t sealed = snap->entries_sealed;
-    const size_t parts = snap->partitions->size();
+    const uint64_t sealed = snap->sealed->entries;
+    const size_t parts = snap->sealed->partitions.size();
     EXPECT_EQ(sealed, 120u);
     entered.store(true, std::memory_order_release);
     while (!release.load(std::memory_order_acquire)) {
       // Every iteration re-reads the snapshot the index is trying to
       // reclaim: freed-too-early is a deterministic ASan hit.
-      EXPECT_EQ(snap->entries_sealed, sealed);
-      EXPECT_EQ(snap->partitions->size(), parts);
+      EXPECT_EQ(snap->sealed->entries, sealed);
+      EXPECT_EQ(snap->sealed->partitions.size(), parts);
       std::this_thread::yield();
     }
   });

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/adapters.h"
+#include "palm/factory.h"
 #include "stream/btp.h"
 #include "stream/pp.h"
 #include "stream/tp.h"
@@ -286,6 +287,60 @@ TEST_F(StreamTest, EmptyStreamFindsNothing) {
   EXPECT_FALSE(btp->ExactSearch(query, {}, nullptr).TakeValue().found);
   EXPECT_EQ(btp->num_entries(), 0u);
 }
+
+// ------------------------------------------------- failed sync seals
+
+// A synchronous seal that fails must leave the stream failed exactly as a
+// failed background seal does: FlushAll and the next Ingest report the
+// error, rather than FlushAll returning OK over a buffer never sealed.
+struct SealCase {
+  const char* name;
+  palm::StreamMode mode;
+  palm::IndexFamily family;
+};
+
+class SyncSealFailureTest : public StreamTest,
+                            public ::testing::WithParamInterface<SealCase> {};
+
+TEST_P(SyncSealFailureTest, FlushAllAndNextIngestReportTheError) {
+  palm::VariantSpec spec;
+  spec.sax = TestSax();
+  spec.mode = GetParam().mode;
+  spec.family = GetParam().family;
+  spec.buffer_entries = 8;
+  int failures = 1;
+  spec.seal_test_hook = [&failures] {
+    return failures-- > 0 ? Status::IoError("injected seal failure")
+                          : Status::OK();
+  };
+  auto stream = palm::CreateStreamingIndex(spec, mgr_.get(), "fail", nullptr,
+                                           raw_.get())
+                    .TakeValue();
+  auto collection = testutil::RandomWalkCollection(24, 64, 5);
+  ASSERT_TRUE(testutil::FillRawStore(raw_.get(), collection).ok());
+  for (size_t i = 0; i < 7; ++i) {
+    ASSERT_TRUE(
+        stream->Ingest(i, collection[i], static_cast<int64_t>(i)).ok());
+  }
+  // The 8th admission fills the buffer; its inline seal fails.
+  const Status sealed = stream->Ingest(7, collection[7], 7);
+  EXPECT_EQ(sealed.code(), StatusCode::kIoError);
+  EXPECT_EQ(stream->num_entries(), 8u);
+  const Status drained = stream->FlushAll();
+  EXPECT_EQ(drained.code(), StatusCode::kIoError);
+  const Status after = stream->Ingest(8, collection[8], 8);
+  EXPECT_EQ(after.code(), StatusCode::kIoError);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, SyncSealFailureTest,
+    ::testing::Values(
+        SealCase{"CTreeTp", palm::StreamMode::kTP, palm::IndexFamily::kCTree},
+        SealCase{"ClsmBtp", palm::StreamMode::kBTP, palm::IndexFamily::kClsm},
+        SealCase{"ClsmPp", palm::StreamMode::kPP, palm::IndexFamily::kClsm}),
+    [](const ::testing::TestParamInfo<SealCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace stream
