@@ -5,7 +5,10 @@
 // process CPU (the coordinator ships sub-batches to its shards as binary
 // frames either way); (B) query fan-out cost — closed-loop
 // query p50/p99 against a single-process service versus a coordinator
-// scatter-gathering over K in-process shard servers at K in {1,2,4}.
+// scatter-gathering over K in-process shard servers at K in {1,2,4}, from
+// one client (serial) and from 4 concurrent clients (throughput and
+// latency when queries overlap, which is where the coordinator's read
+// concurrency shows).
 // Everything (client, coordinator, shards) runs in this one process over
 // real loopback sockets, so RUSAGE_SELF captures the full path's CPU.
 //
@@ -20,6 +23,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/resource.h>
@@ -40,6 +44,7 @@ namespace {
 constexpr size_t kSeriesLength = 128;
 constexpr size_t kDatasetSeries = 2048;
 constexpr size_t kQueryPool = 64;
+constexpr size_t kConcurrentClients = 4;
 
 struct Options {
   size_t ingest_batches = 48;
@@ -249,40 +254,72 @@ IngestResult RunIngest(const Options& options, bool binary) {
 struct QueryResult {
   std::string topology;  // "single" or "coordinator"
   uint64_t shards = 0;
+  uint64_t clients = 0;
   uint64_t queries = 0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
+  double queries_per_second = 0.0;
 };
 
-/// Closed-loop query sweep against whatever server listens on `port`.
+/// Closed-loop query sweep against whatever server listens on `port`:
+/// `clients` connections, each sending its share of `count` queries back
+/// to back.
 QueryResult RunQueries(uint16_t port, const std::string& topology,
-                       size_t shards, size_t count,
+                       size_t shards, size_t clients, size_t count,
                        const std::vector<std::string>& bodies) {
-  palm::BlockingHttpClient client("127.0.0.1", port);
-  std::vector<double> latencies;
-  latencies.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto response = client.Post("/api/v1/query", bodies[i % bodies.size()]);
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    if (!response.ok() || response.value().status != 200) {
-      std::fprintf(stderr, "query (%s, k=%zu): %s\n", topology.c_str(), shards,
-                   response.ok() ? response.value().body.c_str()
-                                 : response.status().ToString().c_str());
-      std::exit(1);
+  std::vector<std::vector<double>> per_client(clients);
+  auto run_client = [&](size_t c) {
+    palm::BlockingHttpClient client("127.0.0.1", port);
+    for (size_t i = c; i < count; i += clients) {
+      const auto t0 = std::chrono::steady_clock::now();
+      auto response = client.Post("/api/v1/query", bodies[i % bodies.size()]);
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+      if (!response.ok() || response.value().status != 200) {
+        std::fprintf(stderr, "query (%s, k=%zu): %s\n", topology.c_str(),
+                     shards,
+                     response.ok() ? response.value().body.c_str()
+                                   : response.status().ToString().c_str());
+        std::exit(1);
+      }
+      per_client[c].push_back(ms);
     }
-    latencies.push_back(ms);
+  };
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> threads;
+  for (size_t c = 1; c < clients; ++c) threads.emplace_back(run_client, c);
+  run_client(0);
+  for (std::thread& thread : threads) thread.join();
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  std::vector<double> latencies;
+  for (const std::vector<double>& one : per_client) {
+    latencies.insert(latencies.end(), one.begin(), one.end());
   }
   std::sort(latencies.begin(), latencies.end());
   QueryResult result;
   result.topology = topology;
   result.shards = shards;
+  result.clients = clients;
   result.queries = count;
   result.p50_ms = PercentileOfSorted(latencies, 0.50);
   result.p99_ms = PercentileOfSorted(latencies, 0.99);
+  result.queries_per_second =
+      wall > 0.0 ? static_cast<double>(count) / wall : 0.0;
   return result;
+}
+
+/// The serial sweep, then the concurrent one, against one server.
+void RunQueryPhases(uint16_t port, const std::string& topology,
+                    size_t shards, size_t count,
+                    const std::vector<std::string>& bodies,
+                    std::vector<QueryResult>* serial,
+                    std::vector<QueryResult>* concurrent) {
+  serial->push_back(RunQueries(port, topology, shards, 1, count, bodies));
+  concurrent->push_back(RunQueries(port, topology, shards,
+                                   kConcurrentClients, count, bodies));
 }
 
 int Main(int argc, char** argv) {
@@ -308,6 +345,7 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<QueryResult> query_results;
+  std::vector<QueryResult> concurrent_results;
   {
     std::fprintf(stderr, "bench_dist: queries (single process)...\n");
     auto service =
@@ -325,8 +363,8 @@ int Main(int argc, char** argv) {
       return 1;
     }
     auto server = palm::HttpServer::Start(service.get(), {}).TakeValue();
-    query_results.push_back(RunQueries(server->port(), "single", 1,
-                                       options.queries, query_bodies));
+    RunQueryPhases(server->port(), "single", 1, options.queries,
+                   query_bodies, &query_results, &concurrent_results);
   }
   for (const size_t k : {size_t{1}, size_t{2}, size_t{4}}) {
     std::fprintf(stderr, "bench_dist: queries (coordinator, k=%zu)...\n", k);
@@ -345,8 +383,8 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr, "coordinator fixture failed (k=%zu)\n", k);
       return 1;
     }
-    query_results.push_back(RunQueries(cluster.port(), "coordinator", k,
-                                       options.queries, query_bodies));
+    RunQueryPhases(cluster.port(), "coordinator", k, options.queries,
+                   query_bodies, &query_results, &concurrent_results);
   }
 
   JsonWriter w;
@@ -377,18 +415,25 @@ int Main(int argc, char** argv) {
               ? static_cast<double>(binary_ingest.wire_bytes) /
                     static_cast<double>(json_ingest.wire_bytes)
               : 0.0);
-  w.Key("query");
-  w.BeginArray();
-  for (const QueryResult& r : query_results) {
-    w.BeginObject();
-    w.Field("topology", r.topology);
-    w.Field("shards", r.shards);
-    w.Field("queries", r.queries);
-    w.Field("p50_ms", r.p50_ms);
-    w.Field("p99_ms", r.p99_ms);
-    w.EndObject();
-  }
-  w.EndArray();
+  const auto write_queries = [&w](const char* key,
+                                  const std::vector<QueryResult>& results) {
+    w.Key(key);
+    w.BeginArray();
+    for (const QueryResult& r : results) {
+      w.BeginObject();
+      w.Field("topology", r.topology);
+      w.Field("shards", r.shards);
+      w.Field("clients", r.clients);
+      w.Field("queries", r.queries);
+      w.Field("p50_ms", r.p50_ms);
+      w.Field("p99_ms", r.p99_ms);
+      w.Field("queries_per_second", r.queries_per_second);
+      w.EndObject();
+    }
+    w.EndArray();
+  };
+  write_queries("query", query_results);
+  write_queries("query_concurrent", concurrent_results);
   w.EndObject();
   const std::string json = w.TakeString();
 

@@ -35,24 +35,28 @@ struct PreparedIndex {
 };
 
 PreparedIndex* Prepare(palm::IndexFamily family, bool materialized) {
-  // Cache one built index per (family, materialized) across benchmark runs.
-  static std::map<std::pair<int, bool>, std::unique_ptr<PreparedIndex>> cache;
-  auto key = std::make_pair(static_cast<int>(family), materialized);
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    auto prepared = std::make_unique<PreparedIndex>();
-    prepared->arena = Arena::Make("bench_query", 256);
+  // Keep only the most recent index: the repetitions of one case reuse it,
+  // and the next case frees it before building its own. An ADS+ index holds
+  // one open file per leaf, so two of them alive at once can exceed the
+  // process's file-descriptor limit.
+  static std::pair<int, bool> key;
+  static std::unique_ptr<PreparedIndex> current;
+  const auto wanted = std::make_pair(static_cast<int>(family), materialized);
+  if (current == nullptr || key != wanted) {
+    current.reset();
+    key = wanted;
+    current = std::make_unique<PreparedIndex>();
+    current->arena = Arena::Make("bench_query", 256);
     const auto& collection = AstroCollection(kCount);
-    prepared->arena.FillRaw(collection);
+    current->arena.FillRaw(collection);
     palm::VariantSpec spec;
     spec.sax = BenchSax();
     spec.family = family;
     spec.materialized = materialized;
     spec.buffer_entries = 4096;
-    prepared->index = BuildStatic(spec, &prepared->arena, collection);
-    it = cache.emplace(key, std::move(prepared)).first;
+    current->index = BuildStatic(spec, &current->arena, collection);
   }
-  return it->second.get();
+  return current.get();
 }
 
 void RunQuery(benchmark::State& state, palm::IndexFamily family,
@@ -125,14 +129,13 @@ palm::api::Service* DispatchService() {
     std::filesystem::remove_all(root);
     auto srv = palm::api::Service::Create(root).TakeValue();
     const auto& collection = AstroCollection(kDispatchCount);
-    if (!srv->RegisterDataset("astro", collection, nullptr).ok()) {
-      std::abort();
-    }
+    CheckOk(srv->RegisterDataset("astro", collection, nullptr).status(),
+            "RegisterDataset");
     palm::VariantSpec spec;
     spec.sax = BenchSax();
     spec.family = palm::IndexFamily::kCTree;
     spec.buffer_entries = 4096;
-    if (!srv->BuildIndex("ctree", spec, "astro").ok()) std::abort();
+    CheckOk(srv->BuildIndex("ctree", spec, "astro").status(), "BuildIndex");
     return srv;
   }();
   return service.get();

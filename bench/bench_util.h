@@ -1,11 +1,14 @@
 #ifndef COCONUT_BENCH_BENCH_UTIL_H_
 #define COCONUT_BENCH_BENCH_UTIL_H_
 
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "core/entry.h"
 #include "core/raw_store.h"
 #include "palm/factory.h"
@@ -22,6 +25,20 @@ inline series::SaxConfig BenchSax(int length = 256) {
                            .bits_per_segment = 8};
 }
 
+/// Benches have no error path: a failed setup step prints its status and
+/// aborts, so a failing run says which step failed and why.
+inline void CheckOk(const Status& status, const char* what) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "%s failed: %s\n", what, status.ToString().c_str());
+  std::abort();
+}
+
+template <class T>
+T ValueOrAbort(Result<T> result, const char* what) {
+  CheckOk(result.status(), what);
+  return result.TakeValue();
+}
+
 /// One isolated arena per measured index: storage manager + raw store.
 struct Arena {
   std::unique_ptr<storage::StorageManager> storage;
@@ -33,18 +50,20 @@ struct Arena {
 
   static Arena Make(const std::string& tag, int series_length) {
     Arena arena;
-    arena.storage = storage::MakeTempStorage(tag).TakeValue();
-    arena.raw = core::RawSeriesStore::Create(arena.storage.get(), "raw",
-                                             series_length)
-                    .TakeValue();
+    arena.storage =
+        ValueOrAbort(storage::MakeTempStorage(tag), "MakeTempStorage");
+    arena.raw = ValueOrAbort(
+        core::RawSeriesStore::Create(arena.storage.get(), "raw",
+                                     series_length),
+        "RawSeriesStore::Create");
     return arena;
   }
 
   void FillRaw(const series::SeriesCollection& collection) {
     for (size_t i = 0; i < collection.size(); ++i) {
-      raw->Append(collection[i]).TakeValue();
+      ValueOrAbort(raw->Append(collection[i]), "RawSeriesStore::Append");
     }
-    if (auto st = raw->Flush(); !st.ok()) std::abort();
+    CheckOk(raw->Flush(), "RawSeriesStore::Flush");
   }
 
   ~Arena() {
@@ -70,16 +89,15 @@ inline const series::SeriesCollection& AstroCollection(size_t count,
 inline std::unique_ptr<core::DataSeriesIndex> BuildStatic(
     const palm::VariantSpec& spec, Arena* arena,
     const series::SeriesCollection& collection) {
-  auto index = palm::CreateStaticIndex(spec, arena->storage.get(), "index",
-                                       nullptr, arena->raw.get())
-                   .TakeValue();
+  auto index = ValueOrAbort(
+      palm::CreateStaticIndex(spec, arena->storage.get(), "index", nullptr,
+                              arena->raw.get()),
+      "CreateStaticIndex");
   for (size_t i = 0; i < collection.size(); ++i) {
-    if (auto st = index->Insert(i, collection[i], static_cast<int64_t>(i));
-        !st.ok()) {
-      std::abort();
-    }
+    CheckOk(index->Insert(i, collection[i], static_cast<int64_t>(i)),
+            "DataSeriesIndex::Insert");
   }
-  if (auto st = index->Finalize(); !st.ok()) std::abort();
+  CheckOk(index->Finalize(), "DataSeriesIndex::Finalize");
   return index;
 }
 

@@ -192,6 +192,30 @@ class SerialExecutor {
   bool running_ = false;
 };
 
+/// The one fan-out loop: runs fn(i) for every i in [0, n), task i on
+/// `executor_of(i)` — a ThreadPool or a SerialExecutor strand, or inline
+/// when that returns null — and returns once all have finished. The
+/// per-call WaitGroup keeps concurrent callers of shared executors
+/// independent (ThreadPool::Wait would wait for everyone's tasks).
+template <class ExecutorOf>
+void RunOnEach(size_t n, const ExecutorOf& executor_of,
+               const std::function<void(size_t)>& fn) {
+  WaitGroup wg;
+  for (size_t i = 0; i < n; ++i) {
+    auto* executor = executor_of(i);
+    if (executor == nullptr) {
+      fn(i);
+      continue;
+    }
+    wg.Add();
+    executor->Submit([i, &wg, &fn] {
+      fn(i);
+      wg.Done();
+    });
+  }
+  wg.Wait();
+}
+
 /// Process-wide pool for background streaming work (seals, buffer flushes,
 /// merge cascades). Every async index that is not handed an explicit pool
 /// shares this one, so a server full of streams contends for a bounded set

@@ -1,37 +1,16 @@
 #include "dist/coordinator.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "common/json.h"
 #include "common/timer.h"
 #include "dist/binary_codec.h"
-#include "palm/shard_route.h"
 
 namespace coconut {
 namespace palm {
 namespace dist {
 
 namespace {
-
-template <typename T>
-Result<T> ParseShardBody(const ShardEndpoint& endpoint,
-                         const Result<std::string>& raw) {
-  if (!raw.ok()) return raw.status();
-  Result<JsonValue> parsed = JsonParse(raw.value());
-  if (!parsed.ok()) {
-    return Status::Internal("shard " + endpoint.ToString() +
-                            " returned malformed JSON: " +
-                            parsed.status().message());
-  }
-  Result<T> typed = T::FromJson(parsed.value());
-  if (!typed.ok()) {
-    return Status::Internal("shard " + endpoint.ToString() +
-                            " response did not parse: " +
-                            typed.status().message());
-  }
-  return typed;
-}
 
 /// Folds one shard's stream counters into the coordinator's report; the
 /// members IngestBatchReport and DrainStreamReport share (see
@@ -61,6 +40,12 @@ Coordinator::Coordinator(CoordinatorOptions options)
   for (const ShardEndpoint& endpoint : options_.shards) {
     shards_.push_back(
         std::make_unique<ShardClient>(endpoint, options_.client));
+  }
+  if (shards_.size() > 1) {
+    pool_ = std::make_unique<ThreadPool>(shards_.size());
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      strands_.push_back(std::make_unique<SerialExecutor>(pool_.get()));
+    }
   }
 }
 
@@ -113,44 +98,49 @@ Status Coordinator::CheckTopologySpec(const VariantSpec& spec) const {
   return Status::OK();
 }
 
-std::vector<Result<std::string>> Coordinator::Scatter(
+template <class Response>
+std::vector<Result<Response>> Coordinator::Scatter(
     const std::string& method,
     const std::vector<std::optional<std::string>>& params, bool idempotent) {
-  const bool binary = method == "ingest_batch_bin";
-  const size_t num_shards = shards_.size();
-  std::vector<Result<std::string>> results;
-  results.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    results.emplace_back(Status::Internal("shard not contacted"));
-  }
-  auto call_one = [&](size_t s) {
-    if (!params[s].has_value()) return;
-    results[s] = binary ? shards_[s]->CallBinaryIngest(*params[s])
-                        : shards_[s]->Call(method, *params[s], idempotent);
+  std::vector<Result<Response>> results(
+      shards_.size(),
+      Result<Response>(Status::Internal("shard not contacted")));
+  // A skipped shard's no-op runs inline rather than waking a worker.
+  auto strand_of = [&](size_t s) {
+    return strands_.empty() || !params[s].has_value() ? nullptr
+                                                       : strands_[s].get();
   };
-  if (num_shards == 1) {
-    call_one(0);
-    return results;
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) threads.emplace_back(call_one, s);
-  for (std::thread& thread : threads) thread.join();
+  RunOnEach(shards_.size(), strand_of, [&](size_t s) {
+    if (!params[s].has_value()) return;
+    ShardClient& shard = *shards_[s];
+    const Result<std::string> body =
+        method == "ingest_batch_bin"
+            ? shard.CallBinaryIngest(*params[s])
+            : shard.Call(method, *params[s], idempotent);
+    if (!body.ok()) {
+      results[s] = body.status();
+      return;
+    }
+    const Result<JsonValue> json = JsonParse(body.value());
+    results[s] = json.ok() ? Response::FromJson(json.value())
+                           : Result<Response>(json.status());
+    if (results[s].ok()) return;
+    results[s] = Status::Internal(
+        "shard " + shard.endpoint().ToString() +
+        (json.ok() ? " response did not parse: "
+                   : " returned malformed JSON: ") +
+        results[s].status().message());
+  });
   return results;
 }
 
-std::vector<Result<std::string>> Coordinator::ScatterSame(
-    const std::string& method, const std::string& params, bool idempotent) {
-  std::vector<std::optional<std::string>> per_shard(shards_.size(), params);
-  return Scatter(method, per_shard, idempotent);
-}
-
-void Coordinator::ScatterCleanup(
-    const std::string& method,
-    const std::vector<std::optional<std::string>>& params) {
-  // Unwind path: the primary error is already decided; a shard that also
-  // fails to clean up will surface on its next use instead.
-  (void)Scatter(method, params, /*idempotent=*/false);
+template <class Response>
+std::vector<Result<Response>> Coordinator::Scatter(const std::string& method,
+                                                   const std::string& params,
+                                                   bool idempotent) {
+  return Scatter<Response>(
+      method, std::vector<std::optional<std::string>>(shards_.size(), params),
+      idempotent);
 }
 
 // ------------------------------------------------------------- datasets
@@ -232,7 +222,7 @@ Result<api::BuildIndexReport> Coordinator::BuildIndex(
       return Status::AlreadyExists("index '" + request.index +
                                    "' already exists");
     }
-    handle = std::make_shared<DistHandle>();
+    handle = std::make_shared<DistHandle>(num_shards, NextVersion());
     handle->spec = request.spec;
     handle->streaming = false;
     handles_[request.index] = handle;  // reserved: building=true
@@ -258,7 +248,6 @@ Result<api::BuildIndexReport> Coordinator::BuildIndex(
     slice.timestamps.emplace();
     slices.push_back(std::move(slice));
   }
-  handle->local_to_global.assign(num_shards, {});
   std::vector<float> buf;
   for (size_t i = 0; i < dataset->data.size(); ++i) {
     buf.assign(dataset->data[i].begin(), dataset->data[i].end());
@@ -266,38 +255,39 @@ Result<api::BuildIndexReport> Coordinator::BuildIndex(
     const size_t s = ShardOfSeries(buf, request.spec.sax, num_shards);
     slices[s].data.Append(dataset->data[i]);
     slices[s].timestamps->push_back(dataset->timestamps[i]);
-    handle->local_to_global[s].push_back(i);
+    handle->ids[s].Set(handle->next_local[s]++, i);
   }
-  handle->has_index.assign(num_shards, false);
 
   std::vector<std::optional<std::string>> register_params(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     // An empty slice cannot be registered remotely (and an empty inner
     // shard answers every query with not-found anyway): skip the shard.
-    if (slices[s].data.size() == 0) continue;
-    register_params[s] = slices[s].ToJsonString();
-    handle->has_index[s] = true;
+    handle->has_index[s] = slices[s].data.size() != 0;
+    if (handle->has_index[s]) register_params[s] = slices[s].ToJsonString();
   }
-  std::vector<Result<std::string>> registered =
-      Scatter("register_dataset", register_params, /*idempotent=*/false);
+  std::vector<Result<api::RegisterDatasetResponse>> registered =
+      Scatter<api::RegisterDatasetResponse>("register_dataset", register_params,
+                                            /*idempotent=*/false);
+  api::DropDatasetRequest drop_dataset;
+  drop_dataset.dataset = request.dataset;
   std::vector<std::optional<std::string>> cleanup_dataset(num_shards);
-  const std::string drop_dataset_params =
-      [&] {
-        api::DropDatasetRequest drop;
-        drop.dataset = request.dataset;
-        return drop.ToJsonString();
-      }();
+  Status failure = Status::OK();
   for (size_t s = 0; s < num_shards; ++s) {
-    if (register_params[s].has_value() && registered[s].ok()) {
-      cleanup_dataset[s] = drop_dataset_params;
+    if (!register_params[s].has_value()) continue;
+    if (registered[s].ok()) {
+      cleanup_dataset[s] = drop_dataset.ToJsonString();
+    } else if (failure.ok()) {
+      failure = registered[s].status();
     }
   }
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (register_params[s].has_value() && !registered[s].ok()) {
-      ScatterCleanup("drop_dataset", cleanup_dataset);
-      unregister();
-      return registered[s].status();
-    }
+  // Unwind paths below scatter best-effort cleanups: the primary error is
+  // already decided, and a shard that also fails to clean up surfaces on
+  // its next use instead.
+  if (!failure.ok()) {
+    (void)Scatter<api::DropDatasetResponse>("drop_dataset", cleanup_dataset,
+                                            /*idempotent=*/false);
+    unregister();
+    return failure;
   }
 
   VariantSpec shard_spec = request.spec;
@@ -310,32 +300,26 @@ Result<api::BuildIndexReport> Coordinator::BuildIndex(
   for (size_t s = 0; s < num_shards; ++s) {
     if (handle->has_index[s]) build_params[s] = shard_build.ToJsonString();
   }
-  std::vector<Result<std::string>> built =
-      Scatter("build_index", build_params, /*idempotent=*/false);
+  std::vector<Result<api::BuildIndexReport>> built =
+      Scatter<api::BuildIndexReport>("build_index", build_params,
+                                     /*idempotent=*/false);
 
   api::BuildIndexReport report;
   report.index = request.index;
   report.variant = VariantName(request.spec);
   report.dataset = request.dataset;
   report.shards = num_shards;
-  Status failure = Status::OK();
+  api::DropIndexRequest drop_index;
+  drop_index.index = request.index;
   std::vector<std::optional<std::string>> cleanup_index(num_shards);
-  const std::string drop_index_params = [&] {
-    api::DropIndexRequest drop;
-    drop.index = request.index;
-    return drop.ToJsonString();
-  }();
   for (size_t s = 0; s < num_shards; ++s) {
     if (!build_params[s].has_value()) continue;
-    Result<api::BuildIndexReport> parsed =
-        ParseShardBody<api::BuildIndexReport>(shards_[s]->endpoint(),
-                                              built[s]);
-    if (!parsed.ok()) {
-      if (failure.ok()) failure = parsed.status();
+    if (!built[s].ok()) {
+      if (failure.ok()) failure = built[s].status();
       continue;
     }
-    cleanup_index[s] = drop_index_params;
-    const api::BuildIndexReport& shard_report = parsed.value();
+    cleanup_index[s] = drop_index.ToJsonString();
+    const api::BuildIndexReport& shard_report = built[s].value();
     report.entries += shard_report.entries;
     report.index_bytes += shard_report.index_bytes;
     report.total_bytes += shard_report.total_bytes;
@@ -343,9 +327,11 @@ Result<api::BuildIndexReport> Coordinator::BuildIndex(
   }
   // The staged copies served their purpose either way: each shard's index
   // owns its data now (or the build is being unwound).
-  ScatterCleanup("drop_dataset", cleanup_dataset);
+  (void)Scatter<api::DropDatasetResponse>("drop_dataset", cleanup_dataset,
+                                          /*idempotent=*/false);
   if (!failure.ok()) {
-    ScatterCleanup("drop_index", cleanup_index);
+    (void)Scatter<api::DropIndexResponse>("drop_index", cleanup_index,
+                                          /*idempotent=*/false);
     unregister();
     return failure;
   }
@@ -373,7 +359,7 @@ Result<api::CreateStreamResponse> Coordinator::CreateStream(
       return Status::AlreadyExists("index '" + request.stream +
                                    "' already exists");
     }
-    handle = std::make_shared<DistHandle>();
+    handle = std::make_shared<DistHandle>(num_shards, NextVersion());
     handle->spec = request.spec;
     handle->streaming = true;
     handles_[request.stream] = handle;
@@ -391,39 +377,32 @@ Result<api::CreateStreamResponse> Coordinator::CreateStream(
   api::CreateStreamRequest shard_create;
   shard_create.stream = request.stream;
   shard_create.spec = shard_spec;
-  std::vector<Result<std::string>> created =
-      ScatterSame("create_stream", shard_create.ToJsonString(),
-                  /*idempotent=*/false);
+  std::vector<Result<api::CreateStreamResponse>> created =
+      Scatter<api::CreateStreamResponse>(
+          "create_stream", shard_create.ToJsonString(), /*idempotent=*/false);
 
   api::CreateStreamResponse response;
   response.stream = request.stream;
   Status failure = Status::OK();
+  api::DropIndexRequest drop;
+  drop.index = request.stream;
   std::vector<std::optional<std::string>> cleanup(num_shards);
-  const std::string drop_params = [&] {
-    api::DropIndexRequest drop;
-    drop.index = request.stream;
-    return drop.ToJsonString();
-  }();
   for (size_t s = 0; s < num_shards; ++s) {
-    Result<api::CreateStreamResponse> parsed =
-        ParseShardBody<api::CreateStreamResponse>(shards_[s]->endpoint(),
-                                                  created[s]);
-    if (!parsed.ok()) {
-      if (failure.ok()) failure = parsed.status();
+    if (!created[s].ok()) {
+      if (failure.ok()) failure = created[s].status();
       continue;
     }
-    cleanup[s] = drop_params;
-    response.variant = parsed.value().variant;
+    cleanup[s] = drop.ToJsonString();
+    response.variant = created[s].value().variant;
   }
   if (!failure.ok()) {
-    ScatterCleanup("drop_index", cleanup);
+    (void)Scatter<api::DropIndexResponse>("drop_index", cleanup,
+                                          /*idempotent=*/false);
     std::unique_lock<std::shared_mutex> lock(mu_);
     handles_.erase(request.stream);
     return failure;
   }
 
-  handle->local_to_global.assign(num_shards, {});
-  handle->has_index.assign(num_shards, true);
   InvalidateCachedAnswers(request.stream);
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
@@ -449,7 +428,11 @@ Result<api::IngestBatchReport> Coordinator::IngestBatch(
   // semantics exactly: a kStrict regression burns its global id and
   // rejects with the wrapper's message (the already-routed prefix is
   // still shipped, as the single-process path keeps its admitted prefix);
-  // kClamp forwards the clamped timestamp.
+  // kClamp forwards the clamped timestamp. Each routed series' id-map slot
+  // is set here, before its sub-batch goes out, so a shard can never
+  // return an ordinal whose mapping a concurrent query cannot see. Slots
+  // past what a shard ends up admitting are overwritten by the next batch,
+  // which starts at that shard's ordinal base again.
   std::vector<api::IngestBatchRequest> sub;
   sub.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
@@ -458,7 +441,6 @@ Result<api::IngestBatchReport> Coordinator::IngestBatch(
     one.batch = series::SeriesCollection(handle->spec.sax.series_length);
     sub.push_back(std::move(one));
   }
-  std::vector<std::vector<uint64_t>> pending(num_shards);
   uint64_t next_id = handle->next_series_id;
   int64_t watermark = handle->last_timestamp;
   const stream::TimestampPolicy policy = handle->spec.timestamp_policy;
@@ -474,9 +456,9 @@ Result<api::IngestBatchReport> Coordinator::IngestBatch(
     buf.assign(request.batch[i].begin(), request.batch[i].end());
     series::ZNormalize(buf);
     const size_t s = ShardOfSeries(buf, handle->spec.sax, num_shards);
+    handle->ids[s].Set(handle->next_local[s] + sub[s].batch.size(), next_id++);
     sub[s].batch.Append(request.batch[i]);  // RAW — the shard normalizes
     sub[s].timestamps.push_back(timestamp);
-    pending[s].push_back(next_id++);
     if (policy != stream::TimestampPolicy::kPermissive) {
       watermark = std::max(watermark, timestamp);
     }
@@ -489,11 +471,12 @@ Result<api::IngestBatchReport> Coordinator::IngestBatch(
   for (size_t s = 0; s < num_shards; ++s) {
     params[s] = EncodeIngestFrame(sub[s]);
   }
-  std::vector<Result<std::string>> raw =
-      Scatter("ingest_batch_bin", params, /*idempotent=*/false);
+  std::vector<Result<api::IngestBatchReport>> replies =
+      Scatter<api::IngestBatchReport>("ingest_batch_bin", params,
+                                      /*idempotent=*/false);
 
-  // Pass 3 — gather. Mappings commit per shard for whatever prefix that
-  // shard admitted, so queries keep translating every series that IS
+  // Pass 3 — gather. Each shard's ordinal base advances past what that
+  // shard consumed, so queries keep translating every series that IS
   // ingested; global ids and the watermark commit regardless (burned ids
   // and a conservative watermark are the sharded contract).
   api::IngestBatchReport report;
@@ -502,19 +485,26 @@ Result<api::IngestBatchReport> Coordinator::IngestBatch(
   Status partial = Status::OK();
   uint64_t admitted_total = 0;
   for (size_t s = 0; s < num_shards; ++s) {
-    Result<api::IngestBatchReport> parsed =
-        ParseShardBody<api::IngestBatchReport>(shards_[s]->endpoint(),
-                                               raw[s]);
-    if (!parsed.ok()) {
-      if (failure.ok()) failure = parsed.status();
+    const uint64_t sent = sub[s].batch.size();
+    if (!replies[s].ok()) {
+      // A zero-progress 429 still burned the raw ordinal of the series
+      // the shard refused (see below); shard servers carry no quota, so
+      // a shard's 429 is always that backpressure refusal.
+      if (replies[s].status().code() == StatusCode::kResourceExhausted &&
+          sent > 0) {
+        ++handle->next_local[s];
+      }
+      if (failure.ok()) failure = replies[s].status();
       continue;
     }
-    const api::IngestBatchReport& shard_report = parsed.value();
-    const uint64_t sent = pending[s].size();
+    const api::IngestBatchReport& shard_report = replies[s].value();
     const uint64_t admitted = std::min<uint64_t>(shard_report.ingested, sent);
-    for (uint64_t j = 0; j < admitted; ++j) {
-      handle->local_to_global[s].push_back(pending[s][j]);
-    }
+    // A shard that stops short took the raw ordinal of the series it
+    // refused (Service::IngestBatch appends before its index admits), so
+    // that ordinal is consumed too; its slot keeps the refused series' id,
+    // which no answer ever cites — as ShardedStreamingIndex::AdmitToShard
+    // maps the ordinal of a refused admission.
+    handle->next_local[s] += admitted + (admitted < sent ? 1 : 0);
     admitted_total += admitted;
     if (admitted < sent && partial.ok()) {
       // The shard hit reject-mode backpressure mid-sub-batch and reported
@@ -532,7 +522,7 @@ Result<api::IngestBatchReport> Coordinator::IngestBatch(
   }
   handle->next_series_id = next_id;
   handle->last_timestamp = watermark;
-  ++handle->version;
+  handle->version = NextVersion();
 
   if (!failure.ok()) {
     if (failure.code() == StatusCode::kUnavailable) {
@@ -559,74 +549,77 @@ Result<api::DrainStreamReport> Coordinator::DrainStream(
   WallTimer timer;
   api::DrainStreamRequest shard_drain;
   shard_drain.stream = request.stream;
-  std::vector<Result<std::string>> raw = ScatterSame(
-      "drain_stream", shard_drain.ToJsonString(), /*idempotent=*/true);
+  std::vector<Result<api::DrainStreamReport>> replies =
+      Scatter<api::DrainStreamReport>(
+          "drain_stream", shard_drain.ToJsonString(), /*idempotent=*/true);
 
+  // Draining seals buffers and publishes partitions: the shard-side
+  // snapshot versions moved, so cached answers stamped before the drain
+  // must not be served after it — whether or not every shard drained.
+  handle->version = NextVersion();
   api::DrainStreamReport report;
   report.stream = request.stream;
   report.drained = true;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Result<api::DrainStreamReport> parsed =
-        ParseShardBody<api::DrainStreamReport>(shards_[s]->endpoint(),
-                                               raw[s]);
-    if (!parsed.ok()) {
-      ++handle->version;
-      if (parsed.status().code() == StatusCode::kUnavailable) {
+  for (const Result<api::DrainStreamReport>& reply : replies) {
+    if (!reply.ok()) {
+      if (reply.status().code() == StatusCode::kUnavailable) {
         return Status::Unavailable(
-            parsed.status().message() +
+            reply.status().message() +
             "; surviving shards may already be drained");
       }
-      return parsed.status();
+      return reply.status();
     }
-    const api::DrainStreamReport& shard_report = parsed.value();
+    const api::DrainStreamReport& shard_report = reply.value();
     report.drained = report.drained && shard_report.drained;
     FoldStreamStats(shard_report, &report);
     report.index_bytes += shard_report.index_bytes;
     report.total_bytes += shard_report.total_bytes;
   }
   report.drain_seconds = timer.ElapsedSeconds();
-  // Draining seals buffers and publishes partitions: the shard-side
-  // snapshot versions moved, so cached answers stamped before the drain
-  // must not be served after it.
-  ++handle->version;
   return report;
 }
 
 // -------------------------------------------------------------- queries
 
-Result<api::QueryReport> Coordinator::FoldShardReports(
-    const api::QueryRequest& request, DistHandle* handle,
-    const std::vector<std::pair<size_t, api::QueryReport>>& answers,
-    bool degraded) const {
+Result<api::QueryReport> Coordinator::Gather(
+    const api::QueryRequest& request, const DistHandle& handle,
+    const std::vector<Result<api::QueryReport>>& answers) const {
+  // Every shard has answered. If a drop raced this read, the shards may
+  // have answered for a recreated index of the same name, which the pinned
+  // handle's id maps do not describe: the read lost the race.
+  if (handle.building) {
+    return Status::NotFound("index '" + request.index + "' not found");
+  }
   api::QueryReport report;
   report.index = request.index;
   report.exact = request.exact;
-  report.degraded = degraded;
   api::QueryReport best;
-  for (const auto& [s, shard_report] : answers) {
+  bool answered = false;
+  Status unavailable = Status::OK();
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (!handle.has_index[s]) continue;
+    if (!answers[s].ok()) {
+      // Degraded reads serve the surviving key ranges, marked as such.
+      // Any other refusal — validation, not-found — is identical on every
+      // shard, so the first one stands in for all.
+      if (answers[s].status().code() == StatusCode::kUnavailable &&
+          options_.degraded_reads) {
+        report.degraded = true;
+        if (unavailable.ok()) unavailable = answers[s].status();
+        continue;
+      }
+      return answers[s].status();
+    }
+    const api::QueryReport& shard_report = answers[s].value();
+    answered = true;
     report.counters.Add(shard_report.counters);
     report.io.Add(shard_report.io);
-    if (!shard_report.found) continue;
-    if (shard_report.series_id >= handle->local_to_global[s].size()) {
-      // A shard holds series this coordinator never mapped (e.g. a
-      // recovered durable stream from a previous coordinator life):
-      // refuse rather than answer with a mistranslated id.
-      return Status::Internal(
-          "shard " + shards_[s]->endpoint().ToString() +
-          " returned local series id " +
-          std::to_string(shard_report.series_id) +
-          " outside the coordinator's id map (" +
-          std::to_string(handle->local_to_global[s].size()) +
-          " entries) — was the stream ingested through another "
-          "coordinator?");
-    }
-    api::QueryReport answer = shard_report;
-    answer.series_id = handle->local_to_global[s][shard_report.series_id];
-    // The in-process wrappers' gather rule (shard_route.h).
-    if (GatherPrefers<&api::QueryReport::distance>(answer, best)) {
-      best = std::move(answer);
-    }
+    COCONUT_RETURN_NOT_OK(GatherAnswer<&api::QueryReport::distance>(
+        handle.ids[s], shard_report, &best,
+        [&] { return "shard " + shards_[s]->endpoint().ToString(); }));
   }
+  // With no surviving range left there is nothing to serve.
+  if (report.degraded && !answered) return unavailable;
   report.found = best.found;
   if (best.found) {
     report.series_id = best.series_id;
@@ -647,59 +640,33 @@ Result<api::QueryReport> Coordinator::Query(const api::QueryRequest& request) {
     return Status::NotSupported(
         "heat maps are not captured for sharded indexes yet");
   }
+  // No handle lock: the fill bracket proves the scatter saw one version,
+  // and a degraded answer is never stamped (it covers a subset of the key
+  // space, and the version stays put when the dead shard comes back).
   api::CachedQuery cached(query_cache(), request);
-  if (std::optional<api::QueryReport> hit = cached.Probe(
-          [&] { return std::optional<uint64_t>(handle->version.load()); })) {
+  auto version = [&] { return handle->version.load(); };
+  if (std::optional<api::QueryReport> hit =
+          cached.Probe([&]() -> std::optional<uint64_t> {
+            if (handle->building) return std::nullopt;  // dropped
+            return version();
+          })) {
     return *std::move(hit);
   }
-  // The version only moves under the op mutex, so the fill bracket below
-  // is trivially equal; a degraded answer is never stamped (it covers a
-  // subset of the key space, and the version stays put when the dead
-  // shard comes back).
-  std::lock_guard<std::mutex> op_lock(handle->op_mutex);
-  return cached.Fill([&] { return handle->version.load(); },
-                     [&] { return QueryLocked(request, handle.get()); });
-}
-
-Result<api::QueryReport> Coordinator::QueryLocked(
-    const api::QueryRequest& request, DistHandle* handle) {
-  WallTimer timer;
-  const std::string params = request.ToJsonString();
-  std::vector<std::optional<std::string>> per_shard(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (handle->has_index[s]) per_shard[s] = params;
-  }
-  std::vector<Result<std::string>> raw =
-      Scatter("query", per_shard, /*idempotent=*/true);
-
-  std::vector<std::pair<size_t, api::QueryReport>> answers;
-  bool degraded = false;
-  Status unavailable = Status::OK();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!per_shard[s].has_value()) continue;
-    Result<api::QueryReport> parsed =
-        ParseShardBody<api::QueryReport>(shards_[s]->endpoint(), raw[s]);
-    if (!parsed.ok()) {
-      if (parsed.status().code() == StatusCode::kUnavailable &&
-          options_.degraded_reads) {
-        degraded = true;
-        if (unavailable.ok()) unavailable = parsed.status();
-        continue;
-      }
-      return parsed.status();
+  return cached.Fill(version, [&]() -> Result<api::QueryReport> {
+    WallTimer timer;
+    const std::string params = request.ToJsonString();
+    std::vector<std::optional<std::string>> per_shard(shards_.size());
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      if (handle->has_index[s]) per_shard[s] = params;
     }
-    answers.emplace_back(s, std::move(parsed.value()));
-  }
-  if (degraded && answers.empty()) {
-    // Degraded reads serve the SURVIVING ranges; with none left there is
-    // nothing to serve.
-    return unavailable;
-  }
-  COCONUT_ASSIGN_OR_RETURN(
-      api::QueryReport report,
-      FoldShardReports(request, handle, answers, degraded));
-  report.seconds = timer.ElapsedSeconds();
-  return report;
+    COCONUT_ASSIGN_OR_RETURN(
+        api::QueryReport report,
+        Gather(request, *handle,
+               Scatter<api::QueryReport>("query", per_shard,
+                                         /*idempotent=*/true)));
+    report.seconds = timer.ElapsedSeconds();
+    return report;
+  });
 }
 
 api::QueryBatchResponse Coordinator::QueryBatch(
@@ -710,6 +677,13 @@ api::QueryBatchResponse Coordinator::QueryBatch(
   if (num_queries == 0) return response;
   const size_t num_shards = shards_.size();
 
+  // Pin every entry's handle before the scatter, so each entry folds
+  // through the id maps of the handle its shards answered for (a drop
+  // racing the batch tombstones the pinned handle; see Gather).
+  std::vector<std::shared_ptr<DistHandle>> handles(num_queries);
+  for (size_t i = 0; i < num_queries; ++i) {
+    handles[i] = PinHandle(request.queries[i].index);
+  }
   // One scatter of the WHOLE batch per shard (not one RPC per query):
   // each shard runs its positions through its own batched scan path and
   // answers positionally. Heatmap captures are stripped before
@@ -719,91 +693,50 @@ api::QueryBatchResponse Coordinator::QueryBatch(
   for (api::QueryRequest& query : forwarded.queries) {
     query.capture_heatmap = false;
   }
-  std::vector<Result<std::string>> raw = ScatterSame(
-      "query_batch", forwarded.ToJsonString(), /*idempotent=*/true);
-
-  std::vector<std::optional<api::QueryBatchResponse>> shard_responses(
-      num_shards);
-  std::vector<Status> shard_status(num_shards, Status::OK());
+  std::vector<Result<api::QueryBatchResponse>> replies =
+      Scatter<api::QueryBatchResponse>(
+          "query_batch", forwarded.ToJsonString(), /*idempotent=*/true);
   for (size_t s = 0; s < num_shards; ++s) {
-    Result<api::QueryBatchResponse> parsed =
-        ParseShardBody<api::QueryBatchResponse>(shards_[s]->endpoint(),
-                                                raw[s]);
-    if (!parsed.ok()) {
-      shard_status[s] = parsed.status();
-      continue;
-    }
-    if (parsed.value().results.size() != num_queries) {
-      shard_status[s] = Status::Internal(
+    if (replies[s].ok() && replies[s].value().results.size() != num_queries) {
+      replies[s] = Status::Internal(
           "shard " + shards_[s]->endpoint().ToString() + " answered " +
-          std::to_string(parsed.value().results.size()) + " of " +
+          std::to_string(replies[s].value().results.size()) + " of " +
           std::to_string(num_queries) + " batched queries");
-      continue;
     }
-    shard_responses[s] = std::move(parsed.value());
   }
 
   for (size_t i = 0; i < num_queries; ++i) {
     const api::QueryRequest& query = request.queries[i];
     api::QueryBatchResponse::Entry& entry = response.results[i];
-    auto fail = [&entry](const Status& status) {
-      entry.ok = false;
-      entry.error = api::ApiError::FromStatus(status);
-    };
-    std::shared_ptr<DistHandle> handle = PinHandle(query.index);
-    if (handle == nullptr) {
-      fail(Status::NotFound("index '" + query.index + "' not found"));
-      continue;
-    }
-    if (query.capture_heatmap) {
-      fail(Status::NotSupported(
-          "heat maps are not captured for sharded indexes yet"));
-      continue;
-    }
-    std::vector<std::pair<size_t, api::QueryReport>> answers;
-    bool degraded = false;
-    Status unavailable = Status::OK();
-    Status failure = Status::OK();
-    std::lock_guard<std::mutex> op_lock(handle->op_mutex);
-    for (size_t s = 0; s < num_shards && failure.ok(); ++s) {
-      if (!handle->has_index[s]) continue;
-      if (!shard_status[s].ok()) {
-        if (shard_status[s].code() == StatusCode::kUnavailable &&
-            options_.degraded_reads) {
-          degraded = true;
-          if (unavailable.ok()) unavailable = shard_status[s];
+    Result<api::QueryReport> folded = [&]() -> Result<api::QueryReport> {
+      if (handles[i] == nullptr) {
+        return Status::NotFound("index '" + query.index + "' not found");
+      }
+      if (query.capture_heatmap) {
+        return Status::NotSupported(
+            "heat maps are not captured for sharded indexes yet");
+      }
+      std::vector<Result<api::QueryReport>> answers;
+      answers.reserve(num_shards);
+      for (const Result<api::QueryBatchResponse>& reply : replies) {
+        if (!reply.ok()) {
+          answers.emplace_back(reply.status());
           continue;
         }
-        failure = shard_status[s];
-        break;
+        const api::QueryBatchResponse::Entry& shard_entry =
+            reply.value().results[i];
+        answers.push_back(shard_entry.ok
+                              ? Result<api::QueryReport>(shard_entry.report)
+                              : StatusFromApiError(shard_entry.error));
       }
-      const api::QueryBatchResponse::Entry& shard_entry =
-          shard_responses[s]->results[i];
-      if (!shard_entry.ok) {
-        // App-level refusal (validation, not-found): identical requests
-        // fail identically on every shard, so the first one stands in
-        // for all.
-        failure = StatusFromApiError(shard_entry.error);
-        break;
-      }
-      answers.emplace_back(s, shard_entry.report);
+      return Gather(query, *handles[i], answers);
+    }();
+    entry.ok = folded.ok();
+    if (folded.ok()) {
+      entry.report = std::move(folded.value());
+    } else {
+      entry.error = api::ApiError::FromStatus(folded.status());
     }
-    if (!failure.ok()) {
-      fail(failure);
-      continue;
-    }
-    if (degraded && answers.empty()) {
-      fail(unavailable);
-      continue;
-    }
-    Result<api::QueryReport> folded =
-        FoldShardReports(query, handle.get(), answers, degraded);
-    if (!folded.ok()) {
-      fail(folded.status());
-      continue;
-    }
-    entry.ok = true;
-    entry.report = std::move(folded.value());
   }
   return response;
 }
@@ -820,16 +753,14 @@ Result<api::ListIndexesResponse> Coordinator::ListIndexes() {
       pinned.emplace_back(name, handle);
     }
   }
-  std::vector<Result<std::string>> raw =
-      ScatterSame("list_indexes", "{}", /*idempotent=*/true);
+  std::vector<Result<api::ListIndexesResponse>> replies =
+      Scatter<api::ListIndexesResponse>("list_indexes", "{}",
+                                        /*idempotent=*/true);
   // name -> (entries, total_bytes) summed across shards.
   std::map<std::string, std::pair<uint64_t, uint64_t>> occupancy;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Result<api::ListIndexesResponse> parsed =
-        ParseShardBody<api::ListIndexesResponse>(shards_[s]->endpoint(),
-                                                 raw[s]);
-    if (!parsed.ok()) return parsed.status();
-    for (const auto& info : parsed.value().indexes) {
+  for (const Result<api::ListIndexesResponse>& reply : replies) {
+    if (!reply.ok()) return reply.status();
+    for (const auto& info : reply.value().indexes) {
       occupancy[info.name].first += info.entries;
       occupancy[info.name].second += info.total_bytes;
     }
@@ -867,9 +798,10 @@ Result<api::DropIndexResponse> Coordinator::DropIndex(
     }
     handle = it->second;
     handles_.erase(it);
+    handle->building = true;  // the tombstone in-flight reads check
   }
-  // Wait out in-flight operations on the handle before tearing the
-  // shard-side state down under them.
+  // Wait out in-flight ingest and drain on the handle before tearing the
+  // shard-side state down under them; reads hold no handle lock.
   std::lock_guard<std::mutex> op_lock(handle->op_mutex);
   api::DropIndexRequest shard_drop;
   shard_drop.index = request.index;
@@ -877,8 +809,9 @@ Result<api::DropIndexResponse> Coordinator::DropIndex(
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (handle->has_index[s]) params[s] = shard_drop.ToJsonString();
   }
-  std::vector<Result<std::string>> raw =
-      Scatter("drop_index", params, /*idempotent=*/false);
+  std::vector<Result<api::DropIndexResponse>> replies =
+      Scatter<api::DropIndexResponse>("drop_index", params,
+                                      /*idempotent=*/false);
 
   api::DropIndexResponse response;
   response.index = request.index;
@@ -886,22 +819,19 @@ Result<api::DropIndexResponse> Coordinator::DropIndex(
   response.streaming = handle->streaming;
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (!params[s].has_value()) continue;
-    Result<api::DropIndexResponse> parsed =
-        ParseShardBody<api::DropIndexResponse>(shards_[s]->endpoint(),
-                                               raw[s]);
-    if (!parsed.ok()) {
+    if (!replies[s].ok()) {
       // The name is already unregistered here; a shard that missed the
       // drop frees its replica when it next restarts from a clean root
       // or when the operator re-issues the drop directly.
-      if (parsed.status().code() == StatusCode::kUnavailable) {
-        return Status::Unavailable(parsed.status().message() +
+      if (replies[s].status().code() == StatusCode::kUnavailable) {
+        return Status::Unavailable(replies[s].status().message() +
                                    "; the index was dropped on the "
                                    "surviving shards");
       }
-      return parsed.status();
+      return replies[s].status();
     }
-    response.entries += parsed.value().entries;
-    response.reclaimed_bytes += parsed.value().reclaimed_bytes;
+    response.entries += replies[s].value().entries;
+    response.reclaimed_bytes += replies[s].value().reclaimed_bytes;
   }
   InvalidateCachedAnswers(request.index);
   return response;

@@ -14,11 +14,13 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "dist/shard_client.h"
 #include "dist/topology.h"
 #include "palm/api.h"
 #include "palm/query_cache.h"
 #include "palm/quota.h"
+#include "palm/shard_route.h"
 #include "series/series.h"
 
 namespace coconut {
@@ -65,9 +67,22 @@ struct CoordinatorOptions {
 /// serves recovered durable shard streams with structured errors rather
 /// than mistranslated ids.
 ///
-/// Thread safety: same discipline as api::Service — a registry
-/// shared_mutex guards the name maps, and per-handle op mutexes serialize
-/// ingest/drain/query per stream or index.
+/// Fan-out reuses the in-process shard core's pieces: one IdMap per shard
+/// per handle, RunOnEach with every call to shard s on strand s of a
+/// K-worker pool (a shard has one connection, so its calls queue there
+/// and no worker waits on another's), and ShardSet's gather step,
+/// GatherAnswer.
+///
+/// Thread safety: a registry shared_mutex guards the name maps; ingest,
+/// drain and drop serialize on the handle's op mutex (id assignment and
+/// the watermark need it). Queries take no lock, as in
+/// ShardedStreamingIndex: an ingest sets each routed series' id-map slot
+/// before sending its sub-batch, every version stamp comes from one
+/// coordinator-wide counter (a fill racing a drop can never stamp an
+/// answer a recreated handle of the same name would serve), and a read
+/// whose handle was dropped before its gather answers NotFound. No epoch
+/// guard spans a shard call: with in-process shards, the shard's drop
+/// would wait on the guard while the guard's holder waits on the shard.
 class Coordinator final : public api::FrontDoor {
  public:
   static Result<std::unique_ptr<Coordinator>> Create(
@@ -110,6 +125,12 @@ class Coordinator final : public api::FrontDoor {
 
   /// One distributed index or stream as the coordinator tracks it.
   struct DistHandle {
+    DistHandle(size_t num_shards, uint64_t first_version)
+        : ids(num_shards),
+          next_local(num_shards, 0),
+          has_index(num_shards, true),
+          version(first_version) {}
+
     VariantSpec spec;
     bool streaming = false;
     /// Next global series id; ids are burned on rejected admissions,
@@ -118,21 +139,24 @@ class Coordinator final : public api::FrontDoor {
     /// Global timestamp watermark for kStrict/kClamp — the distributed
     /// twin of ShardedStreamingIndex::last_timestamp_.
     int64_t last_timestamp = std::numeric_limits<int64_t>::min();
-    /// local_to_global[s][local_id] = global series id, mirroring the
-    /// per-shard maps the single-process sharded wrappers keep.
-    std::vector<std::vector<uint64_t>> local_to_global;
+    /// Per shard: shard-local ordinal -> global series id, the same map
+    /// the in-process shards keep. Written before the handle is published
+    /// (build) or under op_mutex (ingest); read lock-free by queries.
+    std::vector<IdMap> ids;
+    /// Per shard: the ordinal the shard assigns next (under op_mutex).
+    std::vector<uint64_t> next_local;
     /// Static builds skip shards whose key range received no series (an
     /// empty dataset cannot be registered remotely); queries skip them
     /// too — an empty inner shard contributes nothing either way.
     std::vector<bool> has_index;
-    /// Coordinator-side snapshot stamp for the answer cache: bumped on
-    /// every successful mutation (ingest/drain/drop). Valid because all
-    /// mutations of shard data flow through this coordinator. Bumped under
-    /// op_mutex; atomic because the cache probe reads it without the lock.
-    std::atomic<uint64_t> version{1};
+    /// Snapshot stamp for the answer cache, drawn from the coordinator's
+    /// one counter on every successful mutation (ingest/drain). Valid
+    /// because all mutations of shard data flow through this coordinator.
+    std::atomic<uint64_t> version;
     /// True while the creating thread populates the handle outside the
-    /// registry lock; PinHandle skips building handles.
-    bool building = true;
+    /// registry lock (PinHandle skips it), and again once DropIndex
+    /// unregisters it: the tombstone a read checks after its gather.
+    std::atomic<bool> building{true};
     std::mutex op_mutex;
   };
 
@@ -145,36 +169,38 @@ class Coordinator final : public api::FrontDoor {
   /// the key-range equivalence with the single-process wrappers).
   Status CheckTopologySpec(const VariantSpec& spec) const;
 
+  /// A fresh version stamp from the one coordinator-wide counter.
+  uint64_t NextVersion() { return ++versions_; }
+
   /// Fans a call out to every shard whose params entry is set (nullopt =
-  /// skip). Returns one Result per shard, positionally. ingest_batch_bin
-  /// params are binary ingest frames, posted as such.
-  std::vector<Result<std::string>> Scatter(
+  /// skip) and parses each reply as a `Response`; returns one Result per
+  /// shard, positionally. ingest_batch_bin params are binary ingest
+  /// frames, posted as such.
+  template <class Response>
+  std::vector<Result<Response>> Scatter(
       const std::string& method,
       const std::vector<std::optional<std::string>>& params, bool idempotent);
   /// Same params for every shard.
-  std::vector<Result<std::string>> ScatterSame(const std::string& method,
-                                               const std::string& params,
-                                               bool idempotent);
-  /// Best-effort cleanup scatter (errors ignored) for unwind paths.
-  void ScatterCleanup(const std::string& method,
-                      const std::vector<std::optional<std::string>>& params);
+  template <class Response>
+  std::vector<Result<Response>> Scatter(const std::string& method,
+                                        const std::string& params,
+                                        bool idempotent);
 
-  /// One query's scatter and fold; caller holds the handle's op mutex.
-  Result<api::QueryReport> QueryLocked(const api::QueryRequest& request,
-                                       DistHandle* handle);
-
-  /// Gathers per-shard query reports into one: counters/io summed, the
-  /// match folded by (distance, global id) with local ids translated
-  /// through the handle's maps. `answers` pairs shard ordinals with their
-  /// reports; caller holds the handle's op mutex (the id maps grow under
-  /// it).
-  Result<api::QueryReport> FoldShardReports(
-      const api::QueryRequest& request, DistHandle* handle,
-      const std::vector<std::pair<size_t, api::QueryReport>>& answers,
-      bool degraded) const;
+  /// Folds per-shard query answers (`answers[s]`, or the failure shard s
+  /// returned) into one report: counters and io summed, the match chosen
+  /// by GatherAnswer through the handle's id maps. A dead shard is skipped
+  /// under degraded reads; a dropped handle answers NotFound.
+  Result<api::QueryReport> Gather(
+      const api::QueryRequest& request, const DistHandle& handle,
+      const std::vector<Result<api::QueryReport>>& answers) const;
 
   const CoordinatorOptions options_;
   std::vector<std::unique_ptr<ShardClient>> shards_;
+  /// K workers and one strand per shard; both empty when K == 1 (the one
+  /// shard is called inline). The strands drain before the pool stops.
+  std::unique_ptr<ThreadPool> pool_;
+  std::vector<std::unique_ptr<SerialExecutor>> strands_;
+  std::atomic<uint64_t> versions_{0};
 
   mutable std::shared_mutex mu_;
   std::map<std::string, std::shared_ptr<const Dataset>> datasets_;

@@ -45,7 +45,8 @@ struct ShardClientOptions {
 /// scratch, so it also covers a shard that restarted between calls.
 ///
 /// Thread-safe: calls serialize on an internal mutex (one connection per
-/// shard; the coordinator scatters across shards, not within one).
+/// shard). The coordinator queues every call to a shard on that shard's
+/// strand, so its pool workers never wait here for one another.
 class ShardClient {
  public:
   explicit ShardClient(ShardEndpoint endpoint, ShardClientOptions options = {});

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "palm/shard_route.h"
-
 namespace coconut {
 namespace palm {
 
@@ -44,32 +42,15 @@ size_t ShardSet<Inner>::ShardOf(std::span<const float> znorm_values) const {
 }
 
 template <class Inner>
-void ShardSet<Inner>::RunOnEach(ThreadPool* pool,
-                                const std::function<void(size_t)>& fn) {
-  if (pool == nullptr) {
-    for (size_t i = 0; i < shards_.size(); ++i) fn(i);
-    return;
-  }
-  WaitGroup wg;
-  wg.Add(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    pool->Submit([i, &wg, &fn] {
-      fn(i);
-      wg.Done();
-    });
-  }
-  wg.Wait();
-}
-
-template <class Inner>
 void ShardSet<Inner>::Scatter(const std::function<void(size_t)>& fn) {
+  auto on_pool = [this](size_t) { return query_pool_.get(); };
   if constexpr (kSerializeReads) {
-    RunOnEach(query_pool_.get(), [&](size_t i) {
+    RunOnEach(shards_.size(), on_pool, [&](size_t i) {
       std::lock_guard<std::mutex> lock(shards_[i]->mu);
       fn(i);
     });
   } else {
-    RunOnEach(query_pool_.get(), fn);
+    RunOnEach(shards_.size(), on_pool, fn);
   }
 }
 
@@ -80,8 +61,9 @@ Status ShardSet<Inner>::BuildAll(const std::function<Status(Shard&)>& fn) {
     build_pool = std::make_unique<ThreadPool>(shards_.size());
   }
   std::vector<Status> statuses(shards_.size());
-  RunOnEach(build_pool.get(),
-            [&](size_t i) { statuses[i] = fn(*shards_[i]); });
+  RunOnEach(
+      shards_.size(), [&](size_t) { return build_pool.get(); },
+      [&](size_t i) { statuses[i] = fn(*shards_[i]); });
   for (const Status& st : statuses) COCONUT_RETURN_NOT_OK(st);
   return Status::OK();
 }
@@ -113,20 +95,18 @@ Result<core::SearchResult> ShardSet<Inner>::Search(
   core::SearchResult best;
   for (size_t i = 0; i < k; ++i) {
     COCONUT_RETURN_NOT_OK(results[i].status());
-    Gather(i, results[i].value(), &best);
+    COCONUT_RETURN_NOT_OK(Gather(i, results[i].value(), &best));
     if (counters != nullptr) counters->Add(shard_counters[i]);
   }
   return best;
 }
 
 template <class Inner>
-void ShardSet<Inner>::Gather(size_t i, core::SearchResult answer,
-                             core::SearchResult* best) const {
-  if (!answer.found) return;
-  answer.series_id = shards_[i]->local_to_global.Get(answer.series_id);
-  if (GatherPrefers<&core::SearchResult::distance_sq>(answer, *best)) {
-    *best = answer;
-  }
+Status ShardSet<Inner>::Gather(size_t i, const core::SearchResult& answer,
+                               core::SearchResult* best) const {
+  return GatherAnswer<&core::SearchResult::distance_sq>(
+      shards_[i]->local_to_global, answer, best,
+      [i] { return "shard " + std::to_string(i); });
 }
 
 template <class Inner>

@@ -1,9 +1,6 @@
 #ifndef COCONUT_PALM_SHARD_SET_H_
 #define COCONUT_PALM_SHARD_SET_H_
 
-#include <array>
-#include <atomic>
-#include <bit>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -16,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "core/index.h"
 #include "core/raw_store.h"
+#include "palm/shard_route.h"
 #include "series/isax.h"
 #include "storage/buffer_pool.h"
 #include "storage/storage_manager.h"
@@ -25,61 +23,6 @@
 namespace coconut {
 namespace palm {
 
-/// Lock-free, grow-only map from shard-local raw-store ordinal to global
-/// series id. A chunked spine (chunk k holds kBase << k slots, bases
-/// contiguous) so growth never relocates published slots. Writers of one
-/// map are serialized. A streaming shard's writer (under its admission
-/// lock) fills slot `local_id` before the inner index publishes the entry
-/// that cites it; a reader only looks up ordinals it obtained from a
-/// published entry, so the release/acquire pair on the inner index's
-/// admission orders every Set before the Get that needs it. A static build
-/// is single-caller and queried only after Finalize. Slot and spine stores
-/// are atomic, so even an out-of-thin-air probe reads cleanly.
-class IdMap {
- public:
-  IdMap() = default;
-  IdMap(const IdMap&) = delete;
-  IdMap& operator=(const IdMap&) = delete;
-  ~IdMap() {
-    for (auto& slot : chunks_) delete[] slot.load(std::memory_order_relaxed);
-  }
-
-  /// Writer side; callers are serialized (see above).
-  void Set(uint64_t local_id, uint64_t global_id) {
-    const size_t c = ChunkIndex(local_id);
-    std::atomic<uint64_t>* chunk = chunks_[c].load(std::memory_order_acquire);
-    if (chunk == nullptr) {
-      chunk = new std::atomic<uint64_t>[ChunkCapacity(c)]();
-      chunks_[c].store(chunk, std::memory_order_release);
-    }
-    chunk[local_id - ChunkBase(c)].store(global_id, std::memory_order_relaxed);
-  }
-
-  uint64_t Get(uint64_t local_id) const {
-    const size_t c = ChunkIndex(local_id);
-    std::atomic<uint64_t>* chunk = chunks_[c].load(std::memory_order_acquire);
-    return chunk[local_id - ChunkBase(c)].load(std::memory_order_relaxed);
-  }
-
-  /// Chunk k covers [kBase*(2^k - 1), kBase*(2^(k+1) - 1)); public so
-  /// tests can probe the chunk edges.
-  static size_t ChunkIndex(uint64_t id) {
-    return static_cast<size_t>(std::bit_width((id >> kBaseBits) + 1)) - 1;
-  }
-  static uint64_t ChunkBase(size_t c) {
-    return ((uint64_t{1} << c) - 1) << kBaseBits;
-  }
-
- private:
-  /// First chunk holds 1024 ids; 48 doubling chunks cover ~2.8e17.
-  static constexpr size_t kBaseBits = 10;
-  static constexpr size_t kMaxChunks = 48;
-
-  static size_t ChunkCapacity(size_t c) { return size_t{1} << (kBaseBits + c); }
-
-  std::array<std::atomic<std::atomic<uint64_t>*>, kMaxChunks> chunks_{};
-};
-
 /// The in-process scatter-gather core under both sharded wrappers: one
 /// logical index split by invSAX key range (shard_route.h) across K shards,
 /// each a full, independent stack — its own StorageManager (the
@@ -87,10 +30,10 @@ class IdMap {
 /// index. `Inner` is core::DataSeriesIndex (ShardedIndex) or
 /// stream::StreamingIndex (ShardedStreamingIndex).
 ///
-/// Queries fan out on an internal pool of min(K, kMaxQueryThreads)
-/// threads; each shard answers over its own partition with shard-local ids,
-/// and the gather maps them back through the shard's IdMap and keeps the
-/// nearest answer under the one gather rule (GatherPrefers). The shards
+/// Queries fan out (RunOnEach) on an internal pool of min(K,
+/// kMaxQueryThreads) threads; each shard answers over its own partition
+/// with shard-local ids, and the one gather step (GatherAnswer) maps them
+/// back through the shard's IdMap and keeps the nearest. The shards
 /// cover the data disjointly and each per-shard search is exact over its
 /// shard, so the gathered minimum equals the unsharded exact answer.
 template <class Inner>
@@ -164,10 +107,9 @@ class ShardSet {
                                     const core::SearchOptions& options,
                                     core::QueryCounters* counters, bool exact);
 
-  /// Folds shard i's answer into `best`: maps its local id to the global
-  /// id, then applies GatherPrefers. A not-found answer is skipped.
-  void Gather(size_t i, core::SearchResult answer,
-              core::SearchResult* best) const;
+  /// Folds shard i's answer into `best` (GatherAnswer, shard_route.h).
+  Status Gather(size_t i, const core::SearchResult& answer,
+                core::SearchResult* best) const;
 
   uint64_t num_entries() const;
   uint64_t index_bytes() const;
@@ -179,12 +121,6 @@ class ShardSet {
   std::string describe(const std::string& label) const;
 
  private:
-  /// The one fan-out loop: fn(i) for every shard on `pool` (inline when
-  /// null), returning once all have finished. The per-call WaitGroup keeps
-  /// concurrent callers of a shared pool independent (ThreadPool::Wait
-  /// would wait for everyone's tasks).
-  void RunOnEach(ThreadPool* pool, const std::function<void(size_t)>& fn);
-
   series::SaxConfig sax_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ThreadPool> query_pool_;  // Null when K == 1.

@@ -97,7 +97,8 @@ Status ShardedIndex::ExactSearchBatch(
   for (size_t i = 0; i < k; ++i) {
     COCONUT_RETURN_NOT_OK(statuses[i]);
     for (size_t q = 0; q < nq; ++q) {
-      shards_.Gather(i, shard_results[i][q], &results[q]);
+      COCONUT_RETURN_NOT_OK(
+          shards_.Gather(i, shard_results[i][q], &results[q]));
       if (!counters.empty()) counters[q].Add(shard_counters[i][q]);
     }
   }

@@ -156,7 +156,8 @@ Status ShardedStreamingIndex::AdmitToShard(uint64_t series_id,
   // The map covers the ordinal even if the inner index then refuses the
   // entry (a surfaced background error, a backpressure reject): ids of
   // later admissions keep lining up with the raw file, and searches never
-  // return unindexed slots. The slot commits before the inner Ingest
+  // return unindexed slots. (dist::Coordinator::IngestBatch counts a
+  // remote shard's refused ordinal the same way.) The slot commits before the inner Ingest
   // publishes the entry citing it, so a gather that sees the entry also
   // sees the mapping.
   shard.local_to_global.Set(local_id, series_id);

@@ -17,11 +17,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -42,6 +40,7 @@ using core::SearchOptions;
 using stream::BackpressurePolicy;
 using stream::StreamingIndex;
 using stream::StreamingStats;
+using testutil::PoolThrottle;
 
 constexpr size_t kLength = 32;
 
@@ -49,43 +48,6 @@ series::SaxConfig TestSax() {
   return series::SaxConfig{.series_length = 32, .num_segments = 8,
                            .bits_per_segment = 8};
 }
-
-/// Parks every worker of a pool behind a latch — the "slow flusher": any
-/// strand task submitted while parked queues but cannot run. Release()
-/// lets the backlog drain. Safe to destroy only after Release().
-class PoolThrottle {
- public:
-  explicit PoolThrottle(ThreadPool* pool) : pool_(pool) {}
-
-  ~PoolThrottle() { Release(); }
-
-  void Park() {
-    const size_t n = pool_->num_threads();
-    for (size_t i = 0; i < n; ++i) {
-      pool_->Submit([this] {
-        std::unique_lock<std::mutex> lock(mu_);
-        ++parked_;
-        cv_.notify_all();
-        cv_.wait(lock, [this] { return released_; });
-      });
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this, n] { return parked_ == n; });
-  }
-
-  void Release() {
-    std::lock_guard<std::mutex> lock(mu_);
-    released_ = true;
-    cv_.notify_all();
-  }
-
- private:
-  ThreadPool* pool_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  size_t parked_ = 0;
-  bool released_ = false;
-};
 
 /// Spins until `predicate` holds (the stall we are waiting for is
 /// deterministic — this only absorbs scheduling latency).

@@ -9,7 +9,9 @@
 // gives the same connection-refused the coordinator sees after a crash)
 // so they execute under TSan too; the one true SIGKILL-mid-traffic case
 // forks a real shard process and is skipped under TSan (fork + sanitizer
-// runtime don't mix).
+// runtime don't mix). A shard that refuses part of a sub-batch under
+// backpressure, and series the coordinator never mapped, must leave every
+// answer's global id correct or refused.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
@@ -18,12 +20,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "dist/binary_codec.h"
 #include "dist/coordinator.h"
 #include "palm/api.h"
@@ -369,6 +373,146 @@ TEST(DistFaultTest, CoordinatorRecontactsRestartedShard) {
   EXPECT_EQ(after.status().code(), StatusCode::kNotFound);
   EXPECT_NE(after.status().message().find("live"), std::string::npos);
   EXPECT_TRUE(coordinator->ServerStats().shards[0].healthy);
+}
+
+/// One coordinator over one in-process shard, with a stream whose shard
+/// refuses admissions once one seal is in flight (kReject): with the
+/// shared background pool parked, the shard admits 15 series (buffer 8,
+/// one detach at entry 8) and refuses the 16th.
+struct RejectingStream {
+  std::unique_ptr<Shard> shard;
+  std::unique_ptr<Coordinator> coordinator;
+
+  explicit RejectingStream(const std::string& root) {
+    shard = StartShard(root + "/shard0");
+    CoordinatorOptions options;
+    options.shards.push_back(
+        ShardEndpoint{"127.0.0.1", shard->server->port()});
+    coordinator = Coordinator::Create(std::move(options)).TakeValue();
+    api::CreateStreamRequest create;
+    create.stream = "live";
+    create.spec = StreamSpec(1);
+    create.spec.buffer_entries = 8;
+    create.spec.async_ingest = true;
+    create.spec.max_inflight_seals = 1;
+    create.spec.backpressure_policy = stream::BackpressurePolicy::kReject;
+    EXPECT_TRUE(coordinator->CreateStream(create).ok());
+  }
+
+  void Drain() {
+    api::DrainStreamRequest drain;
+    drain.stream = "live";
+    ASSERT_TRUE(coordinator->DrainStream(drain).ok());
+  }
+
+  /// Exact self-queries for series [0, n): timestamps equal global ids
+  /// (MakeBatch), so every answer's id must equal its timestamp — a shard
+  /// ordinal the coordinator failed to count shifts later ids by one.
+  void ExpectIdsMatchTimestamps(const series::SeriesCollection& data,
+                                size_t n,
+                                const std::vector<bool>& admitted) {
+    for (size_t i = 0; i < n; ++i) {
+      api::QueryRequest query;
+      query.index = "live";
+      query.query.assign(data[i].begin(), data[i].end());
+      query.exact = true;
+      auto result = coordinator->Query(query);
+      ASSERT_TRUE(result.ok()) << i << ": " << result.status().ToString();
+      ASSERT_TRUE(result.value().found) << i;
+      EXPECT_EQ(result.value().series_id,
+                static_cast<uint64_t>(result.value().timestamp))
+          << "self-query " << i;
+      if (admitted[i]) {
+        EXPECT_EQ(result.value().series_id, i);
+      }
+    }
+  }
+};
+
+TEST(DistFaultTest, ShardRejectMidBatchKeepsIdsAligned) {
+  const auto data = testutil::RandomWalkCollection(47, 16, /*seed=*/31);
+  RejectingStream stream(TestRoot("reject_partial"));
+  std::vector<bool> admitted(data.size(), false);
+  {
+    testutil::PoolThrottle throttle(SharedBackgroundPool());
+    throttle.Park();
+    // The shard admits a prefix and reports it truthfully; the refused
+    // series burned a shard ordinal all the same.
+    auto partial = stream.coordinator->IngestBatch(MakeBatch(data, 0, 40));
+    ASSERT_FALSE(partial.ok());
+    EXPECT_EQ(partial.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_NE(partial.status().message().find("admitted 15 of 40"),
+              std::string::npos)
+        << partial.status().message();
+    throttle.Release();
+  }
+  std::fill(admitted.begin(), admitted.begin() + 15, true);
+  stream.Drain();
+  ASSERT_TRUE(stream.coordinator->IngestBatch(MakeBatch(data, 40, 7)).ok());
+  std::fill(admitted.begin() + 40, admitted.end(), true);
+  stream.Drain();
+  stream.ExpectIdsMatchTimestamps(data, data.size(), admitted);
+}
+
+TEST(DistFaultTest, ShardRejectWithNoProgressKeepsIdsAligned) {
+  const auto data = testutil::RandomWalkCollection(27, 16, /*seed=*/32);
+  RejectingStream stream(TestRoot("reject_zero"));
+  std::vector<bool> admitted(data.size(), false);
+  {
+    testutil::PoolThrottle throttle(SharedBackgroundPool());
+    throttle.Park();
+    ASSERT_TRUE(stream.coordinator->IngestBatch(MakeBatch(data, 0, 15)).ok());
+    // The shard is at its cap: the first series of the next batch is
+    // refused (a structured 429 with zero progress), burning one ordinal.
+    auto refused = stream.coordinator->IngestBatch(MakeBatch(data, 15, 5));
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+    throttle.Release();
+  }
+  std::fill(admitted.begin(), admitted.begin() + 15, true);
+  stream.Drain();
+  ASSERT_TRUE(stream.coordinator->IngestBatch(MakeBatch(data, 20, 7)).ok());
+  std::fill(admitted.begin() + 20, admitted.end(), true);
+  stream.Drain();
+  stream.ExpectIdsMatchTimestamps(data, data.size(), admitted);
+}
+
+TEST(DistFaultTest, SeriesTheCoordinatorNeverMappedAreRefused) {
+  // Series ingested straight into a shard's service carry shard ordinals
+  // the coordinator never mapped: a query that lands on one must be a
+  // structured Internal naming the shard, never a mistranslated id.
+  const std::string root = TestRoot("unmapped");
+  auto shard = StartShard(root + "/shard0");
+  CoordinatorOptions options;
+  options.shards.push_back(ShardEndpoint{"127.0.0.1", shard->server->port()});
+  const std::string endpoint = options.shards[0].ToString();
+  auto coordinator = Coordinator::Create(std::move(options)).TakeValue();
+  api::CreateStreamRequest create;
+  create.stream = "live";
+  create.spec = StreamSpec(1);
+  ASSERT_TRUE(coordinator->CreateStream(create).ok());
+
+  const auto data = testutil::RandomWalkCollection(20, 16, /*seed=*/33);
+  ASSERT_TRUE(coordinator->IngestBatch(MakeBatch(data, 0, 10)).ok());
+  ASSERT_TRUE(shard->service->IngestBatch(MakeBatch(data, 10, 10)).ok());
+
+  api::QueryRequest query;
+  query.index = "live";
+  query.exact = true;
+  query.query.assign(data[3].begin(), data[3].end());
+  auto mapped = coordinator->Query(query);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ(mapped.value().series_id, 3u);
+
+  query.query.assign(data[15].begin(), data[15].end());
+  auto unmapped = coordinator->Query(query);
+  ASSERT_FALSE(unmapped.ok());
+  EXPECT_EQ(unmapped.status().code(), StatusCode::kInternal);
+  EXPECT_NE(unmapped.status().message().find(endpoint), std::string::npos)
+      << unmapped.status().message();
+  EXPECT_NE(unmapped.status().message().find("local series id 15"),
+            std::string::npos)
+      << unmapped.status().message();
 }
 
 #ifndef COCONUT_TSAN_BUILD

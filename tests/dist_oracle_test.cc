@@ -9,7 +9,8 @@
 //
 // Covered: static builds and streaming ingest, exact and approximate
 // search, window queries, kStrict/kClamp watermark semantics, query
-// batches, a concurrent-ingest run compared at quiesce points, and the
+// batches, a concurrent-ingest run compared at quiesce points, cached
+// reads racing ingest and a drop-and-recreate of the same name, and the
 // front door itself: the same raw request refused with the same status
 // and message by a coordinator and by a service.
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "dist/coordinator.h"
 #include "palm/api.h"
 #include "palm/http_server.h"
+#include "palm/query_cache.h"
 #include "tests/test_util.h"
 
 namespace coconut {
@@ -460,6 +462,101 @@ TEST_P(DistOracleTest, ConcurrentIngestComparesAtQuiescePoints) {
   ASSERT_TRUE(cluster.coordinator().DrainStream(drain).ok());
   ASSERT_TRUE(cluster.reference().DrainStream(drain).ok());
   QuerySweep(cluster, "live", data, 30, /*seed=*/777, "quiesced");
+}
+
+TEST_P(DistOracleTest, ReadsRaceIngestDropAndRecreate) {
+  // Queries and a query batch race ingest, a drop and a recreate of the
+  // same name through a caching coordinator. Every answer must be ok or
+  // NotFound with an id inside the ingested range, and once the racing
+  // stops the recreated stream must answer every query of the pool like
+  // the reference: a cached answer of the first incarnation, stamped by a
+  // fill that raced the drop, must never be served to the second. Under
+  // TSan this is the data-race check on the lock-free read path.
+  const size_t k = GetParam();
+  const std::string root = TestRoot("race_drop" + std::to_string(k));
+  Cluster cluster(k, root);
+  cluster.coordinator().EnableQueryCache(api::QueryCacheOptions{});
+  const auto first = testutil::RandomWalkCollection(120, 32, /*seed=*/61);
+  const auto second = testutil::RandomWalkCollection(120, 32, /*seed=*/62);
+
+  std::vector<api::QueryRequest> pool;
+  for (size_t q = 0; q < 12; ++q) {
+    api::QueryRequest request;
+    request.index = "live";
+    request.query = testutil::NoisyCopy(first, q * 9, 0.3, 1300 + q);
+    request.exact = (q % 2 == 0);
+    pool.push_back(std::move(request));
+  }
+  api::CreateStreamRequest create;
+  create.stream = "live";
+  create.spec = TestSpec(k, /*streaming=*/true);
+  const auto ingest_all = [&](const series::SeriesCollection& data) {
+    for (size_t begin = 0; begin < data.size(); begin += 20) {
+      api::IngestBatchRequest ingest;
+      ingest.stream = "live";
+      ingest.batch = series::SeriesCollection(32);
+      for (size_t i = begin; i < begin + 20; ++i) {
+        ingest.batch.Append(data[i]);
+        ingest.timestamps.push_back(static_cast<int64_t>(i));
+      }
+      ASSERT_TRUE(cluster.coordinator().IngestBatch(ingest).ok());
+      ASSERT_TRUE(cluster.reference().IngestBatch(ingest).ok());
+    }
+  };
+  const auto expect_ok_or_not_found = [&](const Result<api::QueryReport>& r) {
+    if (!r.ok()) {
+      EXPECT_EQ(r.status().code(), StatusCode::kNotFound)
+          << r.status().ToString();
+    } else if (r.value().found) {
+      EXPECT_LT(r.value().series_id, first.size());
+    }
+  };
+  ASSERT_TRUE(cluster.coordinator().CreateStream(create).ok());
+  ASSERT_TRUE(cluster.reference().CreateStream(create).ok());
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      for (size_t q = t; !done.load(); ++q) {
+        expect_ok_or_not_found(
+            cluster.coordinator().Query(pool[q % pool.size()]));
+      }
+    });
+  }
+  readers.emplace_back([&] {
+    api::QueryBatchRequest batch;
+    batch.queries = pool;
+    while (!done.load()) {
+      const api::QueryBatchResponse response =
+          cluster.coordinator().QueryBatch(batch);
+      for (const auto& entry : response.results) {
+        if (!entry.ok) {
+          EXPECT_EQ(entry.error.code,
+                    api::StatusCodeToApiCode(StatusCode::kNotFound))
+              << entry.error.message;
+        } else if (entry.report.found) {
+          EXPECT_LT(entry.report.series_id, first.size());
+        }
+      }
+    }
+  });
+
+  ingest_all(first);
+  api::DropIndexRequest drop;
+  drop.index = "live";
+  ASSERT_TRUE(cluster.coordinator().DropIndex(drop).ok());
+  ASSERT_TRUE(cluster.reference().DropIndex(drop).ok());
+  ASSERT_TRUE(cluster.coordinator().CreateStream(create).ok());
+  ASSERT_TRUE(cluster.reference().CreateStream(create).ok());
+  ingest_all(second);
+  done.store(true);
+  for (std::thread& reader : readers) reader.join();
+
+  for (size_t q = 0; q < pool.size(); ++q) {
+    ExpectSameAnswer(cluster, pool[q], "recreated query " + std::to_string(q),
+                     /*compare_counters=*/false);
+  }
 }
 
 TEST_P(DistOracleTest, ValidationErrorsMirrorTheService) {

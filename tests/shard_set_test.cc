@@ -1,15 +1,16 @@
-// The in-process sharding core's two shared pieces, tested in isolation:
-// the lock-free shard-local -> global id map (every chunk edge, one writer
-// racing readers) and the one gather rule, applied to hand-made shard
-// answers of both shapes it serves — in-process core::SearchResult
-// (squared distance) and the coordinator's api::QueryReport (Euclidean
-// distance off the wire).
+// The sharding core's two shared pieces, tested in isolation: the
+// lock-free shard-local -> global id map (every chunk edge, its miss
+// check, one writer racing readers) and the one gather rule, applied to
+// hand-made shard answers of both shapes it serves — in-process
+// core::SearchResult (squared distance) and the coordinator's
+// api::QueryReport (Euclidean distance off the wire).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <thread>
@@ -75,6 +76,32 @@ TEST(IdMapTest, OneWriterConcurrentReaders) {
     EXPECT_EQ(map.Get(id), GlobalFor(id)) << id;
   }
   EXPECT_EQ(map.Get(IdMap::ChunkBase(10)), GlobalFor(IdMap::ChunkBase(10)));
+}
+
+// Find is the gather's miss check: a slot that was set maps (global id 0
+// included); a slot never set misses, whether its chunk exists yet or not,
+// and so does one past the highest slot ever set.
+TEST(IdMapTest, FindAtChunkEdges) {
+  IdMap map;
+  EXPECT_FALSE(map.Find(0).has_value());
+  map.Set(0, 0);
+  ASSERT_TRUE(map.Find(0).has_value());
+  EXPECT_EQ(*map.Find(0), 0u);
+  for (size_t c = 1; c <= 10; ++c) {
+    const uint64_t base = IdMap::ChunkBase(c);
+    EXPECT_FALSE(map.Find(base - 1).has_value()) << c;
+    EXPECT_FALSE(map.Find(base).has_value()) << c;
+    map.Set(base - 1, GlobalFor(base - 1));
+    map.Set(base, GlobalFor(base));
+    ASSERT_TRUE(map.Find(base - 1).has_value()) << c;
+    ASSERT_TRUE(map.Find(base).has_value()) << c;
+    EXPECT_EQ(*map.Find(base - 1), GlobalFor(base - 1)) << c;
+    EXPECT_EQ(*map.Find(base), GlobalFor(base)) << c;
+    EXPECT_FALSE(map.Find(base - 2).has_value()) << c;  // unset, same chunk
+    EXPECT_FALSE(map.Find(base + 1).has_value()) << c;  // past the mark
+  }
+  EXPECT_FALSE(map.Find(IdMap::ChunkBase(11)).has_value());
+  EXPECT_FALSE(map.Find(std::numeric_limits<uint64_t>::max()).has_value());
 }
 
 core::SearchResult InProcess(bool found, uint64_t global_id, double d) {

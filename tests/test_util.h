@@ -2,11 +2,14 @@
 #define COCONUT_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <condition_variable>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/raw_store.h"
 #include "core/types.h"
 #include "series/distance.h"
@@ -103,6 +106,51 @@ inline Status FillRawStore(core::RawSeriesStore* store,
   }
   return store->Flush();
 }
+
+/// Parks every worker of a pool behind a latch — the "slow flusher": any
+/// strand task submitted while parked queues but cannot run. Release()
+/// lets the backlog drain; the destructor releases too, then waits for the
+/// parked tasks to leave, so the throttle may go out of scope before the
+/// pool's workers have woken.
+class PoolThrottle {
+ public:
+  explicit PoolThrottle(ThreadPool* pool) : pool_(pool) {}
+
+  ~PoolThrottle() {
+    Release();
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return parked_ == 0; });
+  }
+
+  void Park() {
+    const size_t n = pool_->num_threads();
+    for (size_t i = 0; i < n; ++i) {
+      pool_->Submit([this] {
+        std::unique_lock<std::mutex> lock(mu_);
+        ++parked_;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+        --parked_;
+        cv_.notify_all();
+      });
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this, n] { return parked_ == n; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  ThreadPool* pool_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t parked_ = 0;
+  bool released_ = false;
+};
 
 }  // namespace testutil
 }  // namespace coconut
