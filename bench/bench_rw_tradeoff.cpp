@@ -6,8 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "ads/ads_index.h"
+#include "clsm/clsm.h"
 #include "common/timer.h"
-#include "core/adapters.h"
+#include "ctree/ctree.h"
 
 namespace coconut {
 namespace bench {
@@ -33,7 +35,7 @@ void BM_CTreeFillFactor(benchmark::State& state) {
     spec.sax = BenchSax();
     spec.family = palm::IndexFamily::kCTree;
     spec.fill_factor = fill;
-    auto ctree = core::CTreeIndexAdapter::Create(
+    auto ctree = ctree::CTreeIndex::Create(
                      arena.storage.get(), "index",
                      {.sax = spec.sax, .fill_factor = fill}, nullptr,
                      arena.raw.get())
@@ -96,7 +98,7 @@ void BM_ClsmGrowthFactor(benchmark::State& state) {
     for (size_t i = 0; i < collection.size(); ++i) {
       if (!lsm->Insert(i, collection[i], 0).ok()) std::abort();
     }
-    if (!lsm->FlushBuffer().ok()) std::abort();
+    if (!lsm->Finalize().ok()) std::abort();
     write_amp = static_cast<double>(lsm->entries_rewritten()) /
                 collection.size();
     levels = static_cast<double>(lsm->num_active_levels());

@@ -127,6 +127,7 @@ Status AdsIndex::Insert(uint64_t series_id,
       COCONUT_RETURN_NOT_OK(FlushLeaf(fullest));
     }
   }
+  BumpSnapshotVersion();
   return Status::OK();
 }
 
@@ -256,7 +257,7 @@ Status AdsIndex::SplitLeaf(AdsNode* leaf) {
   return Status::OK();
 }
 
-Status AdsIndex::FlushAll() {
+Status AdsIndex::Finalize() {
   std::vector<AdsNode*> stack;
   for (auto& [mask, child] : root_children_) stack.push_back(child.get());
   while (!stack.empty()) {
@@ -269,6 +270,7 @@ Status AdsIndex::FlushAll() {
       stack.push_back(n->child1.get());
     }
   }
+  BumpSnapshotVersion();
   return Status::OK();
 }
 
@@ -422,7 +424,7 @@ size_t AdsIndex::num_nodes() const {
   return count;
 }
 
-uint64_t AdsIndex::total_file_bytes() const {
+uint64_t AdsIndex::index_bytes() const {
   uint64_t total = 0;
   std::vector<const AdsNode*> stack;
   for (const auto& [mask, child] : root_children_) stack.push_back(child.get());

@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "core/entry.h"
+#include "core/index.h"
 #include "core/raw_store.h"
 #include "core/types.h"
 #include "seqtable/table_search.h"
@@ -50,7 +51,7 @@ struct AdsNode {
 /// (iSAX 2.0 policy) and rewriting their entries. These are precisely the
 /// structural properties — sparse nodes, non-contiguous layout, random
 /// construction I/O — that Coconut's sortable summarizations remove.
-class AdsIndex {
+class AdsIndex : public core::DataSeriesIndex {
  public:
   struct Options {
     series::SaxConfig sax;
@@ -69,20 +70,22 @@ class AdsIndex {
 
   /// Top-down insertion of one z-normalized series.
   Status Insert(uint64_t series_id, std::span<const float> znorm_values,
-                int64_t timestamp);
+                int64_t timestamp) override;
 
   /// Spills every leaf buffer to disk.
-  Status FlushAll();
+  Status Finalize() override;
 
   /// Descends to the query's leaf and verifies its best candidates.
   Result<core::SearchResult> ApproxSearch(std::span<const float> query,
                                           const core::SearchOptions& options,
-                                          core::QueryCounters* counters);
+                                          core::QueryCounters* counters)
+      override;
 
   /// Best-first tree search with MINDIST pruning (exact).
   Result<core::SearchResult> ExactSearch(std::span<const float> query,
                                          const core::SearchOptions& options,
-                                         core::QueryCounters* counters);
+                                         core::QueryCounters* counters)
+      override;
 
   /// Exact k-nearest-neighbors via best-first traversal pruned by the
   /// running k-th-best distance.
@@ -90,10 +93,13 @@ class AdsIndex {
       std::span<const float> query, size_t k,
       const core::SearchOptions& options, core::QueryCounters* counters);
 
-  uint64_t num_entries() const { return num_entries_; }
+  uint64_t num_entries() const override { return num_entries_; }
   size_t num_leaves() const;
   size_t num_nodes() const;
-  uint64_t total_file_bytes() const;
+  uint64_t index_bytes() const override;
+  std::string describe() const override {
+    return options_.materialized ? "ADSFull" : "ADS+";
+  }
   size_t buffered_entries() const { return total_buffered_; }
 
   const Options& options() const { return options_; }

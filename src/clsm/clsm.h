@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/entry.h"
+#include "core/index.h"
 #include "core/raw_store.h"
 #include "core/types.h"
 #include "seqtable/seq_table.h"
@@ -46,7 +47,10 @@ namespace clsm {
 /// set is published (open fds keep in-flight scans valid). Without a
 /// background pool the insert side keeps its single-caller contract, but
 /// reads go through the same snapshot path.
-class Clsm {
+///
+/// CLSM is a static index in its own right (Finalize forces the buffer to
+/// disk) and the inner structure of CLSM-PP.
+class Clsm : public core::DataSeriesIndex {
  public:
   struct Options {
     series::SaxConfig sax;
@@ -61,7 +65,7 @@ class Clsm {
     ThreadPool* background = nullptr;
     /// Bounded backpressure: cap on detached-but-unflushed memtables (each
     /// holds up to buffer_entries series in memory). 0 = unbounded. Only
-    /// meaningful in async mode; FlushBuffer ignores the cap (a drain
+    /// meaningful in async mode; Finalize ignores the cap (a drain
     /// must always make progress).
     size_t max_inflight_seals = 0;
     /// What Insert does at the cap: block until a flush retires, or
@@ -100,27 +104,29 @@ class Clsm {
                                               storage::BufferPool* pool,
                                               core::RawSeriesStore* raw);
 
-  ~Clsm();
+  ~Clsm() override;
 
   /// Buffers one (z-normalized) series; triggers a flush/merge cascade when
   /// the buffer fills (deferred to the background pool in async mode).
   Status Insert(uint64_t series_id, std::span<const float> znorm_values,
-                int64_t timestamp) {
+                int64_t timestamp) override {
     return core_.Admit(series_id, znorm_values, timestamp);
   }
 
   /// Forces the buffer to disk. In async mode this is the drain barrier:
   /// it blocks until every deferred flush and cascade has completed and
   /// returns the first background error, if any.
-  Status FlushBuffer() { return core_.Flush(); }
+  Status Finalize() override { return core_.Flush(); }
 
   Result<core::SearchResult> ApproxSearch(std::span<const float> query,
                                           const core::SearchOptions& options,
-                                          core::QueryCounters* counters);
+                                          core::QueryCounters* counters)
+      override;
 
   Result<core::SearchResult> ExactSearch(std::span<const float> query,
                                          const core::SearchOptions& options,
-                                         core::QueryCounters* counters);
+                                         core::QueryCounters* counters)
+      override;
 
   /// Exact k-nearest-neighbors across the buffer and every run; the
   /// k-th-best bound is shared, so later runs prune harder.
@@ -128,7 +134,7 @@ class Clsm {
       std::span<const float> query, size_t k,
       const core::SearchOptions& options, core::QueryCounters* counters);
 
-  uint64_t num_entries() const { return core_.num_entries(); }
+  uint64_t num_entries() const override { return core_.num_entries(); }
   size_t buffered_entries() const {
     stream::epoch::EpochGuard guard;
     return static_cast<size_t>(
@@ -148,7 +154,11 @@ class Clsm {
   uint64_t level_entries(size_t level) const;
 
   /// Total bytes across all run files.
-  uint64_t total_file_bytes() const { return core_.sealed()->bytes; }
+  uint64_t index_bytes() const override { return core_.sealed()->bytes; }
+
+  std::string describe() const override {
+    return options_.materialized ? "CLSMFull" : "CLSM";
+  }
 
   /// Cumulative entries rewritten by flushes and compactions — the write
   /// amplification the growth factor trades against read cost.
@@ -165,11 +175,16 @@ class Clsm {
   /// never stalls behind a backpressure-blocked insert.
   stream::StreamingStats SnapshotStats() const;
 
-  /// Monotonic snapshot-version stamp: bumped on every Insert admission and
-  /// every run-set publication (flush or merge cascade). The adapters
-  /// forward this as DataSeriesIndex::snapshot_version() so the service
-  /// answer cache stays exact while the cascade runs in the background.
-  uint64_t snapshot_version() const { return core_.snapshot_version(); }
+  /// The write core's stamp: bumped on every Insert admission and every
+  /// run-set publication (flush or merge cascade), so the service answer
+  /// cache stays exact while the cascade runs in the background.
+  uint64_t snapshot_version() const override {
+    return core_.snapshot_version();
+  }
+
+  /// Async CLSM serves every read from the core's epoch-published
+  /// snapshot; a sync tree reads through the shared BufferPool.
+  bool ConcurrentReadsSafe() const override { return async(); }
 
   bool async() const { return core_.async(); }
 

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 
@@ -13,27 +12,14 @@
 namespace coconut {
 namespace core {
 
-/// Uniform facade over every static index family in the Figure-1 matrix
-/// (ADS+, CTree, CLSM — materialized or not). The Palm server, the factory
-/// and the streaming wrappers all speak this interface.
-///
-/// Lifecycle: Insert() any number of series (z-normalized), then
-/// Finalize(). For bulk-built structures (CTree) Insert before Finalize
-/// feeds the construction sort and queries are only legal afterwards; for
-/// incremental structures (CLSM, ADS+) Finalize merely drains buffers.
-/// Post-Finalize Inserts are supported by every family (the B-tree takes
-/// the top-down insert path with its fill-factor slack).
-class DataSeriesIndex {
+/// The one read interface of every index in the Figure-1 matrix, static
+/// (DataSeriesIndex) or streaming (stream::StreamingIndex): both answer
+/// through the same scan core, so the Palm server, the factory, the
+/// sharded wrappers and the streaming facades all query through this
+/// interface and hold one pointer per index.
+class IndexReader {
  public:
-  virtual ~DataSeriesIndex() = default;
-
-  /// Adds one z-normalized series under `series_id`.
-  virtual Status Insert(uint64_t series_id,
-                        std::span<const float> znorm_values,
-                        int64_t timestamp) = 0;
-
-  /// Seals construction / drains buffers. Idempotent.
-  virtual Status Finalize() = 0;
+  virtual ~IndexReader() = default;
 
   virtual Result<SearchResult> ApproxSearch(std::span<const float> query,
                                             const SearchOptions& options,
@@ -70,21 +56,54 @@ class DataSeriesIndex {
   virtual std::string describe() const = 0;
 
   /// Monotonic snapshot-version stamp: bumped on every mutation that can
-  /// change any query answer (Insert admission, Finalize, background
-  /// publication of sealed runs/partitions). Two equal reads bracketing a
-  /// query prove the query saw a single stable snapshot, which is what the
+  /// change any query answer (admission, Finalize, background publication
+  /// of sealed runs/partitions). Two equal reads bracketing a query prove
+  /// the query saw a single stable snapshot, which is what the
   /// service-layer answer cache keys its validity on. Never decreases.
   ///
-  /// Adapters over composite structures (CLSM, sharded fan-outs) override
-  /// this to expose the inner structure's counter (or a monotone sum of
-  /// per-shard counters — sound because every component only increases).
-  virtual uint64_t snapshot_version() const {
+  /// Structures with a write core of their own (CLSM, TP/BTP) forward its
+  /// stamp, facades (PP) their inner index's, and sharded fan-outs sum
+  /// their shards' (sound because every component only increases).
+  virtual uint64_t snapshot_version() const = 0;
+
+  /// True when any number of threads may call the search/stats accessors
+  /// concurrently with each other AND with ingestion, with no external
+  /// serialization: the epoch-based read path (readers load a published
+  /// immutable snapshot, never take the admission mutex, and never touch
+  /// a shared BufferPool whose page pointers a concurrent reader could
+  /// invalidate). Async TP/BTP/CLSM, PP over async CLSM and the sharded
+  /// stream qualify; static indexes and sync streams do not. The service
+  /// uses this to bypass its per-index operation mutex on the query path,
+  /// and ShardSet to skip its per-shard read lock.
+  virtual bool ConcurrentReadsSafe() const { return false; }
+};
+
+/// The static side of the matrix (ADS+, CTree, CLSM — materialized or
+/// not): the read interface plus construction.
+///
+/// Lifecycle: Insert() any number of series (z-normalized), then
+/// Finalize(). For bulk-built structures (CTree) Insert before Finalize
+/// feeds the construction sort and queries are only legal afterwards; for
+/// incremental structures (CLSM, ADS+) Finalize merely drains buffers.
+/// Post-Finalize Inserts are supported by every family (the B-tree takes
+/// the top-down insert path with its fill-factor slack).
+class DataSeriesIndex : public IndexReader {
+ public:
+  /// Adds one z-normalized series under `series_id`.
+  virtual Status Insert(uint64_t series_id,
+                        std::span<const float> znorm_values,
+                        int64_t timestamp) = 0;
+
+  /// Seals construction / drains buffers. Idempotent.
+  virtual Status Finalize() = 0;
+
+  uint64_t snapshot_version() const override {
     return snapshot_version_.load(std::memory_order_acquire);
   }
 
  protected:
-  /// Marks a mutation; implementations call this at every admission /
-  /// publication site. Thread-safe.
+  /// Marks a mutation; implementations without a write core call this at
+  /// every admission / publication site. Thread-safe.
   void BumpSnapshotVersion() {
     snapshot_version_.fetch_add(1, std::memory_order_acq_rel);
   }

@@ -248,5 +248,71 @@ Status CTree::Flush() {
   return table_->PersistDirectory();
 }
 
+// ------------------------------------------------------------- CTreeIndex
+
+Result<std::unique_ptr<CTreeIndex>> CTreeIndex::Create(
+    storage::StorageManager* storage, const std::string& name,
+    const CTree::Options& options, storage::BufferPool* pool,
+    core::RawSeriesStore* raw) {
+  auto index =
+      std::unique_ptr<CTreeIndex>(new CTreeIndex(options, pool, raw));
+  COCONUT_ASSIGN_OR_RETURN(index->builder_,
+                           CTree::Builder::Create(storage, name, options));
+  return index;
+}
+
+Status CTreeIndex::Insert(uint64_t series_id,
+                          std::span<const float> znorm_values,
+                          int64_t timestamp) {
+  if (tree_ != nullptr) {
+    COCONUT_RETURN_NOT_OK(tree_->Insert(series_id, znorm_values, timestamp));
+  } else {
+    COCONUT_RETURN_NOT_OK(builder_->Add(series_id, znorm_values, timestamp));
+    ++pending_;
+  }
+  BumpSnapshotVersion();
+  return Status::OK();
+}
+
+Status CTreeIndex::Finalize() {
+  if (tree_ != nullptr) {
+    COCONUT_RETURN_NOT_OK(tree_->Flush());
+  } else {
+    COCONUT_ASSIGN_OR_RETURN(tree_, builder_->Finish(pool_, raw_));
+    builder_.reset();
+  }
+  BumpSnapshotVersion();
+  return Status::OK();
+}
+
+Result<CTree*> CTreeIndex::Tree() const {
+  if (tree_ == nullptr) {
+    return Status::Internal("CTree queried before Finalize()");
+  }
+  return tree_.get();
+}
+
+Result<SearchResult> CTreeIndex::ApproxSearch(std::span<const float> query,
+                                              const SearchOptions& options,
+                                              core::QueryCounters* counters) {
+  COCONUT_ASSIGN_OR_RETURN(CTree * tree, Tree());
+  return tree->ApproxSearch(query, options, counters);
+}
+
+Result<SearchResult> CTreeIndex::ExactSearch(std::span<const float> query,
+                                             const SearchOptions& options,
+                                             core::QueryCounters* counters) {
+  COCONUT_ASSIGN_OR_RETURN(CTree * tree, Tree());
+  return tree->ExactSearch(query, options, counters);
+}
+
+Status CTreeIndex::ExactSearchBatch(
+    std::span<const std::span<const float>> queries,
+    const SearchOptions& options, std::span<SearchResult> results,
+    std::span<core::QueryCounters> counters) {
+  COCONUT_ASSIGN_OR_RETURN(CTree * tree, Tree());
+  return tree->ExactSearchBatch(queries, options, results, counters);
+}
+
 }  // namespace ctree
 }  // namespace coconut

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "core/index.h"
 #include "core/raw_store.h"
 #include "core/types.h"
 #include "extsort/external_sorter.h"
@@ -129,6 +130,63 @@ class CTree {
   Options options_;
   core::RawSeriesStore* raw_;  // Not owned; may be null for materialized.
   bool dirty_ = false;
+};
+
+/// CTree as a core::DataSeriesIndex: Inserts before Finalize feed the
+/// external-sort bulk build (CTree::Builder); Finalize opens the tree, and
+/// later Inserts take its top-down insert path (leaf rewrite or split).
+/// Queries are legal only after Finalize.
+class CTreeIndex : public core::DataSeriesIndex {
+ public:
+  static Result<std::unique_ptr<CTreeIndex>> Create(
+      storage::StorageManager* storage, const std::string& name,
+      const CTree::Options& options, storage::BufferPool* pool,
+      core::RawSeriesStore* raw);
+
+  Status Insert(uint64_t series_id, std::span<const float> znorm_values,
+                int64_t timestamp) override;
+  Status Finalize() override;
+  Result<core::SearchResult> ApproxSearch(std::span<const float> query,
+                                          const core::SearchOptions& options,
+                                          core::QueryCounters* counters)
+      override;
+  Result<core::SearchResult> ExactSearch(std::span<const float> query,
+                                         const core::SearchOptions& options,
+                                         core::QueryCounters* counters)
+      override;
+  /// The tree's shared-scan batch path instead of the sequential default.
+  Status ExactSearchBatch(std::span<const std::span<const float>> queries,
+                          const core::SearchOptions& options,
+                          std::span<core::SearchResult> results,
+                          std::span<core::QueryCounters> counters) override;
+  /// Series admitted so far: the builder's count before Finalize.
+  uint64_t num_entries() const override {
+    return tree_ != nullptr ? tree_->num_entries() : pending_;
+  }
+  uint64_t index_bytes() const override {
+    return tree_ != nullptr ? tree_->file_bytes() : 0;
+  }
+  std::string describe() const override {
+    return options_.materialized ? "CTreeFull" : "CTree";
+  }
+
+  /// Valid only after Finalize().
+  CTree* tree() { return tree_.get(); }
+
+ private:
+  CTreeIndex(const CTree::Options& options, storage::BufferPool* pool,
+             core::RawSeriesStore* raw)
+      : options_(options), pool_(pool), raw_(raw) {}
+
+  /// The tree, or an Internal error when queried before Finalize.
+  Result<CTree*> Tree() const;
+
+  CTree::Options options_;
+  storage::BufferPool* pool_;
+  core::RawSeriesStore* raw_;
+  std::unique_ptr<CTree::Builder> builder_;  // Null after Finalize.
+  std::unique_ptr<CTree> tree_;              // Null before Finalize.
+  uint64_t pending_ = 0;
 };
 
 }  // namespace ctree

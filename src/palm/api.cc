@@ -1356,12 +1356,11 @@ namespace {
 template <class Handle>
 storage::IoStats IoSnapshot(const Handle& handle) {
   storage::IoStats io = handle.storage->SnapshotIoStats();
-  if (const auto* sharded =
-          dynamic_cast<const ShardedIndex*>(handle.static_index.get())) {
+  const core::IndexReader* reader = handle.reader.get();
+  if (const auto* sharded = dynamic_cast<const ShardedIndex*>(reader)) {
     io.Add(sharded->AggregateIoStats());
   } else if (const auto* sharded_stream =
-                 dynamic_cast<const ShardedStreamingIndex*>(
-                     handle.stream_index.get())) {
+                 dynamic_cast<const ShardedStreamingIndex*>(reader)) {
     io.Add(sharded_stream->AggregateIoStats());
   }
   return io;
@@ -1568,6 +1567,7 @@ Result<BuildIndexReport> Service::BuildIndex(const std::string& index_name,
     // cached answers from a previous life of this name must go before the
     // handle becomes visible.
     InvalidateCachedAnswers(index_name);
+    handle->lock_free_reads = handle->reader->ConcurrentReadsSafe();
     std::unique_lock<std::shared_mutex> lock(mu_);
     handle->building.store(false);
   } else {
@@ -1584,9 +1584,11 @@ Result<BuildIndexReport> Service::BuildIndexOnHandle(
   const storage::IoStats before = IoSnapshot(*handle);
 
   COCONUT_ASSIGN_OR_RETURN(
-      handle->static_index,
+      std::unique_ptr<core::DataSeriesIndex> created,
       CreateStaticIndex(spec, handle->storage.get(), "index",
                         handle->pool.get(), handle->raw.get()));
+  core::DataSeriesIndex& index = *created;
+  handle->reader = std::move(created);
   // Sharded indexes route every series into a shard-local raw store; the
   // handle-level store would be a dead second copy of the dataset (doubled
   // disk and build I/O), so only unsharded indexes populate it.
@@ -1595,11 +1597,11 @@ Result<BuildIndexReport> Service::BuildIndexOnHandle(
     if (!shard_owned_raw) {
       COCONUT_RETURN_NOT_OK(handle->raw->Append(dataset.data[i]).status());
     }
-    COCONUT_RETURN_NOT_OK(handle->static_index->Insert(
-        i, dataset.data[i], dataset.timestamps[i]));
+    COCONUT_RETURN_NOT_OK(
+        index.Insert(i, dataset.data[i], dataset.timestamps[i]));
   }
   COCONUT_RETURN_NOT_OK(handle->raw->Flush());
-  COCONUT_RETURN_NOT_OK(handle->static_index->Finalize());
+  COCONUT_RETURN_NOT_OK(index.Finalize());
   handle->next_series_id = dataset.data.size();
   handle->build_seconds = timer.ElapsedSeconds();
   // Sharded shards did not exist at `before`, so their totals are this
@@ -1611,9 +1613,9 @@ Result<BuildIndexReport> Service::BuildIndexOnHandle(
   report.variant = VariantName(spec);
   report.dataset = dataset_name;
   report.shards = spec.num_shards;
-  report.entries = handle->static_index->num_entries();
+  report.entries = index.num_entries();
   report.build_seconds = handle->build_seconds;
-  report.index_bytes = handle->static_index->index_bytes();
+  report.index_bytes = index.index_bytes();
   report.total_bytes = handle->storage->TotalBytesOnDisk();
   report.io = handle->build_io;
   return report;
@@ -1644,8 +1646,7 @@ Result<CreateStreamResponse> Service::CreateStream(
       TeardownHandle(stream_name, h);
       return;
     }
-    h->stream_index.reset();
-    h->static_index.reset();
+    h->reader.reset();
     h->wal.reset();
     h->raw.reset();
     h->pool.reset();
@@ -1675,9 +1676,9 @@ Result<CreateStreamResponse> Service::CreateStream(
     discard(handle);
     return created.status();
   }
-  handle->stream_index = created.TakeValue();
-  if (auto* sharded_recovered = dynamic_cast<ShardedStreamingIndex*>(
-          handle->stream_index.get());
+  handle->reader = created.TakeValue();
+  if (auto* sharded_recovered =
+          dynamic_cast<ShardedStreamingIndex*>(handle->stream());
       sharded_recovered != nullptr) {
     // 0 for a fresh sharded stream; max recovered global id + 1 after a
     // sharded recovery (the factory replayed the per-shard logs inside
@@ -1688,7 +1689,7 @@ Result<CreateStreamResponse> Service::CreateStream(
     // already wired in; restore the newest durable checkpoint and replay
     // the acknowledged suffix through the normal ingest path.
     stream::WalRecoverOutcome outcome;
-    if (const Status st = handle->wal->Recover(handle->stream_index.get(),
+    if (const Status st = handle->wal->Recover(handle->stream(),
                                                handle->raw.get(), &outcome);
         !st.ok()) {
       discard(handle);
@@ -1698,6 +1699,7 @@ Result<CreateStreamResponse> Service::CreateStream(
   }
   // See BuildIndex: a recreated name restarts its version counter.
   InvalidateCachedAnswers(stream_name);
+  handle->lock_free_reads = handle->reader->ConcurrentReadsSafe();
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     handle->building.store(false);
@@ -1721,8 +1723,7 @@ std::error_code Service::TeardownHandle(const std::string& name,
   const std::string directory = handle->storage != nullptr
                                     ? handle->storage->directory()
                                     : root_dir_ + "/idx_" + name;
-  handle->stream_index.reset();
-  handle->static_index.reset();
+  handle->reader.reset();
   handle->wal.reset();
   handle->raw.reset();
   handle->pool.reset();
@@ -1755,7 +1756,7 @@ Result<IngestBatchReport> Service::IngestBatch(
   std::lock_guard<std::mutex> op_lock(handle->op_mutex);
   // A concurrent DropIndex tombstones, then waits on op_mutex: if it won
   // that race the members below are torn down — bounce like a miss.
-  if (handle->building.load() || handle->stream_index == nullptr) {
+  if (handle->building.load() || handle->stream() == nullptr) {
     return Status::NotFound("stream '" + stream_name + "' not found");
   }
 
@@ -1784,7 +1785,7 @@ Result<IngestBatchReport> Service::IngestBatch(
       COCONUT_ASSIGN_OR_RETURN(id, handle->raw->Append(buf));
     }
     handle->next_series_id = id + 1;
-    const Status st = handle->stream_index->Ingest(id, buf, timestamps[i]);
+    const Status st = handle->stream()->Ingest(id, buf, timestamps[i]);
     if (!st.ok() && handle->wal != nullptr) {
       // The ordinal above is burned whether or not the index admitted the
       // entry, so the log must burn it too — otherwise a replay would
@@ -1811,12 +1812,12 @@ Result<IngestBatchReport> Service::IngestBatch(
   // admitted prefix is ingested, so its group commit must be on disk
   // first (one fdatasync per batch, fanned across shards when sharded).
   // No-op for non-durable streams.
-  COCONUT_RETURN_NOT_OK(handle->stream_index->CommitDurable());
+  COCONUT_RETURN_NOT_OK(handle->stream()->CommitDurable());
 
   IngestBatchReport report;
   report.stream = stream_name;
   report.ingested = admitted;
-  CopyStreamStats(handle->stream_index->SnapshotStats(), &report);
+  CopyStreamStats(handle->stream()->SnapshotStats(), &report);
   report.seconds = timer.ElapsedSeconds();
   report.io = IoSnapshot(*handle).Since(before);
   return report;
@@ -1835,29 +1836,28 @@ Result<DrainStreamReport> Service::DrainStream(const std::string& stream_name) {
     return Status::NotFound("stream '" + stream_name + "' not found");
   }
   std::lock_guard<std::mutex> op_lock(handle->op_mutex);
-  if (handle->building.load() || handle->stream_index == nullptr) {
+  if (handle->building.load() || handle->stream() == nullptr) {
     return Status::NotFound("stream '" + stream_name + "' not found");
   }
   WallTimer timer;
-  COCONUT_RETURN_NOT_OK(handle->stream_index->FlushAll());
+  COCONUT_RETURN_NOT_OK(handle->stream()->FlushAll());
   // A drained stream is fully sealed and checkpointed, so the logs can
   // shrink to their base frame: recovering a drained stream replays
   // nothing.
-  if (auto* sharded_drained = dynamic_cast<ShardedStreamingIndex*>(
-          handle->stream_index.get());
+  if (auto* sharded_drained =
+          dynamic_cast<ShardedStreamingIndex*>(handle->stream());
       sharded_drained != nullptr) {
     COCONUT_RETURN_NOT_OK(sharded_drained->TruncateDurableLogs());
   } else if (handle->wal != nullptr) {
     COCONUT_RETURN_NOT_OK(handle->wal->TruncateBefore(handle->raw.get()));
   }
-  const stream::StreamingStats stats =
-      handle->stream_index->SnapshotStats();
+  const stream::StreamingStats stats = handle->stream()->SnapshotStats();
   DrainStreamReport report;
   report.stream = stream_name;
   report.drained = true;
   report.drain_seconds = timer.ElapsedSeconds();
   CopyStreamStats(stats, &report);
-  report.index_bytes = handle->stream_index->index_bytes();
+  report.index_bytes = handle->stream()->index_bytes();
   report.total_bytes = handle->storage->TotalBytesOnDisk();
   return report;
 }
@@ -1887,7 +1887,7 @@ Result<QueryReport> Service::Query(const QueryRequest& request) {
           cached.Probe([&] { return ProbeVersion(*handle); })) {
     return *std::move(hit);
   }
-  // Lock-free read path: a stream that serves queries from epoch-published
+  // Lock-free read path: an index that serves queries from epoch-published
   // snapshots never needs the per-handle op mutex, so a query cannot stall
   // behind a backpressure-blocked ingest batch. The whole read — tombstone
   // check, version bracket, scan, cache stamp — sits inside one epoch
@@ -1899,8 +1899,7 @@ Result<QueryReport> Service::Query(const QueryRequest& request) {
   // the op mutex.
   std::optional<stream::epoch::EpochGuard> guard;
   std::unique_lock<std::mutex> op_lock(handle->op_mutex, std::defer_lock);
-  if (handle->stream_index != nullptr &&
-      handle->stream_index->ConcurrentReadsSafe() && !request.capture_heatmap) {
+  if (handle->lock_free_reads && !request.capture_heatmap) {
     guard.emplace();
   } else {
     op_lock.lock();
@@ -1922,13 +1921,7 @@ std::optional<uint64_t> Service::ProbeVersion(const IndexHandle& handle) {
 }
 
 uint64_t Service::IndexVersion(const IndexHandle& handle) {
-  if (handle.static_index != nullptr) {
-    return handle.static_index->snapshot_version();
-  }
-  if (handle.stream_index != nullptr) {
-    return handle.stream_index->snapshot_version();
-  }
-  return 0;
+  return handle.reader->snapshot_version();
 }
 
 Result<QueryReport> Service::QueryLocked(const QueryRequest& request,
@@ -1956,15 +1949,8 @@ Result<QueryReport> Service::QueryLocked(const QueryRequest& request,
   WallTimer timer;
   const storage::IoStats before = IoSnapshot(*handle);
   Result<core::SearchResult> result =
-      handle->static_index != nullptr
-          ? (request.exact
-                 ? handle->static_index->ExactSearch(query, options, &counters)
-                 : handle->static_index->ApproxSearch(query, options,
-                                                      &counters))
-          : (request.exact
-                 ? handle->stream_index->ExactSearch(query, options, &counters)
-                 : handle->stream_index->ApproxSearch(query, options,
-                                                      &counters));
+      request.exact ? handle->reader->ExactSearch(query, options, &counters)
+                    : handle->reader->ApproxSearch(query, options, &counters);
   const double seconds = timer.ElapsedSeconds();
   if (request.capture_heatmap) tracker->Disable();
   if (!result.ok()) return result.status();
@@ -2031,7 +2017,7 @@ void Service::QueryGroup(const std::vector<QueryRequest>& requests,
   // validation errors.
   std::vector<size_t> fallback;
   std::vector<std::pair<const QueryRequest*, std::vector<size_t>>> buckets;
-  if (handle != nullptr && handle->static_index != nullptr) {
+  if (handle != nullptr && !handle->is_stream()) {
     for (size_t ordinal : pending) {
       const QueryRequest& r = requests[ordinal];
       const bool eligible =
@@ -2106,7 +2092,7 @@ void Service::QueryBatched(const std::vector<QueryRequest>& requests,
   WallTimer timer;
   const storage::IoStats before = IoSnapshot(*handle);
   Status st =
-      handle->static_index->ExactSearchBatch(spans, options, matches, counters);
+      handle->reader->ExactSearchBatch(spans, options, matches, counters);
   const double seconds = timer.ElapsedSeconds();
   if (!st.ok()) {
     for (size_t ordinal : ordinals) (*results)[ordinal] = st;
@@ -2209,17 +2195,14 @@ Result<ListIndexesResponse> Service::ListIndexes() {
       ListIndexesResponse::IndexInfo info;
       info.name = index_name;
       info.variant = VariantName(handle->spec);
-      info.streaming = handle->stream_index != nullptr;
+      info.streaming = handle->is_stream();
       info.shards = handle->spec.num_shards;
-      info.entries = handle->static_index != nullptr
-                         ? handle->static_index->num_entries()
-                         : handle->stream_index->num_entries();
+      info.entries = handle->reader->num_entries();
       info.total_bytes = handle->storage->TotalBytesOnDisk();
       response.indexes.push_back(std::move(info));
     };
-    if (handle->stream_index != nullptr &&
-        handle->stream_index->ConcurrentReadsSafe()) {
-      // Epoch-snapshot streams answer stats reads lock-free; taking the op
+    if (handle->lock_free_reads) {
+      // Epoch-snapshot indexes answer stats reads lock-free; taking the op
       // mutex here would park the listing behind a backpressure-blocked
       // ingest batch on this one index.
       stream::epoch::EpochGuard guard;
@@ -2267,16 +2250,14 @@ Result<DropIndexResponse> Service::DropIndex(const std::string& index_name) {
   {
     std::lock_guard<std::mutex> op_lock(handle->op_mutex);
     directory = handle->storage->directory();
-    response.streaming = handle->stream_index != nullptr;
-    if (handle->stream_index != nullptr) {
+    response.streaming = handle->is_stream();
+    if (handle->is_stream()) {
       // Quiesce background seals/merges before tearing the stack down. A
       // drain error does not block the drop — the handle is going away
       // either way and its destructor waits for stragglers.
-      (void)handle->stream_index->FlushAll();
-      response.entries = handle->stream_index->num_entries();
-    } else {
-      response.entries = handle->static_index->num_entries();
+      (void)handle->stream()->FlushAll();
     }
+    response.entries = handle->reader->num_entries();
     response.reclaimed_bytes = handle->storage->TotalBytesOnDisk();
   }
   // Wait out every lock-free reader that pinned the handle before the
@@ -2328,12 +2309,14 @@ Result<DropDatasetResponse> Service::DropDataset(
 
 core::DataSeriesIndex* Service::static_index(const std::string& name) {
   std::shared_ptr<IndexHandle> handle = PinHandle(name);
-  return handle == nullptr ? nullptr : handle->static_index.get();
+  return handle == nullptr
+             ? nullptr
+             : dynamic_cast<core::DataSeriesIndex*>(handle->reader.get());
 }
 
 stream::StreamingIndex* Service::stream_index(const std::string& name) {
   std::shared_ptr<IndexHandle> handle = PinHandle(name);
-  return handle == nullptr ? nullptr : handle->stream_index.get();
+  return handle == nullptr ? nullptr : handle->stream();
 }
 
 storage::StorageManager* Service::index_storage(const std::string& name) {

@@ -686,8 +686,13 @@ class Service final : public FrontDoor {
     /// which hold a raw pointer to it: their destructors (draining
     /// background seals that append checkpoints) must run first.
     std::unique_ptr<stream::Wal> wal;
-    std::unique_ptr<core::DataSeriesIndex> static_index;
-    std::unique_ptr<stream::StreamingIndex> stream_index;
+    /// The index, static or streaming: queries, version probes, listings
+    /// and drops all read through this one pointer.
+    std::unique_ptr<core::IndexReader> reader;
+    /// reader->ConcurrentReadsSafe(), fixed when the handle is published
+    /// so the lock choice on the query and listing paths never touches an
+    /// index a concurrent DropIndex may be tearing down.
+    bool lock_free_reads = false;
     uint64_t next_series_id = 0;
     /// True when InitHandleStorage found durable on-disk state to recover
     /// instead of clearing the directory. Failure paths preserve the
@@ -708,6 +713,14 @@ class Service final : public FrontDoor {
     /// Serializes ingest/drain/query on this index (buffer pool, tracker
     /// and counters are single-threaded per index, as in QueryBatch).
     std::mutex op_mutex;
+
+    bool is_stream() const { return spec.mode != StreamMode::kStatic; }
+    /// The reader's ingest side; null for a static index (written only
+    /// while it builds) and once the handle is torn down.
+    stream::StreamingIndex* stream() const {
+      return is_stream() ? static_cast<stream::StreamingIndex*>(reader.get())
+                         : nullptr;
+    }
   };
 
   Service(std::string root_dir, size_t pool_bytes);
@@ -752,7 +765,7 @@ class Service final : public FrontDoor {
   Result<QueryReport> QueryLocked(const QueryRequest& request,
                                   IndexHandle* handle);
 
-  /// The handle's current snapshot-version stamp (static or streaming).
+  /// The handle's current snapshot-version stamp.
   static uint64_t IndexVersion(const IndexHandle& handle);
 
   /// IndexVersion for a cache probe made without the op mutex: read inside
@@ -761,7 +774,7 @@ class Service final : public FrontDoor {
 
   /// Runs one QueryBatch group (all requests target the same index name).
   /// Exact static-index requests with matching search options are bucketed
-  /// and answered through DataSeriesIndex::ExactSearchBatch — one shared
+  /// and answered through IndexReader::ExactSearchBatch — one shared
   /// scan through the batched distance kernels; everything else falls back
   /// to the per-request Query path. Writes results[ordinal] for every
   /// ordinal in the group.

@@ -1,6 +1,8 @@
 #include "palm/factory.h"
 
-#include "core/adapters.h"
+#include "ads/ads_index.h"
+#include "clsm/clsm.h"
+#include "ctree/ctree.h"
 #include "palm/sharded_index.h"
 #include "palm/sharded_streaming_index.h"
 #include "stream/btp.h"
@@ -44,10 +46,9 @@ Result<std::unique_ptr<core::DataSeriesIndex>> MakeInner(
       opts.materialized = spec.materialized;
       opts.leaf_capacity = spec.ads_leaf_capacity;
       opts.global_buffer_entries = AdsBufferEntries(spec);
-      COCONUT_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::AdsIndexAdapter> adapter,
-          core::AdsIndexAdapter::Create(storage, name, opts, raw));
-      return std::unique_ptr<core::DataSeriesIndex>(std::move(adapter));
+      COCONUT_ASSIGN_OR_RETURN(std::unique_ptr<ads::AdsIndex> ads,
+                               ads::AdsIndex::Create(storage, name, opts, raw));
+      return std::unique_ptr<core::DataSeriesIndex>(std::move(ads));
     }
     case IndexFamily::kCTree: {
       ctree::CTree::Options opts;
@@ -57,9 +58,9 @@ Result<std::unique_ptr<core::DataSeriesIndex>> MakeInner(
       opts.sort_memory_bytes = spec.memory_budget_bytes;
       opts.sort_threads = spec.construction_threads;
       COCONUT_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::CTreeIndexAdapter> adapter,
-          core::CTreeIndexAdapter::Create(storage, name, opts, pool, raw));
-      return std::unique_ptr<core::DataSeriesIndex>(std::move(adapter));
+          std::unique_ptr<ctree::CTreeIndex> tree,
+          ctree::CTreeIndex::Create(storage, name, opts, pool, raw));
+      return std::unique_ptr<core::DataSeriesIndex>(std::move(tree));
     }
     case IndexFamily::kClsm: {
       clsm::Clsm::Options opts;
@@ -73,9 +74,9 @@ Result<std::unique_ptr<core::DataSeriesIndex>> MakeInner(
       opts.seal_test_hook = spec.seal_test_hook;
       opts.wal = spec.wal;
       COCONUT_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::ClsmIndexAdapter> adapter,
-          core::ClsmIndexAdapter::Create(storage, name, opts, pool, raw));
-      return std::unique_ptr<core::DataSeriesIndex>(std::move(adapter));
+          std::unique_ptr<clsm::Clsm> lsm,
+          clsm::Clsm::Create(storage, name, opts, pool, raw));
+      return std::unique_ptr<core::DataSeriesIndex>(std::move(lsm));
     }
   }
   return Status::InvalidArgument("unknown index family");
@@ -276,11 +277,7 @@ Result<std::unique_ptr<stream::StreamingIndex>> CreateStreamingIndex(
       if (spec.family == IndexFamily::kCTree) {
         COCONUT_RETURN_NOT_OK(inner->Finalize());
       }
-      clsm::Clsm* lsm = nullptr;
-      if (auto* adapter = dynamic_cast<core::ClsmIndexAdapter*>(inner.get());
-          adapter != nullptr) {
-        lsm = adapter->lsm();
-      }
+      auto* lsm = dynamic_cast<clsm::Clsm*>(inner.get());
       auto pp = std::make_unique<stream::PostProcessingIndex>(
           std::move(inner), spec.timestamp_policy);
       if (lsm != nullptr) {
@@ -290,9 +287,6 @@ Result<std::unique_ptr<stream::StreamingIndex>> CreateStreamingIndex(
         pp->set_manifest_restorer([lsm](std::span<const uint8_t> manifest) {
           return lsm->RestoreFromManifest(manifest);
         });
-        // Async CLSM serves queries from epoch-published snapshots, so the
-        // service may fan reads out without the per-handle op lock.
-        pp->set_concurrent_reads_safe(lsm->async());
       }
       pp->set_wal(spec.wal);
       return std::unique_ptr<stream::StreamingIndex>(std::move(pp));

@@ -56,7 +56,7 @@ struct QueryCacheStats {
 /// that filled it.
 ///
 /// Exactness under ingest comes from the snapshot-version stamp
-/// (DataSeriesIndex/StreamingIndex::snapshot_version): entries remember
+/// (core::IndexReader::snapshot_version): entries remember
 /// the version they were computed at and Lookup only returns them while
 /// the index still reports that version. The service fills an entry only
 /// when the version read before the scan equals the version read after it

@@ -43,15 +43,14 @@ size_t ShardSet<Inner>::ShardOf(std::span<const float> znorm_values) const {
 
 template <class Inner>
 void ShardSet<Inner>::Scatter(const std::function<void(size_t)>& fn) {
-  auto on_pool = [this](size_t) { return query_pool_.get(); };
-  if constexpr (kSerializeReads) {
-    RunOnEach(shards_.size(), on_pool, [&](size_t i) {
-      std::lock_guard<std::mutex> lock(shards_[i]->mu);
-      fn(i);
-    });
-  } else {
-    RunOnEach(shards_.size(), on_pool, fn);
-  }
+  RunOnEach(
+      shards_.size(), [this](size_t) { return query_pool_.get(); },
+      [&](size_t i) {
+        Shard& shard = *shards_[i];
+        if (shard.index->ConcurrentReadsSafe()) return fn(i);
+        std::lock_guard<std::mutex> lock(shard.mu);
+        fn(i);
+      });
 }
 
 template <class Inner>

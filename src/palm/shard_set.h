@@ -6,7 +6,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -36,16 +35,15 @@ namespace palm {
 /// back through the shard's IdMap and keeps the nearest. The shards
 /// cover the data disjointly and each per-shard search is exact over its
 /// shard, so the gathered minimum equals the unsharded exact answer.
+///
+/// Reads into a shard whose index is not ConcurrentReadsSafe (static
+/// inners keep single-threaded query state: buffer-pool page pointers,
+/// access tracker) serialize behind its mutex while distinct shards run
+/// in parallel; epoch-snapshot streams are read without it. Asked of the
+/// inner index, never configured.
 template <class Inner>
 class ShardSet {
  public:
-  /// Static inner indexes keep single-threaded query state (buffer-pool
-  /// page pointers, access tracker), so reads into one shard serialize
-  /// behind its mutex while distinct shards run in parallel. Streaming
-  /// inner indexes evaluate epoch-published snapshots and are read without
-  /// it. Picked by the inner type, never configured.
-  static constexpr bool kSerializeReads =
-      std::is_same_v<Inner, core::DataSeriesIndex>;
   /// Query fan-out threads: one per shard, at most this many.
   static constexpr size_t kMaxQueryThreads = 8;
 
@@ -61,9 +59,9 @@ class ShardSet {
     /// Shard-local raw-store ordinal -> global series id; lock-free so the
     /// gather never waits on a backpressure-blocked admission.
     IdMap local_to_global;
-    /// Static shards: serializes reads (kSerializeReads). Streaming
-    /// shards: serializes admission (raw append, id map and inner Ingest
-    /// must agree on the local ordinal).
+    /// Serializes reads unless the index is ConcurrentReadsSafe, and a
+    /// stream's admission (raw append, id map and inner Ingest must agree
+    /// on the local ordinal).
     std::mutex mu;
   };
 
@@ -88,7 +86,8 @@ class ShardSet {
   size_t ShardOf(std::span<const float> znorm_values) const;
 
   /// Runs fn(i) for every shard on the query pool and returns once all
-  /// have finished; static shards hold shard i's mutex around fn(i).
+  /// have finished; shard i's mutex is held around fn(i) unless its index
+  /// is ConcurrentReadsSafe.
   void Scatter(const std::function<void(size_t)>& fn);
 
   /// Runs fn on every shard concurrently, one build thread per shard (the

@@ -65,12 +65,12 @@ class PostProcessingIndex : public StreamingIndex {
 
   core::DataSeriesIndex* inner() { return inner_.get(); }
 
-  /// The factory marks the facade lock-free-readable when the inner
-  /// structure serves queries from epoch-published snapshots (async CLSM).
-  /// ADS+/CTree inners stay single-caller: their reads walk live
-  /// structures and share BufferPool pages.
-  void set_concurrent_reads_safe(bool safe) { concurrent_reads_safe_ = safe; }
-  bool ConcurrentReadsSafe() const override { return concurrent_reads_safe_; }
+  /// Lock-free-readable exactly when the inner structure is: async CLSM
+  /// serves queries from epoch-published snapshots, while ADS+/CTree
+  /// inners walk live structures and share BufferPool pages.
+  bool ConcurrentReadsSafe() const override {
+    return inner_->ConcurrentReadsSafe();
+  }
 
   /// Hook for wrappers whose inner index has richer concurrent stats than
   /// the default entries/partitions pair (the factory wires CLSM's
@@ -123,7 +123,6 @@ class PostProcessingIndex : public StreamingIndex {
   StatsProvider stats_provider_;
   ManifestRestorer manifest_restorer_;
   Wal* wal_ = nullptr;
-  bool concurrent_reads_safe_ = false;
   TimestampPolicy policy_;
   /// Guards the policy state only; concurrency of the inner index itself
   /// is the inner index's business (CLSM is concurrent, ADS+/CTree are

@@ -13,6 +13,7 @@
 
 #include "common/status.h"
 #include "common/timer.h"
+#include "core/index.h"
 #include "core/types.h"
 
 namespace coconut {
@@ -227,20 +228,19 @@ struct StreamingStats {
   }
 };
 
-/// Facade over the streaming schemes of Section 3 (PP, TP, BTP). Values in
-/// each temporal window are treated as time-ordered sequences: series
-/// arrive with timestamps, and queries carry a window of interest in
-/// SearchOptions.window.
+/// Facade over the streaming schemes of Section 3 (PP, TP, BTP): the read
+/// interface (core::IndexReader) plus ingestion, the drain barrier, stats
+/// and the write-ahead-log hooks. Values in each temporal window are
+/// treated as time-ordered sequences: series arrive with timestamps, and
+/// queries carry a window of interest in SearchOptions.window.
 ///
 /// Threading: implementations created with a background pool are
 /// concurrent — one thread may Ingest while any number of threads query;
 /// seals and merges run on the pool and queries execute against immutable
-/// snapshots of the sealed partition set. Without a background pool the
-/// index is single-caller, exactly as before.
-class StreamingIndex {
+/// snapshots of the sealed partition set (ConcurrentReadsSafe). Without a
+/// background pool the index is single-caller, exactly as before.
+class StreamingIndex : public core::IndexReader {
  public:
-  virtual ~StreamingIndex() = default;
-
   /// Ingests one z-normalized series stamped `timestamp`. Timestamps are
   /// expected to be non-decreasing across calls (stream order); what
   /// happens when they are not is governed by the index's TimestampPolicy
@@ -256,22 +256,11 @@ class StreamingIndex {
   /// same input, and the first error any background task hit is returned.
   virtual Status FlushAll() = 0;
 
-  virtual Result<core::SearchResult> ApproxSearch(
-      std::span<const float> query, const core::SearchOptions& options,
-      core::QueryCounters* counters) = 0;
-
-  virtual Result<core::SearchResult> ExactSearch(
-      std::span<const float> query, const core::SearchOptions& options,
-      core::QueryCounters* counters) = 0;
-
-  virtual uint64_t num_entries() const = 0;
-
   /// Sealed partitions currently held (1 for PP's monolithic index).
   virtual size_t num_partitions() const = 0;
 
-  virtual uint64_t index_bytes() const = 0;
-
-  virtual std::string describe() const = 0;
+  /// The default serves indexes with no queryable state to version.
+  uint64_t snapshot_version() const override { return 0; }
 
   /// Race-free progress snapshot; the base implementation covers
   /// single-threaded wrappers whose accessors are already consistent.
@@ -304,28 +293,6 @@ class StreamingIndex {
   /// wrapper fans this out to its per-shard logs; an index without a WAL
   /// returns OK. Runs on the admission thread, after the batch.
   virtual Status CommitDurable() { return Status::OK(); }
-
-  /// True when any number of threads may call the search/stats accessors
-  /// concurrently with each other AND with Ingest/FlushAll, with no
-  /// external serialization: the epoch-based read path (readers load a
-  /// published immutable snapshot, never take the admission mutex, and
-  /// never touch a shared BufferPool whose page pointers a concurrent
-  /// reader could invalidate). Async TP/BTP/CLSM and the sharded wrapper
-  /// qualify; sync (single-caller) indexes and anything routing reads
-  /// through a shared BufferPool do not. The service layer uses this to
-  /// bypass its per-index operation mutex on the query path.
-  virtual bool ConcurrentReadsSafe() const { return false; }
-
-  /// Monotonic snapshot-version stamp, mirroring
-  /// core::DataSeriesIndex::snapshot_version(): bumped on every Ingest
-  /// admission and every background publication (seal, flush, merge
-  /// cascade) that changes the queryable partition set. Equal reads
-  /// bracketing a query prove it ran against one stable snapshot; the
-  /// service-layer answer cache keys validity on this. TP/BTP forward the
-  /// write core's stamp, PP its inner index's, and the sharded wrapper
-  /// sums its shards' (sound because components only grow). The default
-  /// serves indexes with no queryable state to version.
-  virtual uint64_t snapshot_version() const { return 0; }
 };
 
 }  // namespace stream

@@ -23,12 +23,12 @@ std::shared_ptr<const PartitionSet> MakeSet(
   for (const auto& p : partitions) {
     set->entries += p->entries;
     if (p->table != nullptr) set->bytes += p->table->file_bytes();
-    if (p->ads != nullptr) set->bytes += p->ads->total_file_bytes();
+    if (p->ads != nullptr) set->bytes += p->ads->index_bytes();
   }
   if (live_ads != nullptr) {
     set->live_ads_entries = live_ads->num_entries();
     set->entries += set->live_ads_entries;
-    set->bytes += live_ads->total_file_bytes();
+    set->bytes += live_ads->index_bytes();
   }
   set->partitions = std::move(partitions);
   set->live_ads = std::move(live_ads);
@@ -144,7 +144,7 @@ Result<TemporalPartitioningIndex::Core::LiveEdit>
 TemporalPartitioningIndex::LiveAdsEdit(const PartitionSet& current,
                                        bool seal) {
   if (!seal) return Core::LiveEdit{MakeSet(current.partitions, live_ads_)};
-  COCONUT_RETURN_NOT_OK(live_ads_->FlushAll());
+  COCONUT_RETURN_NOT_OK(live_ads_->Finalize());
   auto partition = std::make_shared<SealedPartition>();
   partition->entries = live_ads_->num_entries();
   partition->ads = std::move(live_ads_);

@@ -111,7 +111,7 @@ TEST_F(AdsTest, ConstructionCausesRandomWrites) {
   for (size_t i = 0; i < collection.size(); ++i) {
     ASSERT_TRUE(ads->Insert(i, collection[i], 0).ok());
   }
-  ASSERT_TRUE(ads->FlushAll().ok());
+  ASSERT_TRUE(ads->Finalize().ok());
   const auto& io = *mgr_->io_stats();
   // Flushes hop between leaf files: a large share of writes is random.
   EXPECT_GT(io.random_writes, io.total_writes() / 4);
@@ -126,15 +126,15 @@ TEST_F(AdsTest, GlobalBufferCapRespected) {
   EXPECT_LE(ads->buffered_entries(), 100u + 1u);
 }
 
-TEST_F(AdsTest, FlushAllEmptiesBuffers) {
+TEST_F(AdsTest, FinalizeEmptiesBuffers) {
   auto collection = testutil::RandomWalkCollection(300, 64, 8);
   auto ads = MakeAds({.sax = TestSax(), .leaf_capacity = 64,
                       .global_buffer_entries = 1024},
                      collection);
   EXPECT_GT(ads->buffered_entries(), 0u);
-  ASSERT_TRUE(ads->FlushAll().ok());
+  ASSERT_TRUE(ads->Finalize().ok());
   EXPECT_EQ(ads->buffered_entries(), 0u);
-  EXPECT_GT(ads->total_file_bytes(), 0u);
+  EXPECT_GT(ads->index_bytes(), 0u);
 
   // Data still searchable after the flush.
   std::vector<float> query(collection[9].begin(), collection[9].end());

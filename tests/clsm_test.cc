@@ -62,7 +62,7 @@ TEST_F(ClsmTest, CountsAcrossBufferAndLevels) {
                      collection);
   EXPECT_EQ(lsm->num_entries(), 1000u);
   EXPECT_GT(lsm->num_active_levels(), 0u);
-  ASSERT_TRUE(lsm->FlushBuffer().ok());
+  ASSERT_TRUE(lsm->Finalize().ok());
   EXPECT_EQ(lsm->buffered_entries(), 0u);
   EXPECT_EQ(lsm->num_entries(), 1000u);
 }
@@ -151,7 +151,7 @@ TEST_F(ClsmTest, IngestionIsSequentialIo) {
   for (size_t i = 0; i < collection.size(); ++i) {
     ASSERT_TRUE(lsm->Insert(i, collection[i], 0).ok());
   }
-  ASSERT_TRUE(lsm->FlushBuffer().ok());
+  ASSERT_TRUE(lsm->Finalize().ok());
   const auto& io = *mgr_->io_stats();
   // Log-structured ingestion: sequential writes dominate. Random writes are
   // one header per run built.

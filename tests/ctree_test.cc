@@ -271,6 +271,32 @@ TEST_F(CTreeTest, RejectsWrongLength) {
   EXPECT_FALSE(builder->Add(0, short_series, 0).ok());
 }
 
+// Before Finalize the index counts the series its builder admitted: a
+// refused insert is neither an entry nor a new snapshot version.
+TEST_F(CTreeTest, IndexCountsOnlyAdmittedSeriesBeforeFinalize) {
+  auto collection = testutil::RandomWalkCollection(10, 64, 12);
+  raw_ = core::RawSeriesStore::Create(mgr_.get(), "idx.raw", 64).TakeValue();
+  ASSERT_TRUE(testutil::FillRawStore(raw_.get(), collection).ok());
+  auto index = CTreeIndex::Create(mgr_.get(), "idx", {.sax = TestSax()},
+                                  nullptr, raw_.get())
+                   .TakeValue();
+  const uint64_t version = index->snapshot_version();
+  std::vector<float> short_series(32, 0.0f);
+  EXPECT_EQ(index->Insert(99, short_series, 0).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(index->num_entries(), 0u);
+  EXPECT_EQ(index->snapshot_version(), version);
+
+  for (size_t i = 0; i < collection.size(); ++i) {
+    ASSERT_TRUE(index->Insert(i, collection[i], 0).ok());
+  }
+  EXPECT_EQ(index->num_entries(), 10u);
+  ASSERT_TRUE(index->Finalize().ok());
+  EXPECT_EQ(index->num_entries(), 10u);
+  std::vector<float> query(collection[3].begin(), collection[3].end());
+  EXPECT_EQ(index->ExactSearch(query, {}, nullptr).TakeValue().series_id, 3u);
+}
+
 }  // namespace
 }  // namespace ctree
 }  // namespace coconut

@@ -671,6 +671,95 @@ TEST(EpochDropRaceTest, DropIndexWhileUncachedQueriesAndListingsRace) {
   RunDropRace(/*with_cache=*/false);
 }
 
+// The static analogue: queriers and a ListIndexes hammer race repeated
+// drops and rebuilds of one static index. A static index serializes its
+// reads on the op mutex, and the lock choice itself must not touch an
+// index a concurrent drop is tearing down. Every query comes back OK
+// (against whichever life of the name it pinned) or NotFound.
+void RunStaticDropRebuildRace(bool with_cache) {
+  const std::string root = std::filesystem::temp_directory_path().string() +
+                           (with_cache ? "/epoch_static_drop_cached"
+                                       : "/epoch_static_drop_uncached");
+  std::filesystem::remove_all(root);
+  {
+    std::unique_ptr<Service> service = Service::Create(root).TakeValue();
+    if (with_cache) service->EnableQueryCache(QueryCacheOptions{});
+
+    constexpr size_t kLength = 32;
+    const series::SeriesCollection data =
+        testutil::RandomWalkCollection(120, kLength, 53);
+    RegisterDatasetRequest reg;
+    reg.name = "walks";
+    reg.data = data;
+    ASSERT_TRUE(service->RegisterDataset(reg).ok());
+    BuildIndexRequest build;
+    build.index = "frozen";
+    build.dataset = "walks";
+    build.spec.sax = series::SaxConfig{.series_length = kLength,
+                                       .num_segments = 8,
+                                       .bits_per_segment = 8};
+    build.spec.family = IndexFamily::kCTree;
+    ASSERT_TRUE(service->BuildIndex(build).ok());
+
+    std::atomic<bool> stop{false};
+    std::atomic<size_t> answered{0};
+    std::vector<std::thread> queriers;
+    for (size_t t = 0; t < 2; ++t) {
+      queriers.emplace_back([&, t] {
+        Rng rng(800 + t);
+        while (!stop.load(std::memory_order_acquire)) {
+          QueryRequest request;
+          request.index = "frozen";
+          request.exact = rng.NextBounded(2) == 0;
+          request.query = testutil::NoisyCopy(
+              data, rng.NextBounded(data.size()), 0.3, 900 + t);
+          Result<QueryReport> r = service->Query(request);
+          if (r.ok()) {
+            EXPECT_TRUE(r.value().found);
+            answered.fetch_add(1, std::memory_order_acq_rel);
+          } else {
+            ASSERT_EQ(r.status().code(), StatusCode::kNotFound)
+                << r.status().ToString();
+          }
+        }
+      });
+    }
+    std::thread lister([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        for (const auto& info : service->ListIndexes().TakeValue().indexes) {
+          EXPECT_EQ(info.name, "frozen");
+          EXPECT_FALSE(info.streaming);
+          EXPECT_EQ(info.entries, data.size());
+        }
+        std::this_thread::yield();
+      }
+    });
+
+    for (int round = 0; round < 8; ++round) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      Result<DropIndexResponse> dropped = service->DropIndex("frozen");
+      ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
+      EXPECT_FALSE(dropped.value().streaming);
+      EXPECT_EQ(dropped.value().entries, data.size());
+      ASSERT_TRUE(service->BuildIndex(build).ok());
+    }
+    stop.store(true, std::memory_order_release);
+    for (std::thread& q : queriers) q.join();
+    lister.join();
+    EXPECT_GT(answered.load(std::memory_order_acquire), 0u);
+    ASSERT_EQ(service->ListIndexes().value().indexes.size(), 1u);
+  }
+  std::filesystem::remove_all(root);
+}
+
+TEST(EpochDropRaceTest, StaticDropAndRebuildWhileQueriesAndListingsRace) {
+  RunStaticDropRebuildRace(/*with_cache=*/true);
+}
+
+TEST(EpochDropRaceTest, StaticDropAndRebuildWhileUncachedQueriesRace) {
+  RunStaticDropRebuildRace(/*with_cache=*/false);
+}
+
 }  // namespace
 }  // namespace api
 }  // namespace palm

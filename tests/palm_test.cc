@@ -63,7 +63,7 @@ TEST(FactoryTest, MatrixValidation) {
 }
 
 class FactoryBuildTest : public ::testing::TestWithParam<
-                             std::tuple<IndexFamily, bool>> {
+                             std::tuple<IndexFamily, bool, size_t>> {
  protected:
   void SetUp() override {
     auto r = storage::MakeTempStorage("factory_test");
@@ -78,11 +78,12 @@ class FactoryBuildTest : public ::testing::TestWithParam<
 };
 
 TEST_P(FactoryBuildTest, EveryStaticVariantBuildsAndAnswersExactly) {
-  auto [family, materialized] = GetParam();
+  auto [family, materialized, shards] = GetParam();
   VariantSpec spec;
   spec.sax = TestSax();
   spec.family = family;
   spec.materialized = materialized;
+  spec.num_shards = shards;
   spec.buffer_entries = 128;
 
   auto collection = testutil::RandomWalkCollection(400, 64, 11);
@@ -97,6 +98,10 @@ TEST_P(FactoryBuildTest, EveryStaticVariantBuildsAndAnswersExactly) {
   ASSERT_TRUE(index->Finalize().ok());
   EXPECT_EQ(index->num_entries(), 400u);
   EXPECT_GT(index->index_bytes(), 0u);
+  // Static reads share buffer-pool pages and the access tracker, so the
+  // service keeps every static cell, sharded or not, behind its op mutex.
+  const core::IndexReader& reader = *index;
+  EXPECT_FALSE(reader.ConcurrentReadsSafe()) << index->describe();
 
   for (int q = 0; q < 5; ++q) {
     auto query = testutil::NoisyCopy(collection, q * 79 % 400, 0.4, q);
@@ -113,10 +118,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(IndexFamily::kAds,
                                          IndexFamily::kCTree,
                                          IndexFamily::kClsm),
-                       ::testing::Bool()));
+                       ::testing::Bool(),
+                       ::testing::Values(size_t{1}, size_t{2})));
 
+/// (family, mode, async_ingest, num_shards); cells SpecIsValid refuses
+/// (sync sharded streams, async ADS+ cells, ...) are skipped.
 class FactoryStreamTest
-    : public ::testing::TestWithParam<std::tuple<IndexFamily, StreamMode>> {
+    : public ::testing::TestWithParam<
+          std::tuple<IndexFamily, StreamMode, bool, size_t>> {
  protected:
   void SetUp() override {
     auto r = storage::MakeTempStorage("factory_stream_test");
@@ -131,11 +140,13 @@ class FactoryStreamTest
 };
 
 TEST_P(FactoryStreamTest, EveryStreamingVariantIngestsAndAnswers) {
-  auto [family, mode] = GetParam();
+  auto [family, mode, async_ingest, shards] = GetParam();
   VariantSpec spec;
   spec.sax = TestSax();
   spec.family = family;
   spec.mode = mode;
+  spec.async_ingest = async_ingest;
+  spec.num_shards = shards;
   spec.buffer_entries = 64;
   std::string why;
   if (!SpecIsValid(spec, &why)) GTEST_SKIP() << why;
@@ -150,6 +161,10 @@ TEST_P(FactoryStreamTest, EveryStreamingVariantIngestsAndAnswers) {
         stream->Ingest(i, collection[i], static_cast<int64_t>(i)).ok());
   }
   EXPECT_EQ(stream->num_entries(), 300u);
+  // Every valid async cell (TP, BTP, CLSM-PP, and their sharded forms)
+  // reads epoch-published snapshots; every sync cell is single-caller.
+  const core::IndexReader& reader = *stream;
+  EXPECT_EQ(reader.ConcurrentReadsSafe(), async_ingest) << stream->describe();
 
   core::SearchOptions opts;
   opts.window = core::TimeWindow{100, 250};
@@ -172,7 +187,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          IndexFamily::kCTree,
                                          IndexFamily::kClsm),
                        ::testing::Values(StreamMode::kPP, StreamMode::kTP,
-                                         StreamMode::kBTP)));
+                                         StreamMode::kBTP),
+                       ::testing::Bool(),
+                       ::testing::Values(size_t{1}, size_t{2})));
 
 // ------------------------------------------------------------ recommender
 

@@ -19,16 +19,10 @@
 #include "core/types.h"
 #include "palm/api.h"
 #include "palm/shard_route.h"
-#include "palm/shard_set.h"
 
 namespace coconut {
 namespace palm {
 namespace {
-
-static_assert(ShardSet<core::DataSeriesIndex>::kSerializeReads,
-              "static shards keep single-threaded query state");
-static_assert(!ShardSet<stream::StreamingIndex>::kSerializeReads,
-              "streaming shards read epoch-published snapshots");
 
 uint64_t GlobalFor(uint64_t local) { return local * 7919 + 13; }
 

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/adapters.h"
+#include "clsm/clsm.h"
 #include "palm/factory.h"
 #include "stream/btp.h"
 #include "stream/pp.h"
@@ -83,9 +83,9 @@ TEST_F(StreamTest, PpOverClsmMatchesWindowedBruteForce) {
   clsm::Clsm::Options copts;
   copts.sax = TestSax();
   copts.buffer_entries = 100;
-  auto inner = core::ClsmIndexAdapter::Create(mgr_.get(), "lsm", copts,
-                                              nullptr, raw_.get())
-                   .TakeValue();
+  auto inner =
+      clsm::Clsm::Create(mgr_.get(), "lsm", copts, nullptr, raw_.get())
+          .TakeValue();
   PostProcessingIndex pp(std::move(inner));
   IngestAll(&pp, collection);
   EXPECT_EQ(pp.num_entries(), 600u);

@@ -15,6 +15,7 @@
 #include "series/distance.h"
 #include "series/series.h"
 #include "storage/storage_manager.h"
+#include "stream/streaming_index.h"
 
 namespace coconut {
 namespace testutil {
@@ -150,6 +151,47 @@ class PoolThrottle {
   std::condition_variable cv_;
   size_t parked_ = 0;
   bool released_ = false;
+};
+
+/// Minimal WAL replay sink: records what reaches the index (ids,
+/// timestamps, payloads and the restored watermark) without indexing it.
+/// RestoreFromManifest stays unsupported, which exercises recovery's
+/// full-replay fallback whenever a checkpoint survives.
+class CapturingIndex : public stream::StreamingIndex {
+ public:
+  struct Entry {
+    uint64_t id;
+    int64_t timestamp;
+    std::vector<float> values;
+  };
+
+  Status Ingest(uint64_t series_id, std::span<const float> znorm_values,
+                int64_t timestamp) override {
+    entries.push_back(Entry{series_id, timestamp,
+                            {znorm_values.begin(), znorm_values.end()}});
+    return Status::OK();
+  }
+  Status FlushAll() override { return Status::OK(); }
+  Result<core::SearchResult> ApproxSearch(std::span<const float>,
+                                          const core::SearchOptions&,
+                                          core::QueryCounters*) override {
+    return core::SearchResult{};
+  }
+  Result<core::SearchResult> ExactSearch(std::span<const float>,
+                                         const core::SearchOptions&,
+                                         core::QueryCounters*) override {
+    return core::SearchResult{};
+  }
+  uint64_t num_entries() const override { return entries.size(); }
+  size_t num_partitions() const override { return 0; }
+  uint64_t index_bytes() const override { return 0; }
+  std::string describe() const override { return "capturing"; }
+  void RestoreWatermark(int64_t timestamp) override {
+    restored_watermark = timestamp;
+  }
+
+  std::vector<Entry> entries;
+  int64_t restored_watermark = std::numeric_limits<int64_t>::min();
 };
 
 }  // namespace testutil

@@ -18,6 +18,7 @@
 #include "storage/storage_manager.h"
 #include "stream/streaming_index.h"
 #include "stream/wal.h"
+#include "tests/test_util.h"
 
 namespace coconut {
 namespace stream {
@@ -47,44 +48,7 @@ class WalTempDir : public ::testing::Test {
   std::unique_ptr<storage::StorageManager> storage_;
 };
 
-/// A StreamingIndex that only records what replay feeds it — the codec
-/// tests care about the bytes reaching the index, not about indexing.
-class CapturingIndex : public StreamingIndex {
- public:
-  struct Entry {
-    uint64_t id;
-    int64_t timestamp;
-    std::vector<float> values;
-  };
-
-  Status Ingest(uint64_t series_id, std::span<const float> znorm_values,
-                int64_t timestamp) override {
-    entries.push_back(Entry{series_id, timestamp,
-                            {znorm_values.begin(), znorm_values.end()}});
-    return Status::OK();
-  }
-  Status FlushAll() override { return Status::OK(); }
-  Result<core::SearchResult> ApproxSearch(std::span<const float>,
-                                          const core::SearchOptions&,
-                                          core::QueryCounters*) override {
-    return core::SearchResult{};
-  }
-  Result<core::SearchResult> ExactSearch(std::span<const float>,
-                                         const core::SearchOptions&,
-                                         core::QueryCounters*) override {
-    return core::SearchResult{};
-  }
-  uint64_t num_entries() const override { return entries.size(); }
-  size_t num_partitions() const override { return 0; }
-  uint64_t index_bytes() const override { return 0; }
-  std::string describe() const override { return "capturing"; }
-  void RestoreWatermark(int64_t timestamp) override {
-    restored_watermark = timestamp;
-  }
-
-  std::vector<Entry> entries;
-  int64_t restored_watermark = std::numeric_limits<int64_t>::min();
-};
+using testutil::CapturingIndex;
 
 /// Bitwise float equality: NaN == NaN, +0.0 != -0.0 — the payload must
 /// come back as the same 32 bits, not merely compare equal.

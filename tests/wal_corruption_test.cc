@@ -17,6 +17,7 @@
 #include "storage/storage_manager.h"
 #include "stream/streaming_index.h"
 #include "stream/wal.h"
+#include "tests/test_util.h"
 
 namespace coconut {
 namespace stream {
@@ -24,36 +25,7 @@ namespace {
 
 constexpr uint32_t kLen = 8;
 
-/// Replay sink; RestoreFromManifest is unsupported, which exercises the
-/// full-replay fallback whenever a checkpoint survives the mangling.
-class CapturingIndex : public StreamingIndex {
- public:
-  Status Ingest(uint64_t series_id, std::span<const float> znorm_values,
-                int64_t timestamp) override {
-    (void)timestamp;
-    ids.push_back(series_id);
-    values.emplace_back(znorm_values.begin(), znorm_values.end());
-    return Status::OK();
-  }
-  Status FlushAll() override { return Status::OK(); }
-  Result<core::SearchResult> ApproxSearch(std::span<const float>,
-                                          const core::SearchOptions&,
-                                          core::QueryCounters*) override {
-    return core::SearchResult{};
-  }
-  Result<core::SearchResult> ExactSearch(std::span<const float>,
-                                         const core::SearchOptions&,
-                                         core::QueryCounters*) override {
-    return core::SearchResult{};
-  }
-  uint64_t num_entries() const override { return ids.size(); }
-  size_t num_partitions() const override { return 0; }
-  uint64_t index_bytes() const override { return 0; }
-  std::string describe() const override { return "capturing"; }
-
-  std::vector<uint64_t> ids;
-  std::vector<std::vector<float>> values;
-};
+using testutil::CapturingIndex;
 
 class WalCorruptionTest : public ::testing::Test {
  protected:
@@ -143,17 +115,18 @@ class WalCorruptionTest : public ::testing::Test {
 
     // A single mangling can only drop a frame (and everything after it):
     // what survives must be an exact prefix of whole committed batches.
-    ASSERT_LE(index.ids.size(), admits_.size());
-    EXPECT_EQ(index.ids.size() % 2, 0u)
+    ASSERT_LE(index.entries.size(), admits_.size());
+    EXPECT_EQ(index.entries.size() % 2, 0u)
         << "recovered a partial batch (commits held 2 admits each)";
     std::vector<float> fetched(kLen);
-    for (size_t i = 0; i < index.ids.size(); ++i) {
-      EXPECT_EQ(index.ids[i], i);
-      EXPECT_EQ(index.values[i], admits_[i]) << "admit " << i << " mutated";
+    for (size_t i = 0; i < index.entries.size(); ++i) {
+      EXPECT_EQ(index.entries[i].id, i);
+      EXPECT_EQ(index.entries[i].values, admits_[i])
+          << "admit " << i << " mutated";
       ASSERT_TRUE(raw.value()->Get(i, fetched).ok());
       EXPECT_EQ(fetched, admits_[i]) << "raw series " << i << " mutated";
     }
-    EXPECT_EQ(outcome.ordinals, index.ids.size());
+    EXPECT_EQ(outcome.ordinals, index.entries.size());
   }
 
   std::string root_;

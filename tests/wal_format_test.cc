@@ -20,6 +20,7 @@
 #include "storage/storage_manager.h"
 #include "stream/streaming_index.h"
 #include "stream/wal.h"
+#include "tests/test_util.h"
 
 namespace coconut {
 namespace stream {
@@ -71,39 +72,7 @@ class FixtureLog : public ::testing::Test {
   std::unique_ptr<storage::StorageManager> storage_;
 };
 
-/// Minimal replay sink (the format tests only care about what reaches
-/// the index, not about indexing).
-class CapturingIndex : public StreamingIndex {
- public:
-  struct Entry {
-    uint64_t id;
-    int64_t timestamp;
-    std::vector<float> values;
-  };
-  Status Ingest(uint64_t series_id, std::span<const float> znorm_values,
-                int64_t timestamp) override {
-    entries.push_back(Entry{series_id, timestamp,
-                            {znorm_values.begin(), znorm_values.end()}});
-    return Status::OK();
-  }
-  Status FlushAll() override { return Status::OK(); }
-  Result<core::SearchResult> ApproxSearch(std::span<const float>,
-                                          const core::SearchOptions&,
-                                          core::QueryCounters*) override {
-    return core::SearchResult{};
-  }
-  Result<core::SearchResult> ExactSearch(std::span<const float>,
-                                         const core::SearchOptions&,
-                                         core::QueryCounters*) override {
-    return core::SearchResult{};
-  }
-  uint64_t num_entries() const override { return entries.size(); }
-  size_t num_partitions() const override { return 0; }
-  uint64_t index_bytes() const override { return 0; }
-  std::string describe() const override { return "capturing"; }
-
-  std::vector<Entry> entries;
-};
+using testutil::CapturingIndex;
 
 /// Asserts the fixed 16-byte header layout of `frame` and that the
 /// stored CRC-32C matches a recomputation over header[4,12) ++ payload.
