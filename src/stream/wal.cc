@@ -1,5 +1,6 @@
 #include "stream/wal.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/crc32c.h"
@@ -41,10 +42,74 @@ void PutU32(std::vector<uint8_t>* out, uint32_t v) { WalPutU32(out, v); }
 void PutU64(std::vector<uint8_t>* out, uint64_t v) { WalPutU64(out, v); }
 void PutI64(std::vector<uint8_t>* out, int64_t v) { WalPutI64(out, v); }
 
+void StoreU32(uint8_t* at, uint32_t v) {
+  at[0] = static_cast<uint8_t>(v);
+  at[1] = static_cast<uint8_t>(v >> 8);
+  at[2] = static_cast<uint8_t>(v >> 16);
+  at[3] = static_cast<uint8_t>(v >> 24);
+}
+
 /// Sanity cap on a frame's declared payload length: far above any real
 /// frame (a batch is bounded by buffer_entries x series bytes), far below
 /// anything a flipped length byte could use to balloon an allocation.
 constexpr uint32_t kMaxFramePayload = 1u << 30;
+
+/// Fills in the header reserved at the front of `frame` (the payload
+/// follows it), CRC included.
+void SealFrame(WalFrameType type, std::vector<uint8_t>* frame) {
+  uint8_t* h = frame->data();
+  const size_t payload_len = frame->size() - kWalFrameHeaderBytes;
+  StoreU32(h, kWalMagic);
+  h[4] = kWalVersionMajor;
+  h[5] = kWalVersionMinor;
+  h[6] = static_cast<uint8_t>(type);
+  h[7] = 0;  // reserved
+  StoreU32(h + 8, static_cast<uint32_t>(payload_len));
+  uint32_t crc = Crc32c(h + 4, 8);
+  crc = Crc32cExtend(crc, h + kWalFrameHeaderBytes, payload_len);
+  StoreU32(h + 12, crc);
+}
+
+std::vector<uint8_t> HeaderFrame(uint32_t series_length) {
+  std::vector<uint8_t> frame(kWalFrameHeaderBytes);
+  PutU32(&frame, series_length);
+  SealFrame(WalFrameType::kStreamHeader, &frame);
+  return frame;
+}
+
+/// A frame that passed its checks, viewed in place.
+struct FrameView {
+  uint8_t major = 0;
+  uint8_t type = 0;
+  std::span<const uint8_t> payload;
+};
+
+/// Checks the frame at the front of `bytes` (magic, a payload length that
+/// fits, CRC). Returns its header + payload length, or 0 when it fails.
+size_t ParseFrame(std::span<const uint8_t> bytes, FrameView* view) {
+  if (bytes.size() < kWalFrameHeaderBytes) return 0;
+  Reader header(bytes.first(kWalFrameHeaderBytes));
+  uint32_t magic = 0;
+  uint8_t minor = 0;
+  uint8_t reserved = 0;
+  uint32_t payload_len = 0;
+  uint32_t stored_crc = 0;
+  header.GetU32(&magic);
+  header.GetU8(&view->major);
+  header.GetU8(&minor);
+  header.GetU8(&view->type);
+  header.GetU8(&reserved);
+  header.GetU32(&payload_len);
+  header.GetU32(&stored_crc);
+  if (magic != kWalMagic || payload_len > kMaxFramePayload ||
+      bytes.size() - kWalFrameHeaderBytes < payload_len) {
+    return 0;
+  }
+  view->payload = bytes.subspan(kWalFrameHeaderBytes, payload_len);
+  uint32_t crc = Crc32c(bytes.data() + 4, 8);
+  crc = Crc32cExtend(crc, view->payload.data(), payload_len);
+  return crc == stored_crc ? kWalFrameHeaderBytes + payload_len : 0;
+}
 
 }  // namespace
 
@@ -52,18 +117,10 @@ constexpr uint32_t kMaxFramePayload = 1u << 30;
 
 std::vector<uint8_t> Wal::EncodeFrame(WalFrameType type,
                                       std::span<const uint8_t> payload) {
-  std::vector<uint8_t> frame;
-  frame.reserve(kWalFrameHeaderBytes + payload.size());
-  PutU32(&frame, kWalMagic);
-  frame.push_back(kWalVersionMajor);
-  frame.push_back(kWalVersionMinor);
-  frame.push_back(static_cast<uint8_t>(type));
-  frame.push_back(0);  // reserved
-  PutU32(&frame, static_cast<uint32_t>(payload.size()));
-  uint32_t crc = Crc32c(frame.data() + 4, 8);
-  crc = Crc32cExtend(crc, payload.data(), payload.size());
-  PutU32(&frame, crc);
-  frame.insert(frame.end(), payload.begin(), payload.end());
+  std::vector<uint8_t> frame(kWalFrameHeaderBytes + payload.size());
+  std::copy(payload.begin(), payload.end(),
+            frame.begin() + kWalFrameHeaderBytes);
+  SealFrame(type, &frame);
   return frame;
 }
 
@@ -72,30 +129,9 @@ size_t Wal::DecodeFrames(std::span<const uint8_t> bytes,
                          bool* major_too_new) {
   if (major_too_new != nullptr) *major_too_new = false;
   size_t pos = 0;
-  while (bytes.size() - pos >= kWalFrameHeaderBytes) {
-    const uint8_t* h = bytes.data() + pos;
-    Reader header(std::span<const uint8_t>(h, kWalFrameHeaderBytes));
-    uint32_t magic = 0;
-    uint8_t major = 0;
-    uint8_t minor = 0;
-    uint8_t type = 0;
-    uint8_t reserved = 0;
-    uint32_t payload_len = 0;
-    uint32_t stored_crc = 0;
-    header.GetU32(&magic);
-    header.GetU8(&major);
-    header.GetU8(&minor);
-    header.GetU8(&type);
-    header.GetU8(&reserved);
-    header.GetU32(&payload_len);
-    header.GetU32(&stored_crc);
-    if (magic != kWalMagic) break;
-    if (payload_len > kMaxFramePayload) break;
-    if (bytes.size() - pos - kWalFrameHeaderBytes < payload_len) break;
-    uint32_t crc = Crc32c(h + 4, 8);
-    crc = Crc32cExtend(crc, h + kWalFrameHeaderBytes, payload_len);
-    if (crc != stored_crc) break;
-    if (major > kWalVersionMajor) {
+  FrameView view;
+  while (const size_t length = ParseFrame(bytes.subspan(pos), &view)) {
+    if (view.major > kWalVersionMajor) {
       // A valid frame from a future format generation: stop before it and
       // let the caller surface the structured error.
       if (major_too_new != nullptr) *major_too_new = true;
@@ -103,14 +139,12 @@ size_t Wal::DecodeFrames(std::span<const uint8_t> bytes,
     }
     // A frame type this minor version does not know is skipped, not
     // fatal: its CRC proved it intact, and minor bumps only add types.
-    if (type >= 1 && type <= 4) {
-      WalFrame frame;
-      frame.type = static_cast<WalFrameType>(type);
-      frame.payload.assign(h + kWalFrameHeaderBytes,
-                           h + kWalFrameHeaderBytes + payload_len);
-      frames->push_back(std::move(frame));
+    if (view.type >= 1 && view.type <= 4) {
+      frames->push_back(WalFrame{static_cast<WalFrameType>(view.type),
+                                 {view.payload.begin(), view.payload.end()},
+                                 pos});
     }
-    pos += kWalFrameHeaderBytes + payload_len;
+    pos += length;
   }
   return pos;
 }
@@ -138,10 +172,7 @@ Result<std::unique_ptr<Wal>> Wal::Open(storage::StorageManager* storage,
   if (bytes.empty()) {
     // Fresh (or empty) log: write the stream-header frame and make both
     // the bytes and the name durable before anything is acknowledged.
-    std::vector<uint8_t> payload;
-    PutU32(&payload, series_length);
-    const std::vector<uint8_t> frame =
-        EncodeFrame(WalFrameType::kStreamHeader, payload);
+    const std::vector<uint8_t> frame = HeaderFrame(series_length);
     COCONUT_RETURN_NOT_OK(wal->file_->Append(frame.data(), frame.size()));
     COCONUT_RETURN_NOT_OK(wal->file_->DataSync());
     return wal;
@@ -191,100 +222,84 @@ Result<std::unique_ptr<Wal>> Wal::Open(storage::StorageManager* storage,
         wal->file_->Truncate(static_cast<uint64_t>(valid_bytes)));
     COCONUT_RETURN_NOT_OK(wal->file_->DataSync());
   }
-  COCONUT_RETURN_NOT_OK(wal->AdoptScan(std::move(frames), valid_bytes));
+  COCONUT_RETURN_NOT_OK(wal->AdoptScan(std::move(frames)));
   return wal;
 }
 
-Status Wal::AdoptScan(std::vector<WalFrame> frames, uint64_t valid_bytes) {
-  (void)valid_bytes;
+Status Wal::AdoptScan(std::vector<WalFrame> frames) {
+  const auto bad = [this](const char* what) {
+    return Status::DataLoss("wal '" + name_ + "' has " + what);
+  };
   for (size_t i = 1; i < frames.size(); ++i) {
     WalFrame& frame = frames[i];
+    FrameSummary summary;
+    summary.offset = frame.offset;
+    summary.length = kWalFrameHeaderBytes + frame.payload.size();
+    summary.type = frame.type;
+    Reader r(frame.payload);
     switch (frame.type) {
       case WalFrameType::kStreamHeader:
-        return Status::DataLoss("wal '" + name_ +
-                                "' has a duplicate stream header");
+        return bad("a duplicate stream header");
       case WalFrameType::kBase: {
-        if (i != 1) {
-          return Status::DataLoss("wal '" + name_ +
-                                  "' has a misplaced base frame");
-        }
-        Reader r(frame.payload);
+        if (i != 1) return bad("a misplaced base frame");
         uint64_t ckpt_entries = 0;
         uint32_t manifest_len = 0;
         uint64_t map_count = 0;
+        std::vector<uint8_t> manifest;
         if (!r.GetU64(&base_ordinals_) || !r.GetU64(&base_admitted_) ||
             !r.GetI64(&base_watermark_) || !r.GetU64(&ckpt_entries) ||
-            !r.GetU32(&manifest_len) || manifest_len > r.remaining()) {
-          return Status::DataLoss("wal '" + name_ + "' has a bad base frame");
-        }
-        std::vector<uint8_t> manifest;
-        if (!r.GetBytes(&manifest, manifest_len) || !r.GetU64(&map_count) ||
-            map_count > r.remaining() / 8) {
-          return Status::DataLoss("wal '" + name_ + "' has a bad base frame");
+            !r.GetU32(&manifest_len) || !r.GetBytes(&manifest, manifest_len) ||
+            !r.GetU64(&map_count) || map_count > r.remaining() / 8) {
+          return bad("a bad base frame");
         }
         if (!manifest.empty() || ckpt_entries > 0) {
           base_checkpoint_ = Checkpoint{ckpt_entries, std::move(manifest)};
         }
         base_map_.resize(map_count);
-        for (uint64_t m = 0; m < map_count; ++m) {
-          if (!r.GetU64(&base_map_[m])) {
-            return Status::DataLoss("wal '" + name_ +
-                                    "' has a bad base frame");
-          }
-        }
-        break;
+        for (uint64_t& global : base_map_) r.GetU64(&global);
+        continue;  // the base is state, not a summarized frame
       }
       case WalFrameType::kBatch: {
-        // Count the admits now (checkpoint validity needs the total);
-        // full record decoding happens during Recover.
-        Reader r(frame.payload);
+        // Summarize the records now (checkpoint validity and truncation
+        // need them); the payloads themselves replay during Recover.
         uint32_t count = 0;
-        if (!r.GetU32(&count)) {
-          return Status::DataLoss("wal '" + name_ + "' has a bad batch frame");
-        }
+        if (!r.GetU32(&count)) return bad("a bad batch frame");
         for (uint32_t k = 0; k < count; ++k) {
           uint8_t kind = 0;
-          if (!r.GetU8(&kind)) {
-            return Status::DataLoss("wal '" + name_ +
-                                    "' has a bad batch frame");
-          }
+          if (!r.GetU8(&kind)) return bad("a bad batch frame");
           if (kind == static_cast<uint8_t>(WalRecordKind::kAdmit)) {
-            uint64_t id = 0;
             int64_t ts = 0;
-            std::vector<float> values;
-            if (!r.GetU64(&id) || !r.GetI64(&ts) ||
-                !r.GetFloats(&values, series_length_)) {
-              return Status::DataLoss("wal '" + name_ +
-                                      "' has a bad batch frame");
+            if (!r.Skip(8) || !r.GetI64(&ts) ||
+                !r.Skip(series_length_ * sizeof(float))) {
+              return bad("a bad batch frame");
             }
-            ++scanned_admits_;
+            ++summary.admits;
+            ++summary.ordinals;
+            summary.max_timestamp = std::max(summary.max_timestamp, ts);
+          } else if (kind == static_cast<uint8_t>(WalRecordKind::kHole)) {
+            ++summary.ordinals;
           } else if (kind == static_cast<uint8_t>(WalRecordKind::kMap)) {
             uint64_t global = 0;
-            if (!r.GetU64(&global)) {
-              return Status::DataLoss("wal '" + name_ +
-                                      "' has a bad batch frame");
-            }
-          } else if (kind != static_cast<uint8_t>(WalRecordKind::kHole)) {
-            return Status::DataLoss("wal '" + name_ +
-                                    "' has an unknown record kind");
+            if (!r.GetU64(&global)) return bad("a bad batch frame");
+            summary.maps.push_back(global);
+          } else {
+            return bad("an unknown record kind");
           }
         }
         scanned_batches_.push_back(std::move(frame.payload));
         break;
       }
       case WalFrameType::kCheckpoint: {
-        Reader r(frame.payload);
-        Checkpoint ckpt;
+        Checkpoint& ckpt = summary.checkpoint;
         uint32_t manifest_len = 0;
         if (!r.GetU64(&ckpt.durable_entries) || !r.GetU32(&manifest_len) ||
             !r.GetBytes(&ckpt.manifest, manifest_len)) {
-          return Status::DataLoss("wal '" + name_ +
-                                  "' has a bad checkpoint frame");
+          return bad("a bad checkpoint frame");
         }
-        scanned_checkpoints_.push_back(std::move(ckpt));
         break;
       }
     }
+    frames_.push_back(std::move(summary));
   }
   return Status::OK();
 }
@@ -302,14 +317,17 @@ void Wal::AppendAdmit(uint64_t id, int64_t timestamp,
   pending_.resize(at + values.size() * sizeof(float));
   std::memcpy(pending_.data() + at, values.data(),
               values.size() * sizeof(float));
-  ++pending_count_;
+  ++pending_summary_.admits;
+  ++pending_summary_.ordinals;
+  pending_summary_.max_timestamp =
+      std::max(pending_summary_.max_timestamp, timestamp);
 }
 
 void Wal::AppendHole() {
   if (replaying()) return;
   std::lock_guard<std::mutex> lock(mu_);
   pending_.push_back(static_cast<uint8_t>(WalRecordKind::kHole));
-  ++pending_count_;
+  ++pending_summary_.ordinals;
 }
 
 void Wal::AppendMap(uint64_t global_id) {
@@ -317,11 +335,15 @@ void Wal::AppendMap(uint64_t global_id) {
   std::lock_guard<std::mutex> lock(mu_);
   pending_.push_back(static_cast<uint8_t>(WalRecordKind::kMap));
   PutU64(&pending_, global_id);
-  ++pending_count_;
+  pending_summary_.maps.push_back(global_id);
 }
 
 Status Wal::WriteFrameLocked(std::span<const uint8_t> frame,
-                             const char* mid_point, const char* post_point) {
+                             FrameSummary&& summary, const char* mid_point,
+                             const char* pre_sync_point,
+                             const char* post_point) {
+  summary.offset = file_->size_bytes();
+  summary.length = frame.size();
   if (options_.test_hook) {
     // Two pwrites so the armed mid-frame point leaves a genuinely torn
     // frame on disk (a single pwrite would be all-or-nothing here —
@@ -334,33 +356,25 @@ Status Wal::WriteFrameLocked(std::span<const uint8_t> frame,
   } else {
     COCONUT_RETURN_NOT_OK(file_->Append(frame.data(), frame.size()));
   }
+  Hook(pre_sync_point);
   COCONUT_RETURN_NOT_OK(file_->DataSync());
+  frames_.push_back(std::move(summary));
   Hook(post_point);
   return Status::OK();
 }
 
 Status Wal::CommitLocked() {
-  if (pending_count_ == 0) return Status::OK();
-  std::vector<uint8_t> payload;
-  payload.reserve(4 + pending_.size());
-  PutU32(&payload, pending_count_);
-  payload.insert(payload.end(), pending_.begin(), pending_.end());
-  const std::vector<uint8_t> frame =
-      EncodeFrame(WalFrameType::kBatch, payload);
-  if (options_.test_hook) {
-    const size_t half = frame.size() / 2;
-    COCONUT_RETURN_NOT_OK(file_->Append(frame.data(), half));
-    Hook("commit.mid_frame");
-    COCONUT_RETURN_NOT_OK(
-        file_->Append(frame.data() + half, frame.size() - half));
-  } else {
-    COCONUT_RETURN_NOT_OK(file_->Append(frame.data(), frame.size()));
-  }
-  Hook("commit.pre_sync");
-  COCONUT_RETURN_NOT_OK(file_->DataSync());
-  Hook("commit.post_sync");
-  pending_.clear();
-  pending_count_ = 0;
+  const uint64_t records =
+      pending_summary_.ordinals + pending_summary_.maps.size();
+  if (records == 0) return Status::OK();
+  StoreU32(pending_.data() + kWalFrameHeaderBytes,
+           static_cast<uint32_t>(records));
+  SealFrame(WalFrameType::kBatch, &pending_);
+  COCONUT_RETURN_NOT_OK(WriteFrameLocked(pending_, std::move(pending_summary_),
+                                         "commit.mid_frame", "commit.pre_sync",
+                                         "commit.post_sync"));
+  pending_.resize(kBatchPrefixBytes);
+  pending_summary_ = FrameSummary{};
   return Status::OK();
 }
 
@@ -373,14 +387,16 @@ Status Wal::AppendCheckpoint(uint64_t durable_entries,
                              std::span<const uint8_t> manifest) {
   std::lock_guard<std::mutex> lock(mu_);
   Hook("checkpoint.pre_write");
-  std::vector<uint8_t> payload;
-  PutU64(&payload, durable_entries);
-  PutU32(&payload, static_cast<uint32_t>(manifest.size()));
-  payload.insert(payload.end(), manifest.begin(), manifest.end());
-  const std::vector<uint8_t> frame =
-      EncodeFrame(WalFrameType::kCheckpoint, payload);
-  return WriteFrameLocked(frame, "checkpoint.mid_frame",
-                          "checkpoint.post_sync");
+  std::vector<uint8_t> frame(kWalFrameHeaderBytes);
+  PutU64(&frame, durable_entries);
+  PutU32(&frame, static_cast<uint32_t>(manifest.size()));
+  frame.insert(frame.end(), manifest.begin(), manifest.end());
+  SealFrame(WalFrameType::kCheckpoint, &frame);
+  FrameSummary summary;
+  summary.type = WalFrameType::kCheckpoint;
+  summary.checkpoint = {durable_entries, {manifest.begin(), manifest.end()}};
+  return WriteFrameLocked(frame, std::move(summary), "checkpoint.mid_frame",
+                          nullptr, "checkpoint.post_sync");
 }
 
 uint64_t Wal::size_bytes() const {
@@ -392,156 +408,97 @@ uint64_t Wal::size_bytes() const {
 
 Status Wal::TruncateBefore(core::RawSeriesStore* raw) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Pending records must reach the log before the scan (they are not yet
-  // framed) — and the raw file must be durable before any frame whose
-  // payload it now carries is dropped: the log is the only other copy.
+  // Pending records must reach the log first (they are not yet framed) —
+  // and the raw file must be durable before any frame whose payload it
+  // now carries is dropped: the log is the only other copy.
   COCONUT_RETURN_NOT_OK(CommitLocked());
   COCONUT_RETURN_NOT_OK(raw->Sync());
 
-  std::vector<uint8_t> bytes(file_->size_bytes());
-  if (!bytes.empty()) {
-    COCONUT_RETURN_NOT_OK(file_->ReadAt(0, bytes.data(), bytes.size()));
-  }
-  std::vector<WalFrame> frames;
-  DecodeFrames(bytes, &frames);
-  if (frames.empty() || frames[0].type != WalFrameType::kStreamHeader) {
-    return Status::DataLoss("wal '" + name_ + "' unreadable at truncation");
+  // Newest count-valid checkpoint decides how much is reclaimable.
+  uint64_t total_admits = base_admitted_;
+  for (const FrameSummary& f : frames_) total_admits += f.admits;
+  const Checkpoint none;  // durable_entries 0, empty manifest
+  const Checkpoint* chosen =
+      base_checkpoint_.has_value() ? &*base_checkpoint_ : &none;
+  for (const FrameSummary& f : frames_) {
+    if (f.type == WalFrameType::kCheckpoint &&
+        f.checkpoint.durable_entries <= total_admits &&
+        f.checkpoint.durable_entries >= chosen->durable_entries) {
+      chosen = &f.checkpoint;
+    }
   }
 
-  // Base state carried forward (the in-memory copy mirrors any kBase
-  // frame at position 1; this rewrite replaces it).
+  // Drop the maximal frame prefix fully covered by the chosen checkpoint:
+  // checkpoint frames always drop (the chosen one rides in the new base),
+  // batch frames drop while every admit inside has an admission index
+  // below durable_entries. Admission indexes are monotone in log order,
+  // so this is a clean prefix cut. Folding a checkpoint's summary is a
+  // no-op: it has no records.
   uint64_t new_ordinals = base_ordinals_;
   uint64_t new_admitted = base_admitted_;
   int64_t new_watermark = base_watermark_;
   std::vector<uint64_t> new_map = base_map_;
-
-  // Newest count-valid checkpoint decides how much is reclaimable.
-  uint64_t total_admits = base_admitted_;
-  for (size_t i = 1; i < frames.size(); ++i) {
-    if (frames[i].type != WalFrameType::kBatch) continue;
-    Reader r(frames[i].payload);
-    uint32_t count = 0;
-    r.GetU32(&count);
-    for (uint32_t k = 0; k < count; ++k) {
-      uint8_t kind = 0;
-      if (!r.GetU8(&kind)) break;
-      if (kind == static_cast<uint8_t>(WalRecordKind::kAdmit)) {
-        uint64_t id = 0;
-        int64_t ts = 0;
-        std::vector<float> values;
-        r.GetU64(&id);
-        r.GetI64(&ts);
-        r.GetFloats(&values, series_length_);
-        ++total_admits;
-      } else if (kind == static_cast<uint8_t>(WalRecordKind::kMap)) {
-        uint64_t global = 0;
-        r.GetU64(&global);
-      }
+  size_t keep_from = 0;
+  for (; keep_from < frames_.size(); ++keep_from) {
+    const FrameSummary& f = frames_[keep_from];
+    if (f.admits > 0 && new_admitted + f.admits > chosen->durable_entries) {
+      break;
     }
-  }
-  Checkpoint chosen;  // durable_entries 0, empty manifest = none
-  if (base_checkpoint_.has_value()) chosen = *base_checkpoint_;
-  for (size_t i = 1; i < frames.size(); ++i) {
-    if (frames[i].type != WalFrameType::kCheckpoint) continue;
-    Reader r(frames[i].payload);
-    Checkpoint ckpt;
-    uint32_t manifest_len = 0;
-    if (r.GetU64(&ckpt.durable_entries) && r.GetU32(&manifest_len) &&
-        r.GetBytes(&ckpt.manifest, manifest_len) &&
-        ckpt.durable_entries <= total_admits &&
-        ckpt.durable_entries >= chosen.durable_entries) {
-      chosen = std::move(ckpt);
-    }
+    new_ordinals += f.ordinals;
+    new_admitted += f.admits;
+    new_watermark = std::max(new_watermark, f.max_timestamp);
+    new_map.insert(new_map.end(), f.maps.begin(), f.maps.end());
   }
 
-  // Drop the maximal frame prefix fully covered by the chosen
-  // checkpoint: checkpoint frames always drop (the chosen one rides in
-  // the new base), batch frames drop while every admit inside has an
-  // admission index below durable_entries. Admission indexes are
-  // monotone in log order, so this is a clean prefix cut.
-  size_t keep_from = 1;  // frame index of the first kept frame
-  uint64_t admit_index = base_admitted_;
-  for (size_t i = 1; i < frames.size(); ++i) {
-    const WalFrame& frame = frames[i];
-    if (frame.type == WalFrameType::kCheckpoint ||
-        frame.type == WalFrameType::kBase) {
-      keep_from = i + 1;
-      continue;
+  // Read back only the kept frames, and refuse to rewrite around one that
+  // fails its CRC: acknowledged frames may follow it.
+  const std::span<const FrameSummary> kept(frames_.data() + keep_from,
+                                           frames_.size() - keep_from);
+  const uint64_t kept_from = kept.empty() ? 0 : kept.front().offset;
+  std::vector<uint8_t> kept_bytes;
+  if (!kept.empty()) {
+    kept_bytes.resize(kept.back().offset + kept.back().length - kept_from);
+    COCONUT_RETURN_NOT_OK(
+        file_->ReadAt(kept_from, kept_bytes.data(), kept_bytes.size()));
+  }
+  const auto kept_frame = [&](const FrameSummary& f) {
+    return std::span<const uint8_t>(kept_bytes)
+        .subspan(f.offset - kept_from, f.length);
+  };
+  for (const FrameSummary& f : kept) {
+    FrameView view;
+    if (ParseFrame(kept_frame(f), &view) != f.length ||
+        view.type != static_cast<uint8_t>(f.type)) {
+      return Status::DataLoss("wal '" + name_ + "' frame at offset " +
+                              std::to_string(f.offset) +
+                              " is corrupt; truncation left the log as is");
     }
-    if (frame.type != WalFrameType::kBatch) break;
-    Reader r(frame.payload);
-    uint32_t count = 0;
-    r.GetU32(&count);
-    uint64_t frame_ordinals = 0;
-    uint64_t frame_admits = 0;
-    int64_t frame_watermark = std::numeric_limits<int64_t>::min();
-    std::vector<uint64_t> frame_maps;
-    bool droppable = true;
-    for (uint32_t k = 0; k < count; ++k) {
-      uint8_t kind = 0;
-      if (!r.GetU8(&kind)) break;
-      if (kind == static_cast<uint8_t>(WalRecordKind::kAdmit)) {
-        uint64_t id = 0;
-        int64_t ts = 0;
-        std::vector<float> values;
-        r.GetU64(&id);
-        r.GetI64(&ts);
-        r.GetFloats(&values, series_length_);
-        if (admit_index + frame_admits >= chosen.durable_entries) {
-          droppable = false;
-          break;
-        }
-        ++frame_admits;
-        ++frame_ordinals;
-        frame_watermark = std::max(frame_watermark, ts);
-      } else if (kind == static_cast<uint8_t>(WalRecordKind::kHole)) {
-        ++frame_ordinals;
-      } else {
-        uint64_t global = 0;
-        r.GetU64(&global);
-        frame_maps.push_back(global);
-      }
-    }
-    if (!droppable) break;
-    admit_index += frame_admits;
-    new_ordinals += frame_ordinals;
-    new_admitted += frame_admits;
-    new_watermark = std::max(new_watermark, frame_watermark);
-    new_map.insert(new_map.end(), frame_maps.begin(), frame_maps.end());
-    keep_from = i + 1;
   }
 
   // Rewrite: header, base, kept frames — into a temp file, fsync, atomic
   // rename. A crash at any point leaves either the old complete log or
   // the new complete log; never a mix.
-  std::vector<uint8_t> base_payload;
-  PutU64(&base_payload, new_ordinals);
-  PutU64(&base_payload, new_admitted);
-  PutI64(&base_payload, new_watermark);
-  PutU64(&base_payload, chosen.durable_entries);
-  PutU32(&base_payload, static_cast<uint32_t>(chosen.manifest.size()));
-  base_payload.insert(base_payload.end(), chosen.manifest.begin(),
-                      chosen.manifest.end());
-  PutU64(&base_payload, new_map.size());
-  for (const uint64_t global : new_map) PutU64(&base_payload, global);
+  const std::vector<uint8_t> header = HeaderFrame(series_length_);
+  std::vector<uint8_t> base(kWalFrameHeaderBytes);
+  PutU64(&base, new_ordinals);
+  PutU64(&base, new_admitted);
+  PutI64(&base, new_watermark);
+  PutU64(&base, chosen->durable_entries);
+  PutU32(&base, static_cast<uint32_t>(chosen->manifest.size()));
+  base.insert(base.end(), chosen->manifest.begin(), chosen->manifest.end());
+  PutU64(&base, new_map.size());
+  for (const uint64_t global : new_map) PutU64(&base, global);
+  SealFrame(WalFrameType::kBase, &base);
 
   const std::string tmp_name = name_ + ".tmp";
   {
     std::unique_ptr<storage::File> tmp;
     COCONUT_ASSIGN_OR_RETURN(tmp, storage_->CreateFile(tmp_name));
-    std::vector<uint8_t> header_payload;
-    PutU32(&header_payload, series_length_);
-    const std::vector<uint8_t> header_frame =
-        EncodeFrame(WalFrameType::kStreamHeader, header_payload);
-    COCONUT_RETURN_NOT_OK(tmp->Append(header_frame.data(),
-                                      header_frame.size()));
-    const std::vector<uint8_t> base_frame =
-        EncodeFrame(WalFrameType::kBase, base_payload);
-    COCONUT_RETURN_NOT_OK(tmp->Append(base_frame.data(), base_frame.size()));
-    for (size_t i = keep_from; i < frames.size(); ++i) {
-      const std::vector<uint8_t> kept =
-          EncodeFrame(frames[i].type, frames[i].payload);
-      COCONUT_RETURN_NOT_OK(tmp->Append(kept.data(), kept.size()));
+    COCONUT_RETURN_NOT_OK(tmp->Append(header.data(), header.size()));
+    COCONUT_RETURN_NOT_OK(tmp->Append(base.data(), base.size()));
+    for (const FrameSummary& f : kept) {
+      const std::span<const uint8_t> frame = kept_frame(f);
+      COCONUT_RETURN_NOT_OK(tmp->Append(frame.data(), frame.size()));
     }
     COCONUT_RETURN_NOT_OK(tmp->Sync());
   }
@@ -554,8 +511,14 @@ Status Wal::TruncateBefore(core::RawSeriesStore* raw) {
   base_admitted_ = new_admitted;
   base_watermark_ = new_watermark;
   base_map_ = std::move(new_map);
-  if (!chosen.manifest.empty() || chosen.durable_entries > 0) {
-    base_checkpoint_ = std::move(chosen);
+  if (!chosen->manifest.empty() || chosen->durable_entries > 0) {
+    base_checkpoint_ = *chosen;
+  }
+  frames_.erase(frames_.begin(), frames_.begin() + keep_from);
+  uint64_t offset = header.size() + base.size();
+  for (FrameSummary& f : frames_) {
+    f.offset = offset;
+    offset += f.length;
   }
   return Status::OK();
 }
@@ -569,22 +532,26 @@ Status Wal::Recover(StreamingIndex* index, core::RawSeriesStore* raw,
   // log has no admits for — those entries were never acknowledged, so
   // such a checkpoint must not be restored; an older covered one (or a
   // full replay) reproduces exactly the acknowledged state.
-  const uint64_t total_admits = base_admitted_ + scanned_admits_;
-  const Checkpoint* chosen = nullptr;
-  for (auto it = scanned_checkpoints_.rbegin();
-       it != scanned_checkpoints_.rend(); ++it) {
-    if (it->durable_entries <= total_admits) {
-      chosen = &*it;
-      break;
+  std::optional<Checkpoint> chosen;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    uint64_t total_admits = base_admitted_;
+    for (const FrameSummary& f : frames_) total_admits += f.admits;
+    for (auto it = frames_.rbegin(); it != frames_.rend(); ++it) {
+      if (it->type == WalFrameType::kCheckpoint &&
+          it->checkpoint.durable_entries <= total_admits) {
+        chosen = it->checkpoint;
+        break;
+      }
     }
-  }
-  if (chosen == nullptr && base_checkpoint_.has_value() &&
-      base_checkpoint_->durable_entries <= total_admits) {
-    chosen = &*base_checkpoint_;
+    if (!chosen.has_value() && base_checkpoint_.has_value() &&
+        base_checkpoint_->durable_entries <= total_admits) {
+      chosen = base_checkpoint_;
+    }
   }
 
   uint64_t skip_admits = 0;  // absolute admission index to replay from
-  if (chosen != nullptr) {
+  if (chosen.has_value()) {
     const Status restored = index->RestoreFromManifest(chosen->manifest);
     if (restored.ok()) {
       skip_admits = chosen->durable_entries;
@@ -616,7 +583,6 @@ Status Wal::Recover(StreamingIndex* index, core::RawSeriesStore* raw,
   // Free the scanned payload copies (the log itself stays on disk).
   scanned_batches_.clear();
   scanned_batches_.shrink_to_fit();
-  scanned_checkpoints_.clear();
   return Status::OK();
 }
 

@@ -89,6 +89,8 @@ struct WalRecoverOutcome {
 struct WalFrame {
   WalFrameType type;
   std::vector<uint8_t> payload;
+  /// Byte offset of the frame's header within the decoded bytes.
+  uint64_t offset = 0;
 };
 
 // ---- little-endian scalar encoding, shared by the log codec and the
@@ -150,6 +152,11 @@ class WalReader {
     *v = static_cast<int64_t>(u);
     return true;
   }
+  bool Skip(size_t count) {
+    if (count > remaining()) return false;
+    pos_ += count;
+    return true;
+  }
   bool GetFloats(std::vector<float>* out, size_t count);
   bool GetBytes(std::vector<uint8_t>* out, size_t count);
   bool GetString(std::string* out);
@@ -163,13 +170,20 @@ class WalReader {
 
 /// Per-stream (per-shard, when sharded) write-ahead log with group
 /// commit. The ingest path buffers records in memory (AppendAdmit /
-/// AppendHole / AppendMap, no I/O); Commit() writes them as one CRC32C
-/// framed batch and fdatasyncs — the acknowledgement gate: an
+/// AppendHole / AppendMap, no I/O) directly behind a reserved frame
+/// header; Commit() fills that header in, CRCs the buffer and writes it as
+/// one kBatch frame, then fdatasyncs — the acknowledgement gate: an
 /// `ingest_batch` reply is sent only after Commit() returns. The index's
 /// background strand appends checkpoint frames after each durable seal so
 /// recovery can restore the sealed state from its manifest and replay
 /// only the suffix; TruncateBefore folds the reclaimed prefix into a
 /// kBase frame via write-temp-then-rename.
+///
+/// The log keeps a small summary of every frame after its header and base
+/// (where it sits, what its records consume, a checkpoint's count and
+/// manifest), recorded as each frame is written or scanned at Open. Those
+/// summaries are all truncation needs to choose the checkpoint and the
+/// dropped prefix, so it reads back only the frames it keeps.
 ///
 /// Crucially, AppendCheckpoint never flushes the pending record buffer:
 /// pending records are unacknowledged, and making them durable as a side
@@ -233,6 +247,11 @@ class Wal {
   /// checkpoint. Commits pending records, syncs `raw` (the log is the
   /// only other copy of the dropped payloads), then rewrites the log as
   /// [header, kBase, uncovered frames] via temp-file + atomic rename.
+  /// The checkpoint and the prefix are chosen from the frame summaries;
+  /// only the kept frames are read back, and each must pass its CRC: a
+  /// kept frame that does not fails the call with kDataLoss and leaves
+  /// the log unchanged (it may precede acknowledged frames). A drained
+  /// stream keeps no frames, so its truncation reads nothing.
   Status TruncateBefore(core::RawSeriesStore* raw);
 
   /// Replays the scanned log into `index` (created empty by the caller,
@@ -280,21 +299,40 @@ class Wal {
     std::vector<uint8_t> manifest;
   };
 
+  /// What truncation needs to know about one kBatch or kCheckpoint frame
+  /// without reading it back.
+  struct FrameSummary {
+    uint64_t offset = 0;  // of the frame header, in the log file
+    uint64_t length = 0;  // header + payload bytes
+    WalFrameType type = WalFrameType::kBatch;
+    // kBatch: the records' admits, ordinals (admits + holes), max admitted
+    // timestamp and kMap global ids.
+    uint64_t admits = 0;
+    uint64_t ordinals = 0;
+    int64_t max_timestamp = std::numeric_limits<int64_t>::min();
+    std::vector<uint64_t> maps;
+    // kCheckpoint: the sealed state it records.
+    Checkpoint checkpoint;
+  };
+
   Wal(storage::StorageManager* storage, std::string name,
       uint32_t series_length, Options options)
       : storage_(storage),
         name_(std::move(name)),
         series_length_(series_length),
-        options_(std::move(options)) {}
+        options_(std::move(options)),
+        pending_(kBatchPrefixBytes) {}
 
-  /// Parses the scanned frames into base/batch/checkpoint state.
-  /// `valid_bytes` is where the torn tail (if any) starts.
-  Status AdoptScan(std::vector<WalFrame> frames, uint64_t valid_bytes);
+  /// Parses the scanned frames into base/batch/checkpoint state and one
+  /// summary per batch and checkpoint frame.
+  Status AdoptScan(std::vector<WalFrame> frames);
 
-  /// Writes one already-encoded frame, split in two when the hook is set
-  /// (`mid_point` names the between-halves crash point), and fdatasyncs.
+  /// Writes one sealed frame, split in two when the hook is set
+  /// (`mid_point` names the between-halves crash point), fdatasyncs, and
+  /// records `summary` in frames_ with the frame's offset and length.
   Status WriteFrameLocked(std::span<const uint8_t> frame,
-                          const char* mid_point, const char* post_point);
+                          FrameSummary&& summary, const char* mid_point,
+                          const char* pre_sync_point, const char* post_point);
 
   Status CommitLocked();
 
@@ -303,8 +341,12 @@ class Wal {
                     uint64_t skip_admits, WalRecoverOutcome* outcome);
 
   void Hook(const char* point) {
-    if (options_.test_hook) options_.test_hook(point);
+    if (options_.test_hook && point != nullptr) options_.test_hook(point);
   }
+
+  /// A batch frame's header and record count, reserved at the front of
+  /// pending_ so Commit frames the records in place.
+  static constexpr size_t kBatchPrefixBytes = kWalFrameHeaderBytes + 4;
 
   storage::StorageManager* storage_;
   const std::string name_;
@@ -313,19 +355,24 @@ class Wal {
 
   mutable std::mutex mu_;
   std::unique_ptr<storage::File> file_;  // guarded by mu_
-  std::vector<uint8_t> pending_;         // guarded by mu_
-  uint32_t pending_count_ = 0;           // guarded by mu_
+  // [reserved batch prefix][records], and their summary; guarded by mu_.
+  std::vector<uint8_t> pending_;
+  FrameSummary pending_summary_;
+  // One summary per batch/checkpoint frame on disk, in log order; guarded
+  // by mu_.
+  std::vector<FrameSummary> frames_;
   std::atomic<bool> replaying_{false};
 
-  // Scanned state from Open() on an existing log; consumed by Recover().
+  // The base state (the kBase frame's contents, kept current by
+  // TruncateBefore).
   uint64_t base_ordinals_ = 0;
   uint64_t base_admitted_ = 0;
   int64_t base_watermark_ = std::numeric_limits<int64_t>::min();
   std::vector<uint64_t> base_map_;
   std::optional<Checkpoint> base_checkpoint_;
+  // Batch payloads scanned by Open() on an existing log; consumed by
+  // Recover().
   std::vector<std::vector<uint8_t>> scanned_batches_;
-  std::vector<Checkpoint> scanned_checkpoints_;
-  uint64_t scanned_admits_ = 0;
 };
 
 }  // namespace stream

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <charconv>
@@ -10,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -602,6 +604,82 @@ TEST(JsonPackedArrayTest, HostileRowShapesKeepDomLinearInInput) {
   ASSERT_TRUE(v.array()[1000].is_packed_array());
   EXPECT_LT(v.DeepMemoryBytes(), doc.size() * 16)
       << v.DeepMemoryBytes() << " retained for " << doc.size() << " bytes";
+}
+
+// ---------------------------------------------------------------- CRC32C
+
+/// The paths Crc32cExtend can take on this host, each checked against the
+/// table reference: the dispatched entry point and, where the CPU has
+/// SSE4.2, the instruction path called directly.
+std::vector<uint32_t> EveryPath(uint32_t crc, const uint8_t* data,
+                                size_t size) {
+  std::vector<uint32_t> got{Crc32cExtend(crc, data, size)};
+#ifdef COCONUT_CRC32C_SSE42
+  if (crc32c_detail::HasSse42()) {
+    got.push_back(crc32c_detail::ExtendSse42(crc, data, size));
+  }
+#endif
+  return got;
+}
+
+TEST(Crc32cTest, Rfc3720CheckValues) {
+  const std::string digits = "123456789";
+  const std::vector<uint8_t> zeros(32, 0x00);
+  const std::vector<uint8_t> ones(32, 0xFF);
+  const struct {
+    const uint8_t* data;
+    size_t size;
+    uint32_t want;
+  } cases[] = {
+      {reinterpret_cast<const uint8_t*>(digits.data()), digits.size(),
+       0xE3069283u},
+      {zeros.data(), zeros.size(), 0x8A9136AAu},
+      {ones.data(), ones.size(), 0x62A8AB43u},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(crc32c_detail::ExtendTable(0, c.data, c.size), c.want);
+    for (const uint32_t got : EveryPath(0, c.data, c.size)) {
+      EXPECT_EQ(got, c.want);
+    }
+  }
+}
+
+TEST(Crc32cTest, EveryLengthAndOffsetMatchesTable) {
+  Rng rng(35);
+  std::vector<uint8_t> bytes(256 + 8);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextUint64());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 256; ++size) {
+      const uint32_t seed = static_cast<uint32_t>(rng.NextUint64());
+      for (const uint32_t start : {0u, seed}) {
+        const uint32_t want =
+            crc32c_detail::ExtendTable(start, bytes.data() + offset, size);
+        for (const uint32_t got :
+             EveryPath(start, bytes.data() + offset, size)) {
+          EXPECT_EQ(got, want) << "offset " << offset << " size " << size;
+        }
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainedExtendEqualsOneCall) {
+  Rng rng(3720);
+  std::vector<uint8_t> bytes(4099);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextUint64());
+  const uint32_t whole = Crc32c(bytes.data(), bytes.size());
+  EXPECT_EQ(whole, crc32c_detail::ExtendTable(0, bytes.data(), bytes.size()));
+  for (int round = 0; round < 64; ++round) {
+    uint32_t chained = 0;
+    size_t at = 0;
+    while (at < bytes.size()) {
+      const size_t piece =
+          std::min<size_t>(rng.NextUint64() % 97, bytes.size() - at);
+      chained = Crc32cExtend(chained, bytes.data() + at, piece);
+      at += piece;
+    }
+    EXPECT_EQ(chained, whole) << "round " << round;
+  }
 }
 
 }  // namespace

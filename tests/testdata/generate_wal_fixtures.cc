@@ -5,14 +5,19 @@
 // checking EncodeFrame against these bytes pins the format from two
 // independent directions.
 //
-// Regenerate (from the repo root, after building libcoconut):
-//   c++ -std=c++20 -Isrc tests/testdata/generate_wal_fixtures.cc \
-//       -o /tmp/gen_wal_fixtures && /tmp/gen_wal_fixtures tests/testdata
+// Regenerate (from the repo root):
+//   c++ -std=c++20 -Isrc -o /tmp/gen_wal_fixtures
+//       tests/testdata/generate_wal_fixtures.cc
+//   /tmp/gen_wal_fixtures tests/testdata
 //
 // The emitted files are versioned: they must only ever change together
-// with a WAL format-version bump.
+// with a WAL format-version bump. The test build compiles this file too,
+// and the ctest entry wal_fixtures_reproducible (check_wal_fixtures.cmake)
+// byte-compares its output with the checked-in files — which also checks
+// the CRC-32C implementation from a second direction.
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>

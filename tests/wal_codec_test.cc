@@ -7,6 +7,7 @@
 // frame prefix no matter where the log is cut.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -317,6 +318,199 @@ TEST_F(WalTempDir, RandomizedAppendCommitReplayEquivalence) {
   EXPECT_EQ(index.entries.size(), admit_at);
   EXPECT_EQ(outcome.ordinals, ordinals);
   EXPECT_EQ(outcome.local_to_global, maps);
+}
+
+/// Accepts any manifest and remembers it, so a test can see which
+/// checkpoint recovery restored.
+class ManifestCapturingIndex : public CapturingIndex {
+ public:
+  Status RestoreFromManifest(std::span<const uint8_t> bytes) override {
+    manifest.assign(bytes.begin(), bytes.end());
+    return Status::OK();
+  }
+  std::vector<uint8_t> manifest;
+};
+
+constexpr uint32_t kTruncLen = 4;
+
+std::vector<float> TruncValues(uint64_t ordinal) {
+  return std::vector<float>(kTruncLen, static_cast<float>(ordinal) + 0.5f);
+}
+
+std::vector<uint8_t> Bytes(const std::string& s) {
+  return std::vector<uint8_t>(s.begin(), s.end());
+}
+
+/// Writes the truncation fixture through the live append path, with
+/// every ordinal mapped (as a sharded stream does):
+///   batch A  map 100, admit 0 (ts 5), map 101, hole 1, map 102,
+///            admit 2 (ts 3)
+///   checkpoint durable 2 "old"     (covers batch A)
+///   batch B  map 103, admit 3 (ts 9), map 104, admit 4 (ts 7)
+///   checkpoint durable 10 "future" (claims more admits than the log holds)
+///   batch C  map 105, admit 5 (ts 11), map 106, hole 6
+/// Each ordinal's payload also goes to `raw`, holes zero-filled.
+void WriteTruncationFixture(Wal* wal, core::RawSeriesStore* raw) {
+  const auto admit = [&](uint64_t ordinal, int64_t ts) {
+    wal->AppendMap(100 + ordinal);
+    ASSERT_TRUE(raw->Append(TruncValues(ordinal)).ok());
+    wal->AppendAdmit(ordinal, ts, TruncValues(ordinal));
+  };
+  const auto hole = [&](uint64_t ordinal) {
+    wal->AppendMap(100 + ordinal);
+    ASSERT_TRUE(raw->Append(std::vector<float>(kTruncLen, 0.0f)).ok());
+    wal->AppendHole();
+  };
+  admit(0, 5);
+  hole(1);
+  admit(2, 3);
+  ASSERT_TRUE(wal->Commit().ok());
+  ASSERT_TRUE(wal->AppendCheckpoint(2, Bytes("old")).ok());
+  admit(3, 9);
+  admit(4, 7);
+  ASSERT_TRUE(wal->Commit().ok());
+  ASSERT_TRUE(wal->AppendCheckpoint(10, Bytes("future")).ok());
+  admit(5, 11);
+  hole(6);
+  ASSERT_TRUE(wal->Commit().ok());
+}
+
+std::vector<uint8_t> ReadLog(storage::StorageManager* storage) {
+  auto file = storage->OpenFile("wal");
+  EXPECT_TRUE(file.ok());
+  std::vector<uint8_t> bytes(file.value()->size_bytes());
+  EXPECT_TRUE(file.value()->ReadAt(0, bytes.data(), bytes.size()).ok());
+  return bytes;
+}
+
+/// Byte offset of frame `index` in a log that decoded to `frames`.
+size_t FrameOffset(const std::vector<WalFrame>& frames, size_t index) {
+  size_t offset = 0;
+  for (size_t i = 0; i < index; ++i) {
+    offset += kWalFrameHeaderBytes + frames[i].payload.size();
+  }
+  return offset;
+}
+
+/// Bytes of the frames after the header and base of the log `bytes`.
+uint64_t KeptFrameBytes(const std::vector<uint8_t>& bytes) {
+  std::vector<WalFrame> frames;
+  const size_t valid = Wal::DecodeFrames(bytes, &frames);
+  EXPECT_GE(frames.size(), 2u);
+  EXPECT_EQ(frames[1].type, WalFrameType::kBase);
+  return valid - FrameOffset(frames, std::min<size_t>(frames.size(), 2));
+}
+
+TEST_F(WalTempDir, TruncationFoldsCoveredPrefixAndKeepsSuffix) {
+  std::vector<uint8_t> before;
+  {
+    auto opened = Wal::Open(storage_.get(), "wal", kTruncLen);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    auto raw = core::RawSeriesStore::OpenTruncated(storage_.get(), "raw",
+                                                   kTruncLen, 0);
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    WriteTruncationFixture(opened.value().get(), raw.value().get());
+    before = ReadLog(storage_.get());
+    ASSERT_TRUE(opened.value()->TruncateBefore(raw.value().get()).ok());
+  }
+
+  // Only batch A and the "old" checkpoint are covered: the log is now
+  // header, base, then batch B, the "future" checkpoint and batch C,
+  // byte for byte as they were written.
+  const std::vector<uint8_t> after = ReadLog(storage_.get());
+  std::vector<WalFrame> old_frames;
+  std::vector<WalFrame> new_frames;
+  ASSERT_EQ(Wal::DecodeFrames(before, &old_frames), before.size());
+  ASSERT_EQ(Wal::DecodeFrames(after, &new_frames), after.size());
+  ASSERT_EQ(old_frames.size(), 6u);
+  ASSERT_EQ(new_frames.size(), 5u);
+  EXPECT_EQ(new_frames[0].type, WalFrameType::kStreamHeader);
+  EXPECT_EQ(new_frames[1].type, WalFrameType::kBase);
+  EXPECT_EQ(std::vector<uint8_t>(
+                after.begin() + static_cast<ptrdiff_t>(FrameOffset(new_frames, 2)),
+                after.end()),
+            std::vector<uint8_t>(
+                before.begin() + static_cast<ptrdiff_t>(FrameOffset(old_frames, 3)),
+                before.end()));
+
+  auto reopened = Wal::Open(storage_.get(), "wal", kTruncLen);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value()->base_ordinals(), 3u);
+  auto raw = core::RawSeriesStore::OpenTruncated(
+      storage_.get(), "raw", kTruncLen, reopened.value()->base_ordinals());
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  ManifestCapturingIndex index;
+  WalRecoverOutcome outcome;
+  ASSERT_TRUE(
+      reopened.value()->Recover(&index, raw.value().get(), &outcome).ok());
+
+  // The "future" checkpoint is uncovered (5 admits < 10), so the base's
+  // "old" one is restored and admits 3..5 replay.
+  EXPECT_EQ(index.manifest, Bytes("old"));
+  EXPECT_EQ(index.restored_watermark, 5);
+  EXPECT_EQ(outcome.ordinals, 7u);
+  EXPECT_EQ(outcome.admitted, 5u);
+  EXPECT_EQ(outcome.watermark, 11);
+  EXPECT_EQ(outcome.local_to_global,
+            (std::vector<uint64_t>{100, 101, 102, 103, 104, 105, 106}));
+  ASSERT_EQ(index.entries.size(), 3u);
+  const int64_t want_ts[] = {9, 7, 11};
+  for (uint64_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(index.entries[i].id, 3 + i);
+    EXPECT_EQ(index.entries[i].timestamp, want_ts[i]);
+    EXPECT_EQ(index.entries[i].values, TruncValues(3 + i));
+  }
+  std::vector<float> fetched(kTruncLen);
+  for (const uint64_t ordinal : {0, 2, 3, 4, 5}) {
+    ASSERT_TRUE(raw.value()->Get(ordinal, fetched).ok());
+    EXPECT_EQ(fetched, TruncValues(ordinal)) << "ordinal " << ordinal;
+  }
+}
+
+TEST_F(WalTempDir, TruncationReadsOnlyTheKeptFrames) {
+  auto opened = Wal::Open(storage_.get(), "wal", kTruncLen);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Wal> wal = opened.TakeValue();
+  auto raw = core::RawSeriesStore::OpenTruncated(storage_.get(), "raw",
+                                                 kTruncLen, 0);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  WriteTruncationFixture(wal.get(), raw.value().get());
+
+  // A kept suffix: no dropped frame is read back.
+  uint64_t read_before = storage_->SnapshotIoStats().bytes_read;
+  ASSERT_TRUE(wal->TruncateBefore(raw.value().get()).ok());
+  uint64_t read = storage_->SnapshotIoStats().bytes_read - read_before;
+  EXPECT_LE(read, KeptFrameBytes(ReadLog(storage_.get())));
+
+  // Drained: a checkpoint covers every admit, nothing is kept, and the
+  // truncation reads nothing at all.
+  ASSERT_TRUE(wal->AppendCheckpoint(5, Bytes("drained")).ok());
+  read_before = storage_->SnapshotIoStats().bytes_read;
+  ASSERT_TRUE(wal->TruncateBefore(raw.value().get()).ok());
+  read = storage_->SnapshotIoStats().bytes_read - read_before;
+  EXPECT_EQ(read, 0u);
+  EXPECT_EQ(KeptFrameBytes(ReadLog(storage_.get())), 0u);
+
+  // The drained log recovers with nothing to replay.
+  wal.reset();
+  raw.value().reset();
+  auto reopened = Wal::Open(storage_.get(), "wal", kTruncLen);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened.value()->base_ordinals(), 7u);
+  auto reopened_raw = core::RawSeriesStore::OpenTruncated(
+      storage_.get(), "raw", kTruncLen, reopened.value()->base_ordinals());
+  ASSERT_TRUE(reopened_raw.ok()) << reopened_raw.status().ToString();
+  ManifestCapturingIndex index;
+  WalRecoverOutcome outcome;
+  ASSERT_TRUE(reopened.value()
+                  ->Recover(&index, reopened_raw.value().get(), &outcome)
+                  .ok());
+  EXPECT_EQ(index.manifest, Bytes("drained"));
+  EXPECT_TRUE(index.entries.empty());
+  EXPECT_EQ(outcome.ordinals, 7u);
+  EXPECT_EQ(outcome.admitted, 5u);
+  EXPECT_EQ(outcome.watermark, 11);
+  EXPECT_EQ(outcome.local_to_global.size(), 7u);
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -174,6 +176,53 @@ TEST_F(WalCorruptionTest, GarbageTail) {
     bytes.push_back(static_cast<uint8_t>(0xDE ^ (i * 37)));
   }
   CheckMangledLog(bytes, "40 garbage bytes appended");
+}
+
+TEST_F(WalCorruptionTest, TruncationRefusesACorruptKeptFrame) {
+  // Three acknowledged 3-series batches and no checkpoint: truncation
+  // keeps every frame. With a byte flipped inside the second, it must
+  // fail with kDataLoss and leave the log's bytes as they were —
+  // rewriting around the bad frame would silently drop the intact third
+  // batch, which no checkpoint covers.
+  const std::string dir = root_ + "/truncate";
+  auto storage = storage::StorageManager::Create(dir);
+  ASSERT_TRUE(storage.ok());
+  auto opened = Wal::Open(storage.value().get(), "wal", kLen);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<Wal> wal = opened.TakeValue();
+  auto raw = core::RawSeriesStore::OpenTruncated(storage.value().get(), "raw",
+                                                 kLen, 0);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  std::vector<uint64_t> batch_ends;
+  uint64_t ordinal = 0;
+  for (int commit = 0; commit < 3; ++commit) {
+    for (int i = 0; i < 3; ++i) {
+      const std::vector<float> v(kLen, static_cast<float>(ordinal));
+      ASSERT_TRUE(raw.value()->Append(v).ok());
+      wal->AppendAdmit(ordinal, static_cast<int64_t>(ordinal), v);
+      ++ordinal;
+    }
+    ASSERT_TRUE(wal->Commit().ok());
+    batch_ends.push_back(wal->size_bytes());
+  }
+
+  const std::string path = dir + "/wal";
+  const auto read_log = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<uint8_t>(std::istreambuf_iterator<char>(in), {});
+  };
+  std::vector<uint8_t> corrupted = read_log();
+  const uint64_t flip_at = (batch_ends[0] + batch_ends[1]) / 2;
+  corrupted[flip_at] ^= 0x01;
+  {
+    std::fstream out(path, std::ios::binary | std::ios::in | std::ios::out);
+    out.seekp(static_cast<std::streamoff>(flip_at));
+    out.put(static_cast<char>(corrupted[flip_at]));
+  }
+
+  const Status truncated = wal->TruncateBefore(raw.value().get());
+  EXPECT_EQ(truncated.code(), StatusCode::kDataLoss) << truncated.ToString();
+  EXPECT_EQ(read_log(), corrupted) << "truncation rewrote a corrupt log";
 }
 
 }  // namespace
