@@ -1,9 +1,10 @@
 // E1 (Scenario 1 / Coconut Fig. "index construction"): bulk construction
 // across families and dataset sizes. Expected shape: CTree and CLSM build
 // several times faster than ADS+, with random writes O(1) vs O(N/buffer).
-// The *_Threads benchmarks isolate the parallel bulk-load engine: run
-// generation with N worker threads against the single-threaded baseline,
-// identical output guaranteed by the extsort determinism tests.
+// BM_ParallelRunGeneration and BM_CTreeConstruct_Threads isolate the
+// parallel construction sort: N worker threads (run generation and final
+// merge) against the single-threaded baseline, identical output guaranteed
+// by the extsort determinism tests.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -44,14 +45,15 @@ void RunConstruction(benchmark::State& state, palm::IndexFamily family) {
       static_cast<double>(count), benchmark::Counter::kIsIterationInvariantRate);
 }
 
-// Parallel run generation: sort a fixed record set with state.range(0)
-// worker threads. The budget is scaled so every configuration spills the
-// same 16 runs of 12500 records (the sorter sizes chunks as
-// budget/(threads+1) in parallel mode, budget/1 serially) — the sweep then
-// varies worker parallelism only, not run size or merge fan-in.
+// Parallel construction sort: sort `state.range(1)` random records with
+// `state.range(0)` worker threads under one fixed budget, the serial
+// case's 16 runs' worth. Threaded run generation cuts chunks of
+// budget / (threads + 1), so the threaded cases spill more, smaller runs
+// and may range-partition the final merge; the sweep compares the thread
+// counts under the same memory, as a caller picking `threads` would.
 void BM_ParallelRunGeneration(benchmark::State& state) {
   const size_t threads = static_cast<size_t>(state.range(0));
-  const size_t count = 200000;
+  const size_t count = static_cast<size_t>(state.range(1));
   std::vector<core::IndexEntry> entries(count);
   Rng rng(7);
   for (size_t i = 0; i < count; ++i) {
@@ -59,14 +61,13 @@ void BM_ParallelRunGeneration(benchmark::State& state) {
     entries[i].series_id = i;
     entries[i].timestamp = 0;
   }
-  const size_t run_bytes = count * sizeof(core::IndexEntry) / 16;
-  uint64_t runs = 0;
+  const size_t budget = count * sizeof(core::IndexEntry) / 16;
+  extsort::SortStats stats;
   for (auto _ : state) {
     auto storage = storage::MakeTempStorage("bench_psort").TakeValue();
     extsort::ExternalSorter::Options opts;
     opts.record_size = sizeof(core::IndexEntry);
-    opts.memory_budget_bytes =
-        threads > 1 ? run_bytes * (threads + 1) : run_bytes;
+    opts.memory_budget_bytes = budget;
     opts.threads = threads;
     opts.storage = storage.get();
     opts.less = core::EntryBytesLess;
@@ -81,11 +82,12 @@ void BM_ParallelRunGeneration(benchmark::State& state) {
       ++drained;
     }
     benchmark::DoNotOptimize(drained);
-    runs = sorter->stats().runs_spilled;
+    stats = sorter->stats();
     (void)storage->Clear();
   }
   state.counters["threads"] = static_cast<double>(threads);
-  state.counters["runs_spilled"] = static_cast<double>(runs);
+  state.counters["runs_spilled"] = static_cast<double>(stats.runs_spilled);
+  state.counters["merge_ranges"] = static_cast<double>(stats.merge_ranges);
   state.counters["records_per_sec"] = benchmark::Counter(
       static_cast<double>(count), benchmark::Counter::kIsIterationInvariantRate);
 }
@@ -122,18 +124,21 @@ void BM_Construct_CLSM(benchmark::State& state) {
   RunConstruction(state, palm::IndexFamily::kClsm);
 }
 
+// Threaded cases run sorter workers, so rates and times are wall-clock:
+// the main thread's CPU time leaves the workers out.
 BENCHMARK(BM_ParallelRunGeneration)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
+    ->ArgNames({"threads", "records"})
+    ->ArgsProduct({{1, 2, 4}, {200000, 2000000}})
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(1)
+    ->UseRealTime();
 BENCHMARK(BM_CTreeConstruct_Threads)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(1);
+    ->Iterations(1)
+    ->UseRealTime();
 BENCHMARK(BM_Construct_ADS)
     ->Arg(4000)
     ->Arg(16000)

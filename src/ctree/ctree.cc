@@ -49,8 +49,6 @@ Result<std::unique_ptr<CTree::Builder>> CTree::Builder::Create(
   sopts.record_size = SortRecordSize(options);
   sopts.memory_budget_bytes = options.sort_memory_bytes;
   sopts.threads = options.sort_threads;
-  sopts.merge_threads = options.sort_merge_threads;
-  sopts.merge_partitions = options.sort_merge_partitions;
   sopts.storage = storage;
   sopts.temp_prefix = name + ".sort";
   sopts.less = core::EntryBytesLess;  // Key prefix leads every record.

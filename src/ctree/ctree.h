@@ -33,13 +33,9 @@ class CTree {
     double fill_factor = 1.0;
     /// Memory budget for the construction sort (the GUI's memory knob).
     size_t sort_memory_bytes = 64ull << 20;
-    /// Worker threads for the construction sort's run generation.
+    /// Worker threads for the construction sort's run generation and final
+    /// merge (the sorted bytes, and so the tree, are the same either way).
     size_t sort_threads = 1;
-    /// Worker threads for the construction sort's merge phase (0 = follow
-    /// sort_threads; output bytes are identical either way).
-    size_t sort_merge_threads = 0;
-    /// Key ranges for the parallel final merge (0 = one per merge worker).
-    size_t sort_merge_partitions = 0;
   };
 
   /// Accumulates records and bulk-builds the tree via external sorting.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <limits>
-#include <queue>
+#include <utility>
 
 #include "storage/page.h"
 
@@ -123,13 +123,15 @@ class ConcatStream : public SortedStream {
   size_t current_ = 0;
 };
 
-/// K-way merge over child streams (binary heap on the lookahead record).
-/// Equal records pop from the lowest-indexed child, so when children are
-/// ordered by run sequence the merge is stable — the property that makes
-/// sorter output byte-identical across thread counts and memory budgets.
+/// K-way merge over the child streams it owns (binary heap on the
+/// lookahead record). Equal records pop from the lowest-indexed child, so
+/// when children are ordered by run sequence the merge is stable — the
+/// property that makes sorter output byte-identical across thread counts
+/// and memory budgets.
 class MergeStream : public SortedStream {
  public:
-  MergeStream(std::vector<SortedStream*> children, size_t record_size,
+  MergeStream(std::vector<std::unique_ptr<SortedStream>> children,
+              size_t record_size,
               std::function<bool(const uint8_t*, const uint8_t*)> less)
       : children_(std::move(children)),
         record_size_(record_size),
@@ -177,46 +179,22 @@ class MergeStream : public SortedStream {
     return b < a;
   }
 
-  std::vector<SortedStream*> children_;
+  std::vector<std::unique_ptr<SortedStream>> children_;
   size_t record_size_;
   std::function<bool(const uint8_t*, const uint8_t*)> less_;
   std::vector<uint8_t> lookahead_;
   std::vector<size_t> heap_;
 };
 
-/// Owns child streams and the merge over them.
-class OwningMergeStream : public SortedStream {
- public:
-  OwningMergeStream(std::vector<std::unique_ptr<SortedStream>> owned,
-                    size_t record_size,
-                    std::function<bool(const uint8_t*, const uint8_t*)> less)
-      : owned_(std::move(owned)) {
-    std::vector<SortedStream*> raw;
-    raw.reserve(owned_.size());
-    for (auto& s : owned_) raw.push_back(s.get());
-    merge_ = std::make_unique<MergeStream>(std::move(raw), record_size,
-                                           std::move(less));
-  }
-
-  Status Init() { return merge_->Init(); }
-
-  Result<bool> Next(uint8_t* out) override { return merge_->Next(out); }
-  size_t record_size() const override { return merge_->record_size(); }
-
- private:
-  std::vector<std::unique_ptr<SortedStream>> owned_;
-  std::unique_ptr<MergeStream> merge_;
-};
-
 /// K-way-merges already-opened sorted streams (ordered by run sequence for
 /// stability) into a fresh file, page-buffered sequential appends. The one
-/// write path shared by group merges and range merges.
+/// write path shared by intermediate passes and range merges.
 Status MergeStreamsToFile(
     storage::StorageManager* storage,
     std::vector<std::unique_ptr<SortedStream>> streams, size_t record_size,
     const std::function<bool(const uint8_t*, const uint8_t*)>& less,
     const std::string& output_name) {
-  OwningMergeStream merge(std::move(streams), record_size, less);
+  MergeStream merge(std::move(streams), record_size, less);
   COCONUT_RETURN_NOT_OK(merge.Init());
   COCONUT_ASSIGN_OR_RETURN(std::unique_ptr<storage::File> out_file,
                            storage->CreateFile(output_name));
@@ -259,10 +237,6 @@ ExternalSorter::ExternalSorter(Options options)
 ExternalSorter::~ExternalSorter() {
   StopWorkers();
   // Best-effort cleanup of any leftover run files.
-  for (const auto& [seq, name] : runs_by_seq_) {
-    (void)seq;
-    (void)options_.storage->RemoveFile(name);
-  }
   for (const auto& name : run_names_) {
     (void)options_.storage->RemoveFile(name);
   }
@@ -286,11 +260,7 @@ Result<std::unique_ptr<ExternalSorter>> ExternalSorter::Create(
 Status ExternalSorter::Add(const void* record) {
   if (finished_) return Status::Internal("Add after Finish");
   if (buffered_records_ >= max_buffered_records_) {
-    if (parallel()) {
-      COCONUT_RETURN_NOT_OK(EnqueueChunk());
-    } else {
-      COCONUT_RETURN_NOT_OK(SpillRun());
-    }
+    COCONUT_RETURN_NOT_OK(SpillRun());
   }
   const auto* bytes = static_cast<const uint8_t*>(record);
   buffer_.insert(buffer_.end(), bytes, bytes + options_.record_size);
@@ -336,54 +306,13 @@ Status WriteSortedRun(storage::StorageManager* storage,
 
 Status ExternalSorter::SpillRun() {
   if (buffered_records_ == 0) return Status::OK();
-  const std::string name =
-      options_.temp_prefix + ".run" + std::to_string(next_run_id_++);
-  if (Status st = WriteSortedRun(options_.storage, name, buffer_.data(),
-                                 buffered_records_, options_.record_size,
-                                 options_.less);
-      !st.ok()) {
-    (void)options_.storage->RemoveFile(name);  // Drop any partial file.
-    return st;
-  }
-  run_names_.push_back(name);
-  {
-    // Stats are always mutated under mu_ so totals stay exact when run
-    // generation or merging is threaded.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.runs_spilled;
-  }
-  buffer_.clear();
-  buffered_records_ = 0;
-  return Status::OK();
-}
-
-Status ExternalSorter::SortAndSpillChunk(uint64_t seq,
-                                         const std::vector<uint8_t>& data,
-                                         size_t num_records) {
-  const std::string name =
-      options_.temp_prefix + ".run" + std::to_string(seq);
-  if (Status st = WriteSortedRun(options_.storage, name, data.data(),
-                                 num_records, options_.record_size,
-                                 options_.less);
-      !st.ok()) {
-    (void)options_.storage->RemoveFile(name);  // Drop any partial file.
-    return st;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  runs_by_seq_[seq] = name;
-  ++stats_.runs_spilled;
-  return Status::OK();
-}
-
-Status ExternalSorter::EnqueueChunk() {
-  if (buffered_records_ == 0) return Status::OK();
-  // Lazy spawn: inputs that fit in one chunk never pay for threads, and
-  // threads_used stays honest — it counts workers that generated runs.
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(options_.threads);
-    stats_.threads_used = options_.threads;
-  }
-  {
+  if (parallel()) {
+    // Lazy spawn: inputs that fit in one chunk never pay for threads, and
+    // threads_used stays honest — it counts workers that generated runs.
+    if (pool_ == nullptr) {
+      pool_ = std::make_unique<ThreadPool>(options_.threads);
+      stats_.threads_used = options_.threads;
+    }
     std::unique_lock<std::mutex> lock(mu_);
     space_cv_.wait(lock, [this] {
       return chunks_in_flight_ < options_.threads || !worker_error_.ok();
@@ -391,12 +320,25 @@ Status ExternalSorter::EnqueueChunk() {
     if (!worker_error_.ok()) return worker_error_;
     ++chunks_in_flight_;
   }
+  std::string name =
+      options_.temp_prefix + ".run" + std::to_string(next_run_id_++);
+  run_names_.push_back(name);
+  ++stats_.runs_spilled;
+  const size_t num_records = std::exchange(buffered_records_, 0);
+
+  if (!parallel()) {
+    Status st = WriteSortedRun(options_.storage, name, buffer_.data(),
+                               num_records, options_.record_size,
+                               options_.less);
+    buffer_.clear();
+    return st;
+  }
   // shared_ptr because std::function requires a copyable closure.
   auto data = std::make_shared<std::vector<uint8_t>>(std::move(buffer_));
-  const uint64_t seq = next_chunk_seq_++;
-  const size_t num_records = buffered_records_;
-  pool_->Submit([this, seq, data, num_records] {
-    Status st = SortAndSpillChunk(seq, *data, num_records);
+  pool_->Submit([this, name = std::move(name), data, num_records] {
+    Status st = WriteSortedRun(options_.storage, name, data->data(),
+                               num_records, options_.record_size,
+                               options_.less);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!st.ok() && worker_error_.ok()) worker_error_ = st;
@@ -407,7 +349,6 @@ Status ExternalSorter::EnqueueChunk() {
   buffer_ = std::vector<uint8_t>();
   buffer_.reserve(std::min<size_t>(max_buffered_records_, 4096) *
                   options_.record_size);
-  buffered_records_ = 0;
   return Status::OK();
 }
 
@@ -417,14 +358,10 @@ void ExternalSorter::StopWorkers() {
   pool_.reset();  // Joins the workers.
 }
 
-Result<std::string> ExternalSorter::MergeRuns(
-    const std::vector<std::string>& inputs, const std::string& output_name,
-    size_t concurrency) {
-  // Concurrent group merges share the budget, so each one gets 1/Nth —
-  // parallelism must not multiply resident memory.
+Status ExternalSorter::MergeRuns(const std::vector<std::string>& inputs,
+                                 const std::string& output_name) {
   const size_t merge_buffer = std::max<size_t>(
-      kPageSize, options_.memory_budget_bytes /
-                     (std::max<size_t>(1, concurrency) * (inputs.size() + 1)));
+      kPageSize, options_.memory_budget_bytes / (inputs.size() + 1));
   std::vector<std::unique_ptr<SortedStream>> streams;
   streams.reserve(inputs.size());
   for (const auto& name : inputs) {
@@ -441,87 +378,28 @@ Result<std::string> ExternalSorter::MergeRuns(
   for (const auto& name : inputs) {
     COCONUT_RETURN_NOT_OK(options_.storage->RemoveFile(name));
   }
-  return output_name;
+  return Status::OK();
 }
 
-size_t ExternalSorter::MergeThreadCount() const {
-  const size_t t = options_.merge_threads != 0 ? options_.merge_threads
-                                               : options_.threads;
-  return std::max<size_t>(1, t);
-}
-
-Result<std::vector<std::string>> ExternalSorter::MergePassGroups(
-    const std::vector<std::string>& pending, size_t fan_in,
-    ThreadPool* pool) {
-  // Groups, their inputs and their output names are all fixed up front, so
-  // the pass produces the same files in the same order however (and on
-  // however many threads) the group merges execute.
-  struct Group {
-    std::vector<std::string> inputs;
-    std::string output;
-  };
-  std::vector<Group> groups;
+Result<std::vector<std::string>> ExternalSorter::MergePass(size_t fan_in) {
   std::vector<std::string> next;
-  for (size_t i = 0; i < pending.size(); i += fan_in) {
-    const size_t end = std::min(pending.size(), i + fan_in);
+  std::vector<std::string> outputs;
+  for (size_t i = 0; i < run_names_.size(); i += fan_in) {
+    const size_t end = std::min(run_names_.size(), i + fan_in);
     if (end - i == 1) {
-      next.push_back(pending[i]);
+      next.push_back(run_names_[i]);
       continue;
     }
-    Group g;
-    g.inputs.assign(pending.begin() + i, pending.begin() + end);
-    g.output = options_.temp_prefix + ".merge" + std::to_string(next_run_id_++);
-    next.push_back(g.output);
-    groups.push_back(std::move(g));
-  }
-
-  // The per-stream buffer floor is one page, so N concurrent group merges
-  // need N * (fan_in + 1) pages; cap concurrency to what the budget truly
-  // covers (under extreme pressure this degrades to the serial pass).
-  const size_t budget_slots = std::max<size_t>(
-      1, options_.memory_budget_bytes / ((fan_in + 1) * kPageSize));
-  const size_t concurrency = std::min(
-      {MergeThreadCount(), groups.size(), budget_slots});
-
-  if (pool == nullptr || groups.size() <= 1 || concurrency <= 1) {
-    for (const auto& g : groups) {
-      if (Result<std::string> r = MergeRuns(g.inputs, g.output); !r.ok()) {
-        for (const Group& gg : groups) {
-          (void)options_.storage->RemoveFile(gg.output);
-        }
-        return r.status();
-      }
-    }
-    return next;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.merge_threads_used =
-        std::max<uint64_t>(stats_.merge_threads_used, concurrency);
-  }
-  std::vector<Status> statuses(groups.size());
-  // Waves of `concurrency` groups keep resident buffers inside the budget
-  // (the pool may have more threads than the budget can feed).
-  for (size_t wave = 0; wave < groups.size(); wave += concurrency) {
-    const size_t wave_end = std::min(groups.size(), wave + concurrency);
-    for (size_t gi = wave; gi < wave_end; ++gi) {
-      const Group* group = &groups[gi];
-      Status* slot = &statuses[gi];
-      pool->Submit([this, group, slot, concurrency] {
-        Result<std::string> r = MergeRuns(group->inputs, group->output,
-                                          concurrency);
-        *slot = r.status();
-      });
-    }
-    pool->Wait();
-  }
-  for (const Status& st : statuses) {
-    if (!st.ok()) {
-      // Don't leak .merge outputs (complete or partial): `next` is being
-      // discarded, so nothing else tracks them.
-      for (const Group& g : groups) {
-        (void)options_.storage->RemoveFile(g.output);
+    outputs.push_back(options_.temp_prefix + ".merge" +
+                      std::to_string(next_run_id_++));
+    next.push_back(outputs.back());
+    const std::vector<std::string> inputs(run_names_.begin() + i,
+                                          run_names_.begin() + end);
+    if (Status st = MergeRuns(inputs, outputs.back()); !st.ok()) {
+      // Don't leak this pass's .merge outputs (complete or partial):
+      // `next` is being discarded, so nothing else tracks them.
+      for (const auto& name : outputs) {
+        (void)options_.storage->RemoveFile(name);
       }
       return st;
     }
@@ -596,7 +474,7 @@ Result<std::vector<std::vector<uint8_t>>> ExternalSorter::PickSplitters(
 }
 
 Result<std::unique_ptr<SortedStream>> ExternalSorter::PartitionedFinalMerge(
-    ThreadPool* pool, size_t num_ranges) {
+    size_t num_ranges) {
   // The per-stream buffer floor is one page, so each concurrent range
   // merge pins (runs + 1) pages; budget_slots is how many the budget can
   // feed at once. Fewer than two and partitioning buys nothing over the
@@ -637,56 +515,45 @@ Result<std::unique_ptr<SortedStream>> ExternalSorter::PartitionedFinalMerge(
     boundaries[r][ranges] = file->size_bytes();
   }
 
-  // Budget: concurrent range merges each hold one buffer per run slice
-  // plus an output buffer; concurrency is capped by budget_slots (the
-  // one-page-floor bound computed above) and merges run in waves of that
-  // size.
-  const size_t concurrent =
-      std::min({MergeThreadCount(), ranges, budget_slots});
+  // Budget: each running range merge holds one buffer per run slice plus
+  // an output buffer. A pool of `concurrent` workers runs at most that many
+  // at once; a queued range opens its streams only when it starts.
+  const size_t concurrent = std::min({num_ranges, ranges, budget_slots});
   const size_t merge_buffer = std::max<size_t>(
       kPageSize, options_.memory_budget_bytes /
                      (concurrent * (run_names_.size() + 1)));
+  stats_.merge_threads_used = concurrent;
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.merge_threads_used =
-        std::max<uint64_t>(stats_.merge_threads_used, concurrent);
-  }
   std::vector<std::string> range_names(ranges);
-  for (size_t i = 0; i < ranges; ++i) {
-    range_names[i] = options_.temp_prefix + ".range" + std::to_string(i);
-  }
   std::vector<Status> statuses(ranges);
-  auto submit_range = [&](size_t i) {
-    const size_t range = i;
-    const std::string* out_name = &range_names[i];
-    Status* slot = &statuses[i];
-    const auto* bounds = &boundaries;
-    pool->Submit([this, range, out_name, slot, bounds, merge_buffer,
-                  record_size] {
-      *slot = [&]() -> Status {
-        // Children ordered by run sequence — the tie-break order the
-        // stable merge relies on. Empty slices are skipped; that cannot
-        // reorder the survivors.
-        std::vector<std::unique_ptr<SortedStream>> streams;
-        for (size_t r = 0; r < run_names_.size(); ++r) {
-          const uint64_t begin = (*bounds)[r][range];
-          const uint64_t end = (*bounds)[r][range + 1];
-          if (begin >= end) continue;
-          COCONUT_ASSIGN_OR_RETURN(std::unique_ptr<storage::File> file,
-                                   options_.storage->OpenFile(run_names_[r]));
-          streams.push_back(std::make_unique<RunFileStream>(
-              std::move(file), record_size, merge_buffer, begin, end));
-        }
-        return MergeStreamsToFile(options_.storage, std::move(streams),
-                                  record_size, options_.less, *out_name);
-      }();
-    });
-  };
-  for (size_t wave = 0; wave < ranges; wave += concurrent) {
-    const size_t wave_end = std::min(ranges, wave + concurrent);
-    for (size_t i = wave; i < wave_end; ++i) submit_range(i);
-    pool->Wait();
+  {
+    ThreadPool pool(concurrent);
+    for (size_t range = 0; range < ranges; ++range) {
+      range_names[range] =
+          options_.temp_prefix + ".range" + std::to_string(range);
+      pool.Submit([this, range, &range_names, &statuses, &boundaries,
+                   merge_buffer, record_size] {
+        statuses[range] = [&]() -> Status {
+          // Children ordered by run sequence — the tie-break order the
+          // stable merge relies on. Empty slices are skipped; that cannot
+          // reorder the survivors.
+          std::vector<std::unique_ptr<SortedStream>> streams;
+          for (size_t r = 0; r < run_names_.size(); ++r) {
+            const uint64_t begin = boundaries[r][range];
+            const uint64_t end = boundaries[r][range + 1];
+            if (begin >= end) continue;
+            COCONUT_ASSIGN_OR_RETURN(std::unique_ptr<storage::File> file,
+                                     options_.storage->OpenFile(run_names_[r]));
+            streams.push_back(std::make_unique<RunFileStream>(
+                std::move(file), record_size, merge_buffer, begin, end));
+          }
+          return MergeStreamsToFile(options_.storage, std::move(streams),
+                                    record_size, options_.less,
+                                    range_names[range]);
+        }();
+      });
+    }
+    pool.Wait();
   }
   for (const Status& st : statuses) {
     if (!st.ok()) {
@@ -705,11 +572,8 @@ Result<std::unique_ptr<SortedStream>> ExternalSorter::PartitionedFinalMerge(
     COCONUT_RETURN_NOT_OK(options_.storage->RemoveFile(name));
   }
   run_names_ = range_names;  // Destructor cleanup now tracks range files.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.merge_passes;
-    stats_.merge_ranges = ranges;
-  }
+  ++stats_.merge_passes;
+  stats_.merge_ranges = ranges;
 
   const size_t concat_buffer = std::max<size_t>(
       kPageSize, options_.memory_budget_bytes / (ranges + 1));
@@ -728,26 +592,6 @@ Result<std::unique_ptr<SortedStream>> ExternalSorter::PartitionedFinalMerge(
 Result<std::unique_ptr<SortedStream>> ExternalSorter::Finish() {
   if (finished_) return Status::Internal("Finish called twice");
   finished_ = true;
-
-  if (parallel()) {
-    // Hand the tail to the workers (unless nothing was ever enqueued and
-    // the whole input fits in one chunk — then sort it in memory below),
-    // then drain and join.
-    if (next_chunk_seq_ > 0 && buffered_records_ > 0) {
-      COCONUT_RETURN_NOT_OK(EnqueueChunk());
-    }
-    StopWorkers();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      COCONUT_RETURN_NOT_OK(worker_error_);
-    }
-    // Merge order must follow chunk (input) order for stable output.
-    for (auto& [seq, name] : runs_by_seq_) {
-      (void)seq;
-      run_names_.push_back(std::move(name));
-    }
-    runs_by_seq_.clear();
-  }
 
   // Everything fits: a single in-memory sorted stream, zero I/O.
   if (run_names_.empty()) {
@@ -768,8 +612,11 @@ Result<std::unique_ptr<SortedStream>> ExternalSorter::Finish() {
         std::make_unique<VectorStream>(std::move(sorted), options_.record_size));
   }
 
-  // Spill the tail so every record is in some run.
+  // Spill the tail so every record is in some run, then let the workers
+  // finish theirs.
   COCONUT_RETURN_NOT_OK(SpillRun());
+  StopWorkers();
+  COCONUT_RETURN_NOT_OK(worker_error_);  // Workers joined: no lock needed.
 
   // Bound the merge fan-in by the memory budget: one page per input run
   // plus one output page.
@@ -778,46 +625,18 @@ Result<std::unique_ptr<SortedStream>> ExternalSorter::Finish() {
              ? options_.memory_budget_bytes / kPageSize - 1
              : 2);
 
-  // Merge workers: intermediate passes run their fan-in groups
-  // concurrently, and the final pass is range-partitioned across the pool.
-  // Both leave the output bytes untouched (see class comment).
-  // merge_threads_used is recorded where merges actually run in parallel
-  // (budget capping can serialize them despite the pool existing).
-  const size_t merge_threads = MergeThreadCount();
-  std::unique_ptr<ThreadPool> merge_pool;
-  if (merge_threads > 1 && run_names_.size() > 1) {
-    merge_pool = std::make_unique<ThreadPool>(merge_threads);
-  }
-
   // Multi-pass merging under extreme memory pressure.
-  std::vector<std::string> pending = run_names_;
-  while (pending.size() > fan_in) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.merge_passes;
-    }
-    COCONUT_ASSIGN_OR_RETURN(pending,
-                             MergePassGroups(pending, fan_in,
-                                             merge_pool.get()));
-    // run_names_ tracks every live intermediate file for cleanup.
-    run_names_ = pending;
+  while (run_names_.size() > fan_in) {
+    ++stats_.merge_passes;
+    COCONUT_ASSIGN_OR_RETURN(run_names_, MergePass(fan_in));
   }
 
-  if (merge_pool != nullptr && run_names_.size() > 1) {
-    const size_t ranges = options_.merge_partitions != 0
-                              ? options_.merge_partitions
-                              : merge_threads;
-    if (ranges > 1) {
-      COCONUT_ASSIGN_OR_RETURN(
-          std::unique_ptr<SortedStream> stream,
-          PartitionedFinalMerge(merge_pool.get(), ranges));
-      if (stream != nullptr) return stream;
-    }
+  if (parallel() && run_names_.size() > 1) {
+    COCONUT_ASSIGN_OR_RETURN(std::unique_ptr<SortedStream> stream,
+                             PartitionedFinalMerge(options_.threads));
+    if (stream != nullptr) return stream;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.merge_passes;
-  }
+  ++stats_.merge_passes;
 
   // Final merge streamed to the caller.
   const size_t merge_buffer =
@@ -830,7 +649,7 @@ Result<std::unique_ptr<SortedStream>> ExternalSorter::Finish() {
     streams.push_back(std::make_unique<RunFileStream>(
         std::move(file), options_.record_size, merge_buffer));
   }
-  auto merge = std::make_unique<OwningMergeStream>(
+  auto merge = std::make_unique<MergeStream>(
       std::move(streams), options_.record_size, options_.less);
   COCONUT_RETURN_NOT_OK(merge->Init());
   return std::unique_ptr<SortedStream>(std::move(merge));

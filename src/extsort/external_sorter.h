@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -34,17 +33,16 @@ class SortedStream {
 /// one in-memory pass; with less it spills runs and merges them with
 /// sequential I/O; with very little it needs multiple merge passes.
 ///
-/// All counters are aggregated under the sorter's mutex, so they are exact
-/// whatever the thread count: totals like `records` and `runs_spilled` are
-/// invariant across `threads`/`merge_threads` (the determinism tests assert
-/// this).
+/// Only the thread that calls Add and Finish updates them. `records` is the
+/// same whatever `threads` is; `runs_spilled` (and with it `merge_passes`)
+/// is not, because threaded run generation cuts smaller chunks.
 struct SortStats {
   uint64_t records = 0;
   uint64_t runs_spilled = 0;
   uint64_t merge_passes = 0;
   /// Worker threads that generated runs (1 = synchronous sort-and-spill).
   uint64_t threads_used = 1;
-  /// Worker threads that executed the merge phase (1 = serial merge).
+  /// Worker threads that executed the final merge (1 = serial merge).
   uint64_t merge_threads_used = 1;
   /// Disjoint key ranges the final merge was partitioned into (1 = one
   /// streaming k-way merge).
@@ -58,24 +56,23 @@ struct SortStats {
 /// and spilled as sequential runs; Finish() k-way-merges the runs into one
 /// sorted stream using one input page per run plus one output page.
 ///
-/// With `threads > 1`, run generation is parallel: the producer keeps
-/// filling fixed-size chunks while worker threads sort and spill earlier
-/// chunks concurrently, all under the same memory budget (one producer
-/// chunk plus at most `threads` in-flight chunks). The sort is stable —
-/// equal records keep input order — so output bytes are identical whatever
-/// the thread count or budget (the determinism the oracle tests pin down).
+/// `threads` is the one parallelism input, and it drives both phases:
+///  - Run generation: the producer keeps filling chunks of
+///    budget / (threads + 1) while `threads` workers sort and spill earlier
+///    chunks, so one producer chunk plus the in-flight ones fit the budget.
+///  - Final merge: sampled splitters carve the key space into up to
+///    `threads` disjoint ranges, each k-way-merged into its own range file
+///    on a pool, and Finish streams their concatenation. It declines to the
+///    serial streaming merge when the budget cannot feed two range merges
+///    or one key class fills the sample. Intermediate passes (more runs
+///    than the fan-in) are always serial.
 ///
-/// With `merge_threads > 1` the merge phase is parallel too. Intermediate
-/// passes merge their fan-in groups concurrently. The final pass splits the
-/// key space into disjoint ranges via sampled splitters, k-way-merges each
-/// range on the pool into a range file, and streams the concatenation.
-/// Partitioning uses lower-bound semantics — every record equal to a
-/// splitter lands in the range at or above it — so no tie class straddles a
-/// boundary and the concatenation is byte-identical to the serial stable
-/// merge, whatever the thread or partition count. The trade-off is one
-/// extra materialization: the serial final merge streams straight out of
-/// the run files, the parallel one writes range files first (sequential
-/// I/O) and streams those.
+/// The sort is stable — equal records keep input order — and every record
+/// equal to a splitter lands in the range at or above it, so no tie class
+/// straddles a boundary. Output bytes are therefore identical whatever the
+/// thread count or budget (the determinism the oracle tests pin down). The
+/// cost of threads is I/O: smaller chunks mean more runs, and the range
+/// files are one extra sequential materialization.
 class ExternalSorter {
  public:
   struct Options {
@@ -84,16 +81,9 @@ class ExternalSorter {
     /// Cap on buffered bytes before spilling a run. Also bounds merge
     /// fan-in: max_fan_in = budget / kPageSize - 1 (>= 2).
     size_t memory_budget_bytes = 64 << 20;
-    /// Worker threads for run generation. 1 = synchronous (sort and spill
-    /// inline in Add); N > 1 pipelines sorting/spilling behind ingestion.
+    /// Worker threads for run generation and the final merge. 1 =
+    /// synchronous sort-and-spill in Add and one streaming merge.
     size_t threads = 1;
-    /// Worker threads for the merge phase. 0 = follow `threads`; 1 =
-    /// serial streaming merge; N > 1 = range-partitioned parallel merge
-    /// (output bytes unchanged — see class comment).
-    size_t merge_threads = 0;
-    /// Key ranges for the parallel final merge. 0 = one range per merge
-    /// worker. Ignored when the effective merge thread count is 1.
-    size_t merge_partitions = 0;
     /// Where run files live. Not owned.
     storage::StorageManager* storage = nullptr;
     /// Prefix for run file names (unique per concurrent sort).
@@ -122,62 +112,47 @@ class ExternalSorter {
  private:
   explicit ExternalSorter(Options options);
 
+  bool parallel() const { return options_.threads > 1; }
+  /// Sorts the buffered chunk and writes it to run file
+  /// `temp_prefix + ".run" + id`: inline when serial, on the worker pool
+  /// otherwise (blocking while `threads` chunks are already in flight, which
+  /// keeps memory under the budget).
   Status SpillRun();
-  /// Merges `inputs` into `output_name`. `concurrency` is how many merges
-  /// share the memory budget at once (buffers are divided by it).
-  Result<std::string> MergeRuns(const std::vector<std::string>& inputs,
-                                const std::string& output_name,
-                                size_t concurrency = 1);
-
-  // --- parallel merge phase (merge_threads > 1) ---
-  /// Effective merge worker count (merge_threads, falling back to threads).
-  size_t MergeThreadCount() const;
-  /// Runs one multi-pass round: merges each fan-in group of `pending` into
-  /// a fresh file, concurrently when a pool is given. Returns the next
-  /// round's run names in deterministic (input) order.
-  Result<std::vector<std::string>> MergePassGroups(
-      const std::vector<std::string>& pending, size_t fan_in,
-      ThreadPool* pool);
+  /// Drains outstanding chunks and joins the worker pool. Idempotent.
+  void StopWorkers();
+  /// One intermediate pass: merges each fan-in group of run_names_ into a
+  /// fresh file, in order, and returns the next pass's run names.
+  Result<std::vector<std::string>> MergePass(size_t fan_in);
+  /// Merges `inputs` into `output_name` and deletes the inputs.
+  Status MergeRuns(const std::vector<std::string>& inputs,
+                   const std::string& output_name);
   /// Samples run files and returns ascending, deduplicated splitter records
   /// carving the key space into at most `num_ranges` disjoint ranges.
   Result<std::vector<std::vector<uint8_t>>> PickSplitters(size_t num_ranges);
   /// Range-partitioned final merge over run_names_: merges every key range
-  /// into its own file on `pool` and returns a stream over the ordered
-  /// concatenation (byte-identical to the serial merge).
+  /// into its own file on a pool and returns a stream over the ordered
+  /// concatenation (byte-identical to the serial merge), or nullptr when it
+  /// declines.
   Result<std::unique_ptr<SortedStream>> PartitionedFinalMerge(
-      ThreadPool* pool, size_t num_ranges);
-
-  // --- parallel run generation (threads > 1) ---
-  bool parallel() const { return options_.threads > 1; }
-  /// Sorts one chunk and writes run file `temp_prefix + ".run" + seq`.
-  Status SortAndSpillChunk(uint64_t seq, const std::vector<uint8_t>& data,
-                           size_t num_records);
-  /// Hands the producer buffer to the worker pool (blocks while `threads`
-  /// chunks are already in flight, keeping memory under the budget).
-  Status EnqueueChunk();
-  /// Drains outstanding chunks and joins the worker pool. Idempotent.
-  void StopWorkers();
+      size_t num_ranges);
 
   Options options_;
   size_t max_buffered_records_;
   std::vector<uint8_t> buffer_;
   size_t buffered_records_ = 0;
+  // Every live run or merge file, in input order: merge order must follow
+  // it for stable (deterministic) output. A run is listed when it is cut,
+  // before a worker writes it, so the destructor also removes partial runs.
   std::vector<std::string> run_names_;
-  uint64_t next_run_id_ = 0;
+  uint64_t next_run_id_ = 0;  // Numbers run and intermediate merge files.
   SortStats stats_;
   bool finished_ = false;
-  // Keeps merge inputs alive while the final stream is consumed.
-  std::vector<std::unique_ptr<SortedStream>> live_inputs_;
 
-  std::unique_ptr<ThreadPool> pool_;  // Non-null iff parallel().
+  std::unique_ptr<ThreadPool> pool_;  // Run generation; spawned lazily.
   std::mutex mu_;
   std::condition_variable space_cv_;  // Producer waits for a free slot.
   size_t chunks_in_flight_ = 0;  // Queued + currently being spilled.
   Status worker_error_;
-  uint64_t next_chunk_seq_ = 0;
-  // Run names keyed by chunk sequence: merge order must follow input
-  // order, not spill-completion order, for stable (deterministic) output.
-  std::map<uint64_t, std::string> runs_by_seq_;
 };
 
 /// Convenience for tests: sorts `records` (concatenated fixed-size records)

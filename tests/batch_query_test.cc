@@ -8,6 +8,8 @@
 // reruns scalar-pinned as batch_query_test_forced_scalar.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -186,8 +188,10 @@ INSTANTIATE_TEST_SUITE_P(
 class ServiceBatchTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps this binary's scalar-pinned ctest twin, which may run
+    // at the same time, out of this root.
     root_ = std::filesystem::temp_directory_path().string() +
-            "/batch_query_service_" +
+            "/batch_query_service_" + std::to_string(::getpid()) + "_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(root_);
     auto created = Service::Create(root_);

@@ -117,6 +117,58 @@ TEST_F(CTreeTest, BulkBuildUsesSequentialWrites) {
   EXPECT_GT(builder->sort_stats().runs_spilled, 1u);
 }
 
+// The construction sort's bytes do not depend on sort_threads, so neither
+// does the tree: 1 and 4 sort threads lay out the same leaves.
+TEST_F(CTreeTest, SortThreadsDoNotChangeTheTree) {
+  auto collection = testutil::RandomWalkCollection(6000, 64, 13);
+  raw_ = core::RawSeriesStore::Create(mgr_.get(), "raw", 64).TakeValue();
+  ASSERT_TRUE(testutil::FillRawStore(raw_.get(), collection).ok());
+  for (bool materialized : {false, true}) {
+    // Both builds spill at these budgets (2 serial runs), and 4 threads cut
+    // few enough runs that the final merge is range-partitioned too.
+    const size_t budget = materialized ? size_t{1} << 20 : size_t{128} << 10;
+    std::vector<seqtable::LeafView> leaves[2];
+    extsort::SortStats stats[2];
+    for (size_t t = 0; t < 2; ++t) {
+      const size_t threads = t == 0 ? 1 : 4;
+      const std::string name = "tree" + std::to_string(materialized) +
+                               "_" + std::to_string(threads);
+      auto builder =
+          CTree::Builder::Create(mgr_.get(), name,
+                                 {.sax = TestSax(),
+                                  .materialized = materialized,
+                                  .sort_memory_bytes = budget,
+                                  .sort_threads = threads})
+              .TakeValue();
+      for (size_t i = 0; i < collection.size(); ++i) {
+        ASSERT_TRUE(
+            builder->Add(i, collection[i], static_cast<int64_t>(i)).ok());
+      }
+      auto tree = builder->Finish(nullptr, raw_.get()).TakeValue();
+      leaves[t].resize(tree->num_leaves());
+      for (size_t leaf = 0; leaf < leaves[t].size(); ++leaf) {
+        ASSERT_TRUE(tree->table().ReadLeaf(leaf, &leaves[t][leaf]).ok());
+      }
+      stats[t] = builder->sort_stats();
+    }
+    SCOPED_TRACE(materialized ? "materialized" : "plain");
+    EXPECT_GT(stats[0].runs_spilled, 1u);
+    EXPECT_EQ(stats[0].threads_used, 1u);
+    EXPECT_EQ(stats[1].threads_used, 4u);
+    EXPECT_GT(stats[1].merge_ranges, 1u);
+    ASSERT_EQ(leaves[1].size(), leaves[0].size());
+    size_t entries = 0;
+    for (size_t leaf = 0; leaf < leaves[0].size(); ++leaf) {
+      EXPECT_EQ(leaves[1][leaf].entries, leaves[0][leaf].entries)
+          << "leaf " << leaf;
+      EXPECT_EQ(leaves[1][leaf].payloads, leaves[0][leaf].payloads)
+          << "leaf " << leaf;
+      entries += leaves[0][leaf].entries.size();
+    }
+    EXPECT_EQ(entries, collection.size());
+  }
+}
+
 TEST_F(CTreeTest, ReopenPreservesTree) {
   auto collection = testutil::RandomWalkCollection(300, 64, 6);
   auto tree = Build(collection, {.sax = TestSax()});

@@ -397,54 +397,37 @@ class ExtSortMergeTest : public ExtSortTest {
 TEST_F(ExtSortMergeTest, ParallelMergeByteIdenticalToSerialMerge) {
   auto entries = RandomEntries(5000, 31);
   const auto input = ToBytes(entries);
-  for (size_t budget :
-       {size_t{400} * sizeof(IndexEntry), size_t{4096}, size_t{64} << 10}) {
-    ExternalSorter::Options serial = Opts(budget);
-    serial.threads = 1;
-    serial.merge_threads = 1;
-    const SortOutcome reference = Run(serial, input);
+  bool partitioned = false;
+  for (size_t budget : {size_t{400} * sizeof(IndexEntry), size_t{4096},
+                        size_t{64} << 10, size_t{256} << 10}) {
+    const SortOutcome reference = Run(Opts(budget), input);
     ASSERT_EQ(reference.bytes.size(), input.size());
 
-    for (size_t gen_threads : {size_t{1}, size_t{3}}) {
+    for (size_t threads : {size_t{2}, size_t{3}, size_t{4}, size_t{8}}) {
       // Run generation sizes chunks by thread count, so runs_spilled (and
-      // with it merge_passes) legitimately varies with `threads`. Merge
-      // parallelism must not move any counter: compare against a serial-
-      // merge baseline at the same generation thread count.
-      ExternalSorter::Options base = Opts(budget);
-      base.threads = gen_threads;
-      base.merge_threads = 1;
-      const SortOutcome gen_reference = Run(base, input);
-      EXPECT_EQ(gen_reference.bytes, reference.bytes);
-
-      for (size_t merge_threads : {size_t{2}, size_t{4}, size_t{8}}) {
-        for (size_t partitions : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
-                                  size_t{8}, size_t{16}}) {
-          ExternalSorter::Options o = Opts(budget);
-          o.threads = gen_threads;
-          o.merge_threads = merge_threads;
-          o.merge_partitions = partitions;
-          const SortOutcome got = Run(o, input);
-          EXPECT_EQ(got.bytes, reference.bytes)
-              << "budget=" << budget << " gen=" << gen_threads
-              << " merge=" << merge_threads << " parts=" << partitions;
-          // Totals are invariant however the merge is threaded or the key
-          // space is partitioned (the thread-safe stats guarantee).
-          EXPECT_EQ(got.stats.records, gen_reference.stats.records);
-          EXPECT_EQ(got.stats.runs_spilled,
-                    gen_reference.stats.runs_spilled);
-          EXPECT_EQ(got.stats.merge_passes,
-                    gen_reference.stats.merge_passes);
-        }
-      }
+      // with it merge_passes and whether the final merge partitions) varies
+      // with `threads`; the bytes must not.
+      ExternalSorter::Options o = Opts(budget);
+      o.threads = threads;
+      const SortOutcome got = Run(o, input);
+      EXPECT_EQ(got.bytes, reference.bytes)
+          << "budget=" << budget << " threads=" << threads;
+      EXPECT_EQ(got.stats.records, reference.stats.records);
+      EXPECT_LE(got.stats.merge_threads_used, threads);
+      EXPECT_LE(got.stats.merge_ranges, threads);
+      partitioned |= got.stats.merge_ranges > 1;
     }
   }
+  // At 256 KiB every thread count cuts few enough runs for the budget to
+  // feed the range merges, so the partitioned path is really compared.
+  EXPECT_TRUE(partitioned);
 }
 
 TEST_F(ExtSortMergeTest, ParallelMergeEdgeCases) {
   // Empty input.
   {
     ExternalSorter::Options o = Opts(1 << 20);
-    o.merge_threads = 4;
+    o.threads = 4;
     const SortOutcome got = Run(o, {});
     EXPECT_TRUE(got.bytes.empty());
     EXPECT_TRUE(got.stats.in_memory);
@@ -453,37 +436,23 @@ TEST_F(ExtSortMergeTest, ParallelMergeEdgeCases) {
   {
     auto entries = RandomEntries(1, 32);
     ExternalSorter::Options o = Opts(1 << 20);
-    o.merge_threads = 4;
+    o.threads = 4;
     const SortOutcome got = Run(o, ToBytes(entries));
     EXPECT_EQ(got.bytes, ToBytes(entries));
-  }
-  // merge_threads explicitly 1 on a spilling sort = the serial merge even
-  // when run generation is parallel.
-  {
-    auto entries = RandomEntries(3000, 33);
-    const auto input = ToBytes(entries);
-    ExternalSorter::Options serial = Opts(300 * sizeof(IndexEntry));
-    const SortOutcome reference = Run(serial, input);
-    ExternalSorter::Options o = Opts(300 * sizeof(IndexEntry));
-    o.threads = 4;
-    o.merge_threads = 1;
-    const SortOutcome got = Run(o, input);
-    EXPECT_EQ(got.bytes, reference.bytes);
-    EXPECT_EQ(got.stats.merge_threads_used, 1u);
-    EXPECT_EQ(got.stats.merge_ranges, 1u);
   }
 }
 
 TEST_F(ExtSortMergeTest, ParallelMergePartitionsRecordedInStats) {
-  auto entries = RandomEntries(4000, 34);
-  // Budget large enough that two concurrent range merges fit above the
-  // one-page buffer floor (the partitioned path declines otherwise), yet
-  // small enough to spill runs: 64 KiB over 125 KiB of records.
-  ExternalSorter::Options o = Opts(64 << 10);
-  o.merge_threads = 4;
-  o.merge_partitions = 4;
+  auto entries = RandomEntries(8000, 34);
+  // 4 threads cut chunks of budget / 5: 256 KiB over 250 KiB of records
+  // spills 5 runs, and the budget feeds 256 KiB / (6 x 4 KiB) = 10 range
+  // merges at once, so all 4 workers run (the partitioned path declines
+  // below 2).
+  ExternalSorter::Options o = Opts(256 << 10);
+  o.threads = 4;
   const SortOutcome got = Run(o, ToBytes(entries));
   EXPECT_EQ(got.bytes.size(), entries.size() * sizeof(IndexEntry));
+  EXPECT_EQ(got.stats.threads_used, 4u);
   EXPECT_EQ(got.stats.merge_threads_used, 4u);
   EXPECT_GT(got.stats.runs_spilled, 1u);
   // Random 128-bit keys sample into distinct splitters, so the final
@@ -496,7 +465,7 @@ TEST_F(ExtSortMergeTest, DuplicateKeysFallBackToSerialMergeCorrectly) {
   // Every record equal under the comparator: splitter sampling finds one
   // key class, the partitioned merge declines, and the serial path must
   // still produce the stable order.
-  std::vector<IndexEntry> entries(1500);
+  std::vector<IndexEntry> entries(6000);
   for (size_t i = 0; i < entries.size(); ++i) {
     entries[i].key = SortableKey{{7, 7}};
     entries[i].series_id = i;
@@ -509,41 +478,28 @@ TEST_F(ExtSortMergeTest, DuplicateKeysFallBackToSerialMergeCorrectly) {
     std::memcpy(&eb, b, sizeof(eb));
     return ea.key < eb.key;
   };
-  // Budget passes the partitioned-merge memory gate (so the decline below
-  // is the splitter fallback, not the budget one) while still spilling.
-  ExternalSorter::Options serial = Opts(1024 * sizeof(IndexEntry));
+  // 128 KiB spills both sorts: 2 serial runs, and 8 runs of budget / 5
+  // under 4 threads. The budget still feeds 128 KiB / (9 x 4 KiB) = 3 range
+  // merges, so the threaded sort passes the partitioned merge's memory gate
+  // and the decline below is the splitter fallback, not the budget one.
+  ExternalSorter::Options serial = Opts(128 << 10);
   serial.less = key_only_less;
   const SortOutcome reference = Run(serial, input);
   ASSERT_GT(reference.stats.runs_spilled, 1u);
 
-  ExternalSorter::Options o = Opts(1024 * sizeof(IndexEntry));
+  ExternalSorter::Options o = Opts(128 << 10);
   o.less = key_only_less;
-  o.merge_threads = 4;
+  o.threads = 4;
   const SortOutcome got = Run(o, input);
   EXPECT_EQ(got.bytes, reference.bytes);
+  EXPECT_EQ(got.stats.runs_spilled, 8u);
   EXPECT_EQ(got.stats.merge_ranges, 1u);  // Fallback taken.
+  EXPECT_EQ(got.stats.merge_threads_used, 1u);
   // Stability: input order survives within the single key class.
   auto sorted = FromBytes(got.bytes);
   for (size_t i = 0; i < sorted.size(); ++i) {
     EXPECT_EQ(sorted[i].series_id, i);
   }
-}
-
-TEST_F(ExtSortMergeTest, ParallelMultiPassMergeByteIdentical) {
-  // 4 KiB budget forces tiny fan-in and several intermediate passes; the
-  // groups of each pass run concurrently and the output must not move.
-  auto entries = RandomEntries(8000, 35);
-  const auto input = ToBytes(entries);
-  ExternalSorter::Options serial = Opts(4096);
-  const SortOutcome reference = Run(serial, input);
-  EXPECT_GT(reference.stats.merge_passes, 1u);
-
-  ExternalSorter::Options o = Opts(4096);
-  o.merge_threads = 4;
-  const SortOutcome got = Run(o, input);
-  EXPECT_EQ(got.bytes, reference.bytes);
-  EXPECT_EQ(got.stats.merge_passes, reference.stats.merge_passes);
-  EXPECT_EQ(got.stats.runs_spilled, reference.stats.runs_spilled);
 }
 
 TEST_F(ExtSortTest, AddAfterFinishFails) {
